@@ -36,7 +36,6 @@ from .linalg import (
     center_restrict,
     householder_basis,
     is_normal,
-    is_psd,
     normal_complex_spectrum,
     sym_eigenvalues,
     vn_trace_range,
@@ -61,7 +60,6 @@ __all__ = [
     "held_karp",
     "householder_basis",
     "is_normal",
-    "is_psd",
     "load_tsplib",
     "load_with_optimum",
     "mean_distance",

@@ -24,9 +24,9 @@ scaling by alpha >= 0 multiplies it by alpha.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import InvalidDimension, NonzeroDiagonal, NotNormal, NotSymmetric
 from .linalg import (
@@ -34,11 +34,9 @@ from .linalg import (
     antisym_spectrum,
     as_square,
     center_restrict,
-    frobenius_scale,
+    commuting_spectrum,
     is_normal,
-    is_psd,
     is_symmetric,
-    normal_complex_spectrum,
 )
 
 _DIAG_TOL = 1e-12
@@ -47,13 +45,13 @@ _DIAG_TOL = 1e-12
 def check_distance_matrix(D, tol: float = DEFAULT_TOL, symmetric: bool = False) -> np.ndarray:
     """Validate a distance matrix: square, finite, n >= 3, zero diagonal.
 
-    The diagonal must vanish to within 1e-12 * max(1, ||D||_F); it is never
+    The diagonal must vanish to within 1e-12 * ||D||_F; it is never
     silently zeroed.  With symmetric=True also insists on D = D^T.
     """
     A = as_square(D, "distance matrix")
     if A.shape[0] < 3:
         raise InvalidDimension("tours need at least 3 cities")
-    if np.abs(np.diagonal(A)).max() > _DIAG_TOL * frobenius_scale(A):
+    if np.abs(np.diagonal(A)).max() > _DIAG_TOL * float(np.linalg.norm(A)):
         raise NonzeroDiagonal("distance matrix must have a zero diagonal")
     if symmetric and not is_symmetric(A, tol):
         raise NotSymmetric("this bound requires a symmetric distance matrix")
@@ -68,16 +66,65 @@ def tsp_coefficients(n: int) -> np.ndarray:
     """
     if n < 3:
         raise InvalidDimension("tours need at least 3 cities")
-    k = np.arange(1, n)
-    return np.sort(1.0 - np.cos(2.0 * np.pi * k / n))
+    return np.sort(1.0 - np.cos(2.0 * np.pi * np.arange(1, n) / n))
+
+
+class Compression:
+    """One validated distance matrix and the spectral data the bounds read.
+
+    R is the compression of -D onto the mean-zero subspace
+    (linalg.center_restrict), S and K its symmetric and antisymmetric parts,
+    mu the descending spectrum of S.  Each is computed on first use and
+    kept.  Every bound function below accepts a Compression in place of D
+    (its own tol then applies), so asking one for all bounds costs one
+    validation, one compression and, on symmetric input, one eigensolve.
+    """
+
+    def __init__(self, D, tol: float = DEFAULT_TOL):
+        self.A = check_distance_matrix(D, tol)
+        self.n = self.A.shape[0]
+        self.tol = tol
+
+    @cached_property
+    def symmetric(self) -> bool:
+        return is_symmetric(self.A, self.tol)
+
+    @cached_property
+    def R(self) -> np.ndarray:
+        return center_restrict(self.A)
+
+    @cached_property
+    def S(self) -> np.ndarray:
+        return 0.5 * (self.R + self.R.T)
+
+    @cached_property
+    def K(self) -> np.ndarray:
+        return 0.5 * (self.R - self.R.T)
+
+    @cached_property
+    def normal(self) -> bool:
+        return is_normal(self.R, self.tol)
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return np.sort(np.linalg.eigvalsh(self.S))[::-1]
+
+    @cached_property
+    def psd(self) -> bool:
+        """mu is non-negative, at tolerance tol * ||S||_F."""
+        return bool(self.mu[-1] >= -self.tol * float(np.linalg.norm(self.S)))
+
+
+def _compression(D, tol: float, symmetric: bool = False) -> Compression:
+    c = D if isinstance(D, Compression) else Compression(D, tol)
+    if symmetric and not c.symmetric:
+        raise NotSymmetric("this bound requires a symmetric distance matrix")
+    return c
 
 
 def restricted_spectrum(D, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Descending eigenvalues of the symmetrized compression of -D."""
-    A = check_distance_matrix(D, tol)
-    R = center_restrict(A)
-    R = 0.5 * (R + R.T)
-    return np.sort(np.linalg.eigvalsh(R))[::-1]
+    return _compression(D, tol).mu
 
 
 def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
@@ -87,9 +134,8 @@ def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
     descending; by the rearrangement inequality this is the cheapest pairing,
     and it lower-bounds the length of every Hamiltonian cycle through D.
     """
-    A = check_distance_matrix(D, tol, symmetric=True)
-    mu = restricted_spectrum(A, tol)
-    return float(tsp_coefficients(A.shape[0]) @ mu)
+    c = _compression(D, tol, symmetric=True)
+    return float(tsp_coefficients(c.n) @ c.mu)
 
 
 def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
@@ -99,15 +145,19 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
     distance matrices are the model case; symmetric ones qualify trivially).
     Minimizes sum_j Re((1 - omega^j) w_{sigma(j)}) over all bijections sigma
     between the tour-cycle frequencies j = 1..n-1 and the complex compressed
-    spectrum w, via an exact linear assignment solve (Jonker-Volgenant).
+    spectrum w, via an exact linear assignment solve (Jonker-Volgenant).  On
+    symmetric D the spectrum is real, the minimum is phi_symmetric by
+    rearrangement, and that value is returned without the solve.
     """
-    A = check_distance_matrix(D, tol)
-    R = center_restrict(A)
-    if not is_normal(R, tol):
+    c = _compression(D, tol)
+    if not c.normal:
         raise NotNormal("compression of -D is not normal; use phi_general instead")
-    w = normal_complex_spectrum(R, tol)
-    n = A.shape[0]
-    ang = 2.0 * np.pi * np.arange(1, n) / n
+    if c.symmetric:
+        return phi_symmetric(c)
+    from scipy.optimize import linear_sum_assignment
+
+    w = commuting_spectrum(*np.linalg.eigh(c.S), c.K, c.tol)
+    ang = 2.0 * np.pi * np.arange(1, c.n) / c.n
     # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t
     cost = np.outer(1.0 - np.cos(ang), w.real) + np.outer(np.sin(ang), w.imag)
     rows, cols = linear_sum_assignment(cost)
@@ -120,19 +170,14 @@ def phi_general(D, tol: float = DEFAULT_TOL) -> float:
     Bounds the symmetric part of the compression with the cosine pairing and
     the antisymmetric part with the sine pairing, each by rearrangement, and
     adds them.  Coarser than phi_normal when both apply, but needs no
-    structure at all.
+    structure at all.  On symmetric D the sine term vanishes and the value
+    is phi_symmetric.
     """
-    A = check_distance_matrix(D, tol)
-    n = A.shape[0]
-    R = center_restrict(A)
-    S = 0.5 * (R + R.T)
-    K = 0.5 * (R - R.T)
-    mu_s = np.sort(np.linalg.eigvalsh(S))[::-1]
-    mu_a = antisym_spectrum(K, tol)
-    ang = 2.0 * np.pi * np.arange(1, n) / n
-    a = np.sort(1.0 - np.cos(ang))
-    b = np.sort(np.sin(ang))
-    return float(a @ mu_s + b @ mu_a)
+    c = _compression(D, tol)
+    if c.symmetric:
+        return phi_symmetric(c)
+    b = np.sort(np.sin(2.0 * np.pi * np.arange(1, c.n) / c.n))
+    return float(tsp_coefficients(c.n) @ c.mu + b @ antisym_spectrum(c.K, c.tol))
 
 
 def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
@@ -142,18 +187,15 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
     symmetric tour length.  It is the classical degree-two counting bound and
     serves as the non-spectral baseline.
     """
-    A = check_distance_matrix(D, tol, symmetric=True)
-    n = A.shape[0]
-    off = A[~np.eye(n, dtype=bool)].reshape(n, n - 1)
-    two = np.sort(off, axis=1)[:, :2]
-    return float(0.5 * two.sum())
+    c = _compression(D, tol, symmetric=True)
+    off = c.A + np.diag(np.full(c.n, np.inf))
+    return float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum())
 
 
 def mean_distance(D, tol: float = DEFAULT_TOL) -> float:
     """Mean off-diagonal entry."""
-    A = check_distance_matrix(D, tol)
-    n = A.shape[0]
-    return float(A.sum() / (n * (n - 1)))
+    c = _compression(D, tol)
+    return float(c.A.sum() / (c.n * (c.n - 1)))
 
 
 def schoenberg_edm_check(D, tol: float = DEFAULT_TOL) -> bool:
@@ -161,15 +203,12 @@ def schoenberg_edm_check(D, tol: float = DEFAULT_TOL) -> bool:
 
     This is the classical embeddability criterion applied directly to D
     (not to elementwise squares), which is the form the spectral bound
-    interacts with: it holds exactly when the compressed spectrum is
-    non-negative, and it does hold for every matrix of pairwise Euclidean
-    point distances.
+    interacts with, and it holds for every matrix of pairwise Euclidean
+    point distances.  Since -P D P = Q R Q^T for the compression R, the two
+    share their nonzero spectrum: this is the `psd` flag of symmetric D,
+    read off mu with no projector product and no second eigensolve.
     """
-    A = check_distance_matrix(D, tol, symmetric=True)
-    n = A.shape[0]
-    P = np.eye(n) - np.ones((n, n)) / n
-    M = -(P @ A @ P)
-    return is_psd(0.5 * (M + M.T), tol)
+    return _compression(D, tol, symmetric=True).psd
 
 
 def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
@@ -180,9 +219,8 @@ def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
     Euclidean point-to-point distances.  The value is computed regardless;
     its bound interpretation needs that hypothesis.
     """
-    A = check_distance_matrix(D, tol, symmetric=True)
-    n = A.shape[0]
-    return float(n * (1.0 - np.cos(2.0 * np.pi / n)) * mean_distance(A, tol))
+    c = _compression(D, tol, symmetric=True)
+    return float(c.n * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c))
 
 
 @dataclass
@@ -190,12 +228,15 @@ class BoundReport:
     """Everything the bound machinery can say about one distance matrix.
 
     Fields that require structure the matrix lacks are None: phi_symmetric,
-    n2 and euclidean_floor need symmetry, phi_normal needs a normal
-    compression, euclidean_floor additionally needs the embeddability check
-    to pass.  `mu` is the descending spectrum of the symmetrized compression
-    and `psd` says whether it is non-negative (at tolerance).  `phi` is the
-    sharpest applicable bound: phi_symmetric when symmetric, else phi_normal
-    when defined, else phi_general.
+    n2 and euclidean_floor need symmetry, phi_normal a normal compression,
+    and euclidean_floor also `psd`, which says the descending spectrum `mu`
+    of the symmetrized compression is non-negative (at tolerance); for
+    symmetric D it is schoenberg_edm_check.  `phi` is the sharpest bound:
+    phi_symmetric when symmetric, else phi_normal when defined, else
+    phi_general.  On symmetric D the routes coincide, so phi_normal (when
+    normal) and phi_general carry the phi_symmetric value.  All fields come
+    from one Compression: one validation, one compression and, on
+    symmetric input, one eigensolve.
     """
 
     n: int
@@ -214,40 +255,23 @@ class BoundReport:
 
 def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
     """Run every applicable bound on D and collect the results."""
-    A = check_distance_matrix(D, tol)
-    n = A.shape[0]
-    sym = is_symmetric(A, tol)
-    R = center_restrict(A)
-    normal = is_normal(R, tol)
-    mu = restricted_spectrum(A, tol)
-    psd = bool(mu[-1] >= -tol * frobenius_scale(0.5 * (R + R.T)))
-
-    p_general = phi_general(A, tol)
-    p_sym = phi_symmetric(A, tol) if sym else None
-    p_normal = phi_normal(A, tol) if normal else None
-    n2 = n2_bound(A, tol) if sym else None
-    floor = None
-    if sym and schoenberg_edm_check(A, tol):
-        floor = euclidean_floor(A, tol)
-
-    if sym:
-        phi = p_sym
-    elif normal:
-        phi = p_normal
-    else:
-        phi = p_general
-
+    c = Compression(D, tol)
+    sym, normal = c.symmetric, c.normal
+    p_sym = phi_symmetric(c) if sym else None
+    p_normal = phi_normal(c) if normal else None
+    p_general = phi_general(c)
+    phi = p_sym if sym else p_normal if normal else p_general
     return BoundReport(
-        n=n,
+        n=c.n,
         symmetric=sym,
         normal=normal,
-        psd=psd,
+        psd=c.psd,
         phi=float(phi),
         phi_symmetric=p_sym,
         phi_normal=p_normal,
         phi_general=p_general,
-        n2=n2,
-        euclidean_floor=floor,
-        mean_distance=mean_distance(A, tol),
-        mu=[float(x) for x in mu],
+        n2=n2_bound(c) if sym else None,
+        euclidean_floor=euclidean_floor(c) if sym and c.psd else None,
+        mean_distance=mean_distance(c),
+        mu=[float(x) for x in c.mu],
     )

@@ -3,9 +3,9 @@
 All routines work on real square matrices and promise deterministic output
 ordering: real spectra come back sorted descending, complex spectra sorted
 descending by real part with ties broken by descending imaginary part.
-Tolerances are absolute-relative hybrids: a tolerance ``tol`` means
-``tol * max(1, ||M||_F)`` so that decisions are scale-free for large
-matrices but do not collapse for tiny ones.
+A tolerance ``tol`` is relative, ``tol * ||M||_F`` (``||M||_F^2`` for the
+quadratic commutator), so no decision changes when the matrix is scaled;
+the tests compare with ``<=``, so the all-zero matrix passes them.
 
 Complex arithmetic never enters the computation.  Antisymmetric and normal
 spectra are obtained from real symmetric eigenproblems only, which keeps
@@ -39,41 +39,26 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def frobenius_scale(M: np.ndarray) -> float:
-    """Hybrid tolerance scale max(1, ||M||_F)."""
-    return max(1.0, float(np.linalg.norm(M)))
-
-
 def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
     A = as_square(M)
-    return float(np.linalg.norm(A - A.T)) <= tol * frobenius_scale(A)
+    return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
 
 
 def is_antisymmetric(M, tol: float = DEFAULT_TOL) -> bool:
     A = as_square(M)
-    return float(np.linalg.norm(A + A.T)) <= tol * frobenius_scale(A)
+    return float(np.linalg.norm(A + A.T)) <= tol * float(np.linalg.norm(A))
 
 
 def is_normal(M, tol: float = DEFAULT_TOL) -> bool:
     """True iff M commutes with its transpose.
 
-    The commutator is quadratic in M, so the scale here is
-    max(1, ||M||_F^2) rather than the plain Frobenius scale.
+    The commutator is quadratic in M, so the scale here is ||M||_F^2.  With
+    M = S + K split into symmetric and antisymmetric parts, the commutator
+    M M^T - M^T M equals 2 (K S + (K S)^T), which costs one matmul.
     """
     A = as_square(M)
-    comm = A @ A.T - A.T @ A
-    scale = max(1.0, float(np.linalg.norm(A)) ** 2)
-    return float(np.linalg.norm(comm)) <= tol * scale
-
-
-def is_psd(S, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the symmetric matrix S has no eigenvalue below -tol*scale."""
-    A = as_square(S)
-    if not is_symmetric(A, tol):
-        raise NotSymmetric("positive semidefiniteness is only defined here for symmetric input")
-    A = 0.5 * (A + A.T)
-    w = np.linalg.eigvalsh(A)
-    return float(w[0]) >= -tol * frobenius_scale(A)
+    KS = 0.5 * (A - A.T) @ (0.5 * (A + A.T))
+    return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * float(np.linalg.norm(A)) ** 2
 
 
 def sym_eigenvalues(S, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -134,53 +119,42 @@ def antisym_spectrum(K, tol: float = DEFAULT_TOL) -> np.ndarray:
     s = np.sqrt(np.maximum(sq, 0.0))[::-1]
     m = n // 2
     theta = 0.5 * (s[0 : 2 * m : 2] + s[1 : 2 * m : 2])
-    out = np.concatenate([theta, np.zeros(n % 2), -theta[::-1]])
-    return out
+    return np.concatenate([theta, np.zeros(n % 2), -theta[::-1]])
 
 
 def normal_complex_spectrum(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Complex spectrum of a real normal matrix via two real eigenproblems.
-
-    Writes M = S + K with S symmetric and K antisymmetric.  For normal M
-    these commute, so each eigenspace of S is invariant under K; the
-    restriction of K to an eigenspace is again antisymmetric and supplies the
-    imaginary parts sitting on top of that eigenvalue's real part.
-
-    Eigenvalues of S closer than tol * max(1, ||S||_F) are grouped into one
-    eigenspace (their mean is used as the group's real part).  Raises
-    NotNormal when M fails the commutator test at the same tolerance.
-    Output is sorted by descending real part, ties by descending imaginary
-    part; conjugate pairs are exact by construction.
-    """
+    """Complex spectrum of a real normal matrix; raises NotNormal otherwise."""
     A = as_square(M)
     if not is_normal(A, tol):
         raise NotNormal("matrix does not commute with its transpose")
     S = 0.5 * (A + A.T)
-    K = 0.5 * (A - A.T)
-    w, V = np.linalg.eigh(S)
-    w, V = w[::-1], V[:, ::-1]
-    gap = tol * frobenius_scale(S)
+    return commuting_spectrum(*np.linalg.eigh(S), 0.5 * (A - A.T), tol)
 
-    out = np.empty(A.shape[0], dtype=complex)
-    pos = 0
-    start = 0
-    while start < len(w):
-        stop = start + 1
-        while stop < len(w) and w[stop - 1] - w[stop] <= gap:
-            stop += 1
-        real = float(np.mean(w[start:stop]))
-        Vg = V[:, start:stop]
+
+def commuting_spectrum(w: np.ndarray, V: np.ndarray, K: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """Complex spectrum of S + K, given (w, V) = eigh(S) and an antisymmetric K commuting with S.
+
+    Each eigenspace of S is invariant under K, and K restricted to it is
+    antisymmetric: it supplies the imaginary parts over that eigenvalue.
+    Eigenvalues of S closer than tol * ||S||_F form one eigenspace, whose
+    real part is their mean.  Output is sorted by descending real part, ties
+    by descending imaginary part; conjugate pairs are exact by construction.
+    """
+    w, V = w[::-1], V[:, ::-1]
+    cuts = np.flatnonzero(w[:-1] - w[1:] > tol * float(np.linalg.norm(w))) + 1
+    out = []
+    for wg, Vg in zip(np.split(w, cuts), np.split(V, cuts, axis=1)):
         B = Vg.T @ K @ Vg
         B = 0.5 * (B - B.T)
-        if B.shape[0] == 1:
-            imags = np.zeros(1)
+        if len(wg) == 1:
+            imags = [0.0]
+        elif len(wg) == 2:  # a 2 x 2 antisymmetric block has spectrum +-i|b|
+            imags = [abs(B[0, 1]), -abs(B[0, 1])]
         else:
             imags = antisym_spectrum(B, tol)
-        for a in imags:
-            out[pos] = complex(real, a)
-            pos += 1
-        start = stop
-
+        real = float(np.mean(wg))
+        out.extend(complex(real, a) for a in imags)
+    out = np.array(out, dtype=complex)
     order = np.lexsort((-out.imag, -out.real))
     return out[order]
 

@@ -23,7 +23,8 @@ from .linalg import DEFAULT_TOL, is_symmetric
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
 
-_CHUNK = 40320  # permutations evaluated per numpy batch
+# cities permuted inside one numpy batch of tours: 9! = 362880 rows, about 3 MB as int8
+_BATCH_CITIES = 9
 
 
 @dataclass
@@ -52,6 +53,16 @@ def _chunk_lengths(A: np.ndarray, tails: np.ndarray) -> np.ndarray:
     return total
 
 
+def _permutations(m: int) -> np.ndarray:
+    """Every permutation of range(m), one per row of an int8 array, in lexicographic order."""
+    P = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, m + 1):
+        # rows led by `first`, then the permutations of the other k - 1 values
+        # in order: P with every value >= first moved up by one
+        P = np.vstack([np.column_stack([np.full(len(P), first, np.int8), P + (P >= first)]) for first in range(k)])
+    return P
+
+
 def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
     """Exact minimum by enumerating every tour.  Hard cap at 12 cities.
 
@@ -59,7 +70,9 @@ def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
     distances each direction of traversal is enumerated once as well (the
     orientation with the smaller second city is kept).  Among tours of
     exactly minimal length the lexicographically smallest order wins, which
-    makes the result reproducible bit for bit.
+    makes the result reproducible bit for bit.  Tours are built and measured
+    in numpy batches: each batch fixes the leading cities and permutes the
+    last nine, in lexicographic order.
     """
     A = check_distance_matrix(D, tol)
     n = A.shape[0]
@@ -67,28 +80,26 @@ def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
     symmetric = is_symmetric(A, tol)
 
+    cities = np.arange(1, n, dtype=np.int8)
+    suffixes = _permutations(min(n - 1, _BATCH_CITIES))
+    lead = n - 1 - suffixes.shape[1]
     best_len = np.inf
-    best_tail: tuple[int, ...] | None = None
-    perms = itertools.permutations(range(1, n))
-    while True:
+    best_tail: np.ndarray | None = None
+    for head in itertools.permutations(range(1, n), lead):
+        rest = np.setdiff1d(cities, head)
+        tails = np.hstack([np.tile(np.array(head, dtype=np.int8), (len(suffixes), 1)), rest[suffixes]])
         if symmetric:
-            batch = [p for p in itertools.islice(perms, 2 * _CHUNK) if p[0] < p[-1]]
-        else:
-            batch = list(itertools.islice(perms, _CHUNK))
-        if not batch:
-            break
-        tails = np.array(batch, dtype=np.int8)
-        lengths = _chunk_lengths(A, tails)
-        low_len = float(lengths.min())
-        if low_len > best_len:
+            tails = tails[tails[:, 0] < tails[:, -1]]
+        if not len(tails):
             continue
-        # exact ties resolve to the lexicographically smallest order
-        low = min(batch[j] for j in np.flatnonzero(lengths == low_len))
-        if low_len < best_len or best_tail is None or low < best_tail:
-            best_len = low_len
-            best_tail = low
+        lengths = _chunk_lengths(A, tails)
+        # batches come in lexicographic order and argmin takes the first
+        # minimum, so exact ties resolve to the lexicographically smallest order
+        i = int(np.argmin(lengths))
+        if lengths[i] < best_len:
+            best_len, best_tail = lengths[i], tails[i]
 
-    order = [0, *best_tail]
+    order = [0, *(int(c) for c in best_tail)]
     return Tour(order=order, length=tour_length(A, order))
 
 

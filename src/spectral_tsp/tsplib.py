@@ -129,6 +129,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
     """Parse TSPLIB problem text into a realized distance matrix."""
     lines = text.splitlines()
     header: dict[str, str] = {}
+    n: int | None = None
     coords: np.ndarray | None = None
     weights: list[float] | None = None
 
@@ -156,14 +157,20 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                 fail(UnsupportedKeyword, i, f"EDGE_WEIGHT_TYPE {value!r} is not supported")
             if key == "TYPE" and value.split()[0] != "TSP":
                 fail(UnsupportedKeyword, i, f"only TYPE TSP is supported, got {value.split()[0]!r}")
+            if key == "DIMENSION":
+                try:
+                    n = int(value)
+                except ValueError:
+                    fail(InputFormatError, i, f"DIMENSION {value!r} is not an integer")
+                if n < 3:
+                    fail(DimensionMismatch, i, f"DIMENSION must be at least 3, got {n}")
             header[key] = value
             i += 1
             continue
 
         if key in _SECTIONS:
-            if "DIMENSION" not in header:
+            if n is None:
                 fail(InputFormatError, i, f"{key} before DIMENSION")
-            n = int(header["DIMENSION"])
 
             if key == "NODE_COORD_SECTION":
                 rows = np.zeros((n, 2))
@@ -212,11 +219,8 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
 
         fail(UnsupportedKeyword, i, f"unsupported keyword {key!r}")
 
-    if "DIMENSION" not in header:
+    if n is None:
         raise InputFormatError(f"{source}: missing DIMENSION")
-    n = int(header["DIMENSION"])
-    if n < 3:
-        raise DimensionMismatch(f"{source}: DIMENSION must be at least 3, got {n}")
     problem_type = header.get("TYPE", "TSP").split()[0]
     if problem_type != "TSP":
         raise UnsupportedKeyword(f"{source}: only TYPE TSP is supported, got {problem_type!r}")

@@ -42,6 +42,21 @@ def phi_projector(D) -> float:
     return float(cosine_coefficients(n) @ mu[::-1])
 
 
+def is_psd(S, tol: float = 1e-8) -> bool:
+    """True iff the symmetric matrix S has no eigenvalue below -tol * ||S||_F."""
+    S = np.asarray(S, dtype=float)
+    S = 0.5 * (S + S.T)
+    return float(np.linalg.eigvalsh(S)[0]) >= -tol * float(np.linalg.norm(S))
+
+
+def schoenberg_projector(D, tol: float = 1e-8) -> bool:
+    """Embeddability test on the full space: is -P D P positive semidefinite?"""
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    P = np.eye(n) - np.ones((n, n)) / n
+    return is_psd(-P @ D @ P, tol)
+
+
 def min_pairing(coeffs, values) -> float:
     """Exhaustive minimum of sum coeffs[j] * values[sigma(j)].  n <= 8."""
     coeffs = np.asarray(coeffs, dtype=float)

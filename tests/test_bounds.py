@@ -1,11 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
 
 import oracles
-from spectral_tsp import bounds, solvers
+from spectral_tsp import bounds, linalg, solvers
 from spectral_tsp.errors import (
     InvalidDimension,
     NonzeroDiagonal,
@@ -198,6 +203,15 @@ def test_schoenberg_check_accepts_metrics_of_negative_type():
     assert not bounds.schoenberg_edm_check(random_symmetric(7, seed=5))
 
 
+def test_schoenberg_check_agrees_with_projector_route():
+    """The check reads the compressed spectrum; the oracle eigensolves -P D P."""
+    cases = [random_euclidean(7, seed=s)[0] for s in range(6)]
+    cases += [random_symmetric(7, seed=s) for s in range(6)]
+    cases += [line_instance(7), uniform_instance(7), circle_instance(9)]
+    for D in cases:
+        assert bounds.schoenberg_edm_check(D) == oracles.schoenberg_projector(D)
+
+
 def test_euclidean_floor_sound_on_point_sets():
     for seed in range(10):
         D, _ = random_euclidean(7, seed=seed)
@@ -212,6 +226,16 @@ def test_mean_distance():
 # ---------------------------------------------------------------- reports
 
 
+def _assert_report_matches_oracles(rep, D):
+    """Every route the report fills agrees with its independent oracle."""
+    np.testing.assert_allclose(rep.mu, oracles._restricted_eigs_projector(D)[::-1], atol=1e-9)
+    if rep.phi_symmetric is not None:
+        assert abs(rep.phi_symmetric - oracles.phi_projector(D)) < 1e-9
+    if rep.phi_normal is not None:
+        assert abs(rep.phi_normal - oracles.phi_normal_exhaustive(D)) < 1e-9
+    assert abs(rep.phi_general - oracles.phi_general_exhaustive(D)) < 1e-9
+
+
 def test_bound_report_symmetric_instance():
     D = circle_instance(10)
     rep = bounds.bound_report(D)
@@ -222,6 +246,11 @@ def test_bound_report_symmetric_instance():
     assert rep.psd  # circle chords embed in the plane
     assert len(rep.mu) == 9
     assert rep.n2 is not None
+    # on symmetric input the other two routes report the same float
+    assert rep.phi_normal == rep.phi_general == rep.phi_symmetric
+    for seed in range(4):
+        for M in (random_symmetric(7, seed=seed), random_euclidean(7, seed=seed)[0]):
+            _assert_report_matches_oracles(bounds.bound_report(M), M)
 
 
 def test_bound_report_asymmetric_instance():
@@ -233,6 +262,9 @@ def test_bound_report_asymmetric_instance():
     assert rep.phi == pytest.approx(rep.phi_general)
     if not rep.normal:
         assert rep.phi_normal is None
+    for seed in range(4):
+        M = random_asymmetric(6, seed=seed)
+        _assert_report_matches_oracles(bounds.bound_report(M), M)
 
 
 def test_bound_report_normal_asymmetric_instance():
@@ -248,6 +280,134 @@ def test_bound_report_normal_asymmetric_instance():
     assert rep.normal and not rep.symmetric
     assert rep.phi == pytest.approx(rep.phi_normal)
     assert rep.phi_general <= rep.phi_normal + 1e-9
+    _assert_report_matches_oracles(rep, D)
+    for seed in range(4):
+        M = random_circulant(7, seed=seed)
+        _assert_report_matches_oracles(bounds.bound_report(M), M)
+
+
+def test_bound_report_of_the_zero_matrix():
+    rep = bounds.bound_report(np.zeros((4, 4)))
+    assert rep.symmetric and rep.normal and rep.psd
+    assert rep.phi == 0.0 and rep.mu == [0.0, 0.0, 0.0]
+
+
+# ---------------------------------------------------------------- one spectral pass
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Count the expensive steps a report takes, by kind."""
+    import scipy.optimize
+
+    counts = Counter()
+
+    def count(kind, owners, name):
+        original = getattr(owners[0], name)
+
+        def wrapper(*args, **kwargs):
+            counts[kind] += 1
+            return original(*args, **kwargs)
+
+        for owner in owners:
+            monkeypatch.setattr(owner, name, wrapper)
+
+    count("eigensolve", [np.linalg], "eigvalsh")
+    count("eigensolve", [np.linalg], "eigh")
+    count("compression", [linalg, bounds], "center_restrict")
+    count("validation", [bounds], "check_distance_matrix")
+    count("lsap", [scipy.optimize], "linear_sum_assignment")
+    return counts
+
+
+def test_symmetric_report_is_one_pass(calls):
+    D, _ = random_euclidean(40, seed=3)
+    bounds.bound_report(D)
+    assert calls == {"validation": 1, "compression": 1, "eigensolve": 1}
+
+
+def test_non_normal_report_solves_two_eigenproblems(calls):
+    rep = bounds.bound_report(random_asymmetric(40, seed=3))
+    assert not rep.normal
+    assert calls == {"validation": 1, "compression": 1, "eigensolve": 2}
+
+
+def test_normal_report_solves_one_assignment(calls):
+    # eigvalsh(S) for mu, eigh(S) for the complex spectrum, eigvalsh(K^T K) for phi_general
+    rep = bounds.bound_report(random_circulant(7, seed=2))
+    assert rep.normal and not rep.symmetric
+    assert calls == {"validation": 1, "compression": 1, "eigensolve": 3, "lsap": 1}
+
+
+def test_symmetric_report_does_not_import_scipy_optimize():
+    src = str(Path(bounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys\n"
+        "from spectral_tsp import bounds, instances\n"
+        "bounds.bound_report(instances.{}(12, 0))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+
+    def imports_lsap(family):
+        done = subprocess.run(
+            [sys.executable, "-c", code.format(family)], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip() == "True"
+
+    assert not imports_lsap("random_symmetric")
+    assert imports_lsap("random_circulant")  # the normal route does need it
+
+
+# ---------------------------------------------------------------- scale
+
+
+_FAMILIES = [
+    random_symmetric,
+    random_asymmetric,
+    random_circulant,
+    lambda n, seed: random_euclidean(n, seed=seed)[0],
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    stn.integers(min_value=0, max_value=10**6),
+    stn.floats(min_value=-12.0, max_value=12.0),
+    stn.sampled_from(range(len(_FAMILIES))),
+)
+def test_report_is_scale_free(seed, log_alpha, family):
+    """Scaling D by alpha scales phi by alpha and leaves every flag alone.
+
+    phi is compared relative to the larger of |phi| and the mean tour length
+    n * mean_distance, the scale of its roundoff."""
+    alpha = 10.0**log_alpha
+    D = _FAMILIES[family](4 + seed % 5, seed)
+    base = bounds.bound_report(D)
+    scaled = bounds.bound_report(alpha * D)
+    flags = (base.symmetric, base.normal, base.psd)
+    assert (scaled.symmetric, scaled.normal, scaled.psd) == flags
+    scale = max(abs(base.phi), base.n * base.mean_distance)
+    assert abs(scaled.phi - alpha * base.phi) <= 1e-9 * alpha * scale
+
+
+@settings(max_examples=30, deadline=None)
+@given(stn.integers(min_value=0, max_value=10**6), stn.floats(min_value=-12.0, max_value=12.0))
+def test_scaled_directed_phi_is_sound(seed, log_alpha):
+    D = 10.0**log_alpha * random_asymmetric(7, seed=seed)
+    opt = solvers.brute_force(D).length
+    assert bounds.bound_report(D).phi <= opt + 1e-9 * opt
+
+
+def test_tiny_asymmetric_matrix_is_not_judged_symmetric():
+    # with an absolute tolerance floor, 1e-10 * D passed as symmetric and
+    # phi_symmetric then exceeded the directed optimum
+    for seed in range(40):
+        D = 1e-10 * random_asymmetric(7, seed=seed)
+        rep = bounds.bound_report(D)
+        assert not rep.symmetric
+        assert rep.phi <= solvers.brute_force(D).length * (1 + 1e-9)
 
 
 # ---------------------------------------------------------------- validation

@@ -189,6 +189,22 @@ def test_batch_order_error_capture_and_jobs(tmp_path):
     assert par.stdout == proc.stdout and par.returncode == proc.returncode
 
 
+@pytest.mark.parametrize("value", ["abc", "-4"])
+def test_bad_dimension_exits_2_and_batch_keeps_going(tmp_path, value):
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(f"NAME: bad\nTYPE: TSP\nDIMENSION: {value}\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n")
+    proc = run_cli("bound", str(bad))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    (tmp_path / "run.manifest").write_text(f"bad.tsp\n{FIXTURES / 'gr17.tsp'}\n")
+    proc = run_cli("batch", str(tmp_path / "run.manifest"))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    rows = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert rows[0]["error_kind"] == "input" and "DIMENSION" in rows[0]["error"]
+    assert rows[1]["instance"]["name"] == "gr17" and "error" not in rows[1]
+
+
 def test_batch_empty_manifest(tmp_path):
     manifest = tmp_path / "empty.manifest"
     manifest.write_text("# nothing active\n\n")

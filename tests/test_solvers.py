@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,29 @@ def test_brute_force_deterministic_tie_break():
     D = np.ones((6, 6)) - np.eye(6)
     t = solvers.brute_force(D)
     assert t.order == [0, 1, 2, 3, 4, 5]
+
+
+def test_permutations_in_lexicographic_order():
+    for m in range(1, 7):
+        assert solvers._permutations(m).tolist() == [list(p) for p in itertools.permutations(range(m))]
+
+
+def test_brute_force_ties_across_batches(monkeypatch):
+    # with three cities per batch, n = 8 spans 120 batches; integer weights
+    # make many exact ties, and the winner must be the first minimal tour in
+    # lexicographic order, as a plain enumeration finds it
+    monkeypatch.setattr(solvers, "_BATCH_CITIES", 3)
+    rng = np.random.default_rng(7)
+    for symmetric in (True, False):
+        W = rng.integers(1, 3, size=(8, 8)).astype(float)
+        D = W + W.T if symmetric else W
+        np.fill_diagonal(D, 0.0)
+        best = min(
+            (solvers.tour_length(D, [0, *p]), [0, *p])
+            for p in itertools.permutations(range(1, 8))
+            if not symmetric or p[0] < p[-1]
+        )
+        assert solvers.brute_force(D).order == best[1]
 
 
 def test_held_karp_matches_brute_force_symmetric_and_not():

@@ -135,6 +135,17 @@ def test_dimension_too_small():
         tsplib.parse_tsplib(bad)
 
 
+@pytest.mark.parametrize(
+    "value, error, message",
+    [("abc", InputFormatError, "not an integer"), ("4.0", InputFormatError, "not an integer"),
+     ("-4", DimensionMismatch, "at least 3")],
+)
+def test_bad_dimension_is_a_typed_error_at_its_line(value, error, message):
+    bad = f"TYPE: TSP\nDIMENSION: {value}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\nEOF\n"
+    with pytest.raises(error, match=f"line 2: .*{message}"):
+        tsplib.parse_tsplib(bad)
+
+
 def test_asymmetric_full_matrix_rejected():
     bad = make("EXPLICIT", "0 1 2\n3 0 1\n1 1 0", fmt="FULL_MATRIX")
     with pytest.raises(InputFormatError, match="not symmetric"):
