@@ -35,8 +35,8 @@ from .linalg import (
     as_square,
     center_restrict,
     commuting_spectrum,
-    is_normal,
     is_symmetric,
+    parts_commute,
 )
 
 _DIAG_TOL = 1e-12
@@ -103,7 +103,8 @@ class Compression:
 
     @cached_property
     def normal(self) -> bool:
-        return is_normal(self.R, self.tol)
+        """linalg.is_normal(R), from the cached parts."""
+        return parts_commute(self.S, self.K, float(np.linalg.norm(self.R)) ** 2, self.tol)
 
     @cached_property
     def mu(self) -> np.ndarray:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import phi_symmetric, tsp_coefficients
+from .bounds import phi_symmetric
 from .errors import (
     Disconnected,
     IdentityInConnectionSet,
@@ -129,12 +129,6 @@ def distance_matrix(g: Graph) -> np.ndarray:
 def is_regular(g: Graph) -> bool:
     d = g.degrees
     return bool((d == d[0]).all())
-
-
-def is_transmission_regular(g: Graph) -> bool:
-    """True iff every vertex has the same total hop distance to all others."""
-    t = distance_matrix(g).sum(axis=1)
-    return bool(np.all(t == t[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -309,30 +303,9 @@ def complement_phi(g: Graph, tol: float = DEFAULT_TOL) -> float:
     return phi_symmetric(complement(g).adjacency.astype(float), tol)
 
 
-def complement_phi_regular(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Fast path for regular graphs: n plus the coefficient pairing against
-    the adjacency spectrum of G with one copy of the valency removed."""
-    if not is_regular(g):
-        raise InvalidMatrix("fast path requires a regular graph")
-    n = g.n
-    lam = np.sort(np.linalg.eigvalsh(g.adjacency.astype(float)))[::-1]
-    return float(n + tsp_coefficients(n) @ lam[1:])
-
-
 def distance_phi(g: Graph, tol: float = DEFAULT_TOL) -> float:
     """The tour bound applied to the hop-distance matrix (connected graphs)."""
     return phi_symmetric(distance_matrix(g), tol)
-
-
-def distance_phi_transmission_regular(g: Graph, tol: float = DEFAULT_TOL) -> float:
-    """Fast path for transmission-regular graphs: pair the coefficients
-    (ascending) against the non-Perron distance eigenvalues (ascending),
-    negated."""
-    if not is_transmission_regular(g):
-        raise InvalidMatrix("fast path requires a transmission-regular graph")
-    D = distance_matrix(g)
-    kappa = np.sort(np.linalg.eigvalsh(D))  # ascending; Perron value is last
-    return float(-(tsp_coefficients(g.n) @ kappa[: g.n - 1]))
 
 
 @dataclass
@@ -389,6 +362,17 @@ def _adjacency_lists(g: Graph) -> list[list[int]]:
     return [list(map(int, np.flatnonzero(g.adjacency[u]))) for u in range(g.n)]
 
 
+def _extend(adj: list[list[int]], u: int, visited: int, full: int, closed: bool) -> bool:
+    """Can the path that ends at u and covers the vertex bitmask `visited` grow to cover `full`?
+
+    With `closed` the finished path must also end next to vertex 0, so that
+    it closes into a cycle; closed searches start there.
+    """
+    if visited == full:
+        return not closed or 0 in adj[u]
+    return any(not visited & (1 << v) and _extend(adj, v, visited | (1 << v), full, closed) for v in adj[u])
+
+
 def is_hamiltonian(g: Graph) -> bool:
     """Exact Hamiltonian-cycle test by backtracking.  Capped at 12 vertices."""
     n = g.n
@@ -396,18 +380,7 @@ def is_hamiltonian(g: Graph) -> bool:
         raise TooLarge(f"oracle is capped at {ORACLE_CAP} vertices, got {n}")
     if n < 3 or (g.degrees < 2).any() or not is_connected(g):
         return False
-    adj = _adjacency_lists(g)
-
-    def extend(u: int, visited: int, depth: int) -> bool:
-        if depth == n:
-            return g.adjacency[u, 0] == 1
-        for v in adj[u]:
-            if not visited & (1 << v):
-                if extend(v, visited | (1 << v), depth + 1):
-                    return True
-        return False
-
-    return extend(0, 1, 1)
+    return _extend(_adjacency_lists(g), 0, 1, (1 << n) - 1, closed=True)
 
 
 def is_traceable(g: Graph) -> bool:
@@ -420,17 +393,7 @@ def is_traceable(g: Graph) -> bool:
     if not is_connected(g):
         return False
     adj = _adjacency_lists(g)
-
-    def extend(u: int, visited: int, depth: int) -> bool:
-        if depth == n:
-            return True
-        for v in adj[u]:
-            if not visited & (1 << v):
-                if extend(v, visited | (1 << v), depth + 1):
-                    return True
-        return False
-
-    return any(extend(s, 1 << s, 1) for s in range(n))
+    return any(_extend(adj, s, 1 << s, (1 << n) - 1, closed=False) for s in range(n))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ advances by the 64-bit odd constant 0x9E3779B97F4A7C15 per draw, and the
 output is the advanced state mixed by two xor-shift-multiply rounds with
 constants 0xBF58476D1CE4E5B9 (shift 30) and 0x94D049BB133111EB (shift 27),
 finished with a right shift by 31.  Floats in [0, 1) keep the top 53 bits:
-(u64 >> 11) * 2**-53.  Draw order for each family is spelled out in its
-docstring; it is part of the public contract.
+(u64 >> 11) * 2**-53.  The state after k draws is seed + k * 0x9E3779B97F4A7C15
+mod 2**64, so draw k (counting from 1) is the mix of that counter alone and
+a whole stream is computed in one uint64 numpy pass.  Draw order for each
+family is spelled out in its docstring; it is part of the public contract.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from .errors import InvalidDimension
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
 
 
 class SplitMix64:
@@ -32,7 +35,7 @@ class SplitMix64:
         self._state = seed & _MASK64
 
     def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        self._state = (self._state + _GAMMA) & _MASK64
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -41,6 +44,22 @@ class SplitMix64:
     def next_float(self) -> float:
         """Uniform double in [0, 1) from the top 53 bits of the next word."""
         return (self.next_u64() >> 11) * 2.0**-53
+
+
+def _floats(seed: int, count: int) -> np.ndarray:
+    """The first `count` SplitMix64(seed).next_float() draws, computed as one array.
+
+    uint64 arithmetic wraps modulo 2**64 exactly as the generator's masking does.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return (z >> np.uint64(11)).astype(float) * 2.0**-53
 
 
 def _require_n(n: int, least: int) -> None:
@@ -98,8 +117,7 @@ def random_euclidean(n: int, seed: int, dim: int = 2) -> tuple[np.ndarray, np.nd
     _require_n(n, 3)
     if dim < 1:
         raise InvalidDimension("dim must be at least 1")
-    rng = SplitMix64(seed)
-    pts = np.array([[rng.next_float() for _ in range(dim)] for _ in range(n)])
+    pts = _floats(seed, n * dim).reshape(n, dim)
     diff = pts[:, None, :] - pts[None, :, :]
     D = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(D, 0.0)
@@ -114,11 +132,9 @@ def random_symmetric(n: int, seed: int) -> np.ndarray:
     satisfy the triangle inequality.
     """
     _require_n(n, 3)
-    rng = SplitMix64(seed)
+    i, j = np.triu_indices(n, 1)
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            D[i, j] = D[j, i] = rng.next_float()
+    D[i, j] = D[j, i] = _floats(seed, len(i))
     return D
 
 
@@ -128,12 +144,8 @@ def random_asymmetric(n: int, seed: int) -> np.ndarray:
     Draw order: row-major over all ordered pairs i != j.
     """
     _require_n(n, 3)
-    rng = SplitMix64(seed)
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = rng.next_float()
+    D[~np.eye(n, dtype=bool)] = _floats(seed, n * (n - 1))
     return D
 
 
@@ -146,9 +158,6 @@ def random_circulant(n: int, seed: int) -> np.ndarray:
     stock family for exercising the normal-matrix bound on asymmetric input.
     """
     _require_n(n, 3)
-    rng = SplitMix64(seed)
-    r = np.zeros(n)
-    for k in range(1, n):
-        r[k] = rng.next_float()
+    r = np.concatenate([[0.0], _floats(seed, n - 1)])
     idx = np.arange(n)
     return r[(idx[None, :] - idx[:, None]) % n]

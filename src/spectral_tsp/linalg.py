@@ -52,13 +52,25 @@ def is_antisymmetric(M, tol: float = DEFAULT_TOL) -> bool:
 def is_normal(M, tol: float = DEFAULT_TOL) -> bool:
     """True iff M commutes with its transpose.
 
-    The commutator is quadratic in M, so the scale here is ||M||_F^2.  With
-    M = S + K split into symmetric and antisymmetric parts, the commutator
-    M M^T - M^T M equals 2 (K S + (K S)^T), which costs one matmul.
+    The commutator is quadratic in M, so the scale here is ||M||_F^2.
     """
     A = as_square(M)
-    KS = 0.5 * (A - A.T) @ (0.5 * (A + A.T))
-    return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * float(np.linalg.norm(A)) ** 2
+    return parts_commute(0.5 * (A + A.T), 0.5 * (A - A.T), float(np.linalg.norm(A)) ** 2, tol)
+
+
+def parts_commute(S: np.ndarray, K: np.ndarray, scale: float, tol: float = DEFAULT_TOL) -> bool:
+    """The normality test of M = S + K from its symmetric and antisymmetric parts.
+
+    The commutator M M^T - M^T M equals 2 (K S + (K S)^T), and it passes when
+    its norm is at most tol * scale, with scale = ||M||_F^2.  Since
+    ||K S + (K S)^T||_F <= 2 ||K||_F ||S||_F, the O(n^2) test
+    4 ||K||_F ||S||_F <= tol * scale settles nearly symmetric and nearly
+    antisymmetric M without the one matmul the commutator costs.
+    """
+    if 4.0 * float(np.linalg.norm(K)) * float(np.linalg.norm(S)) <= tol * scale:
+        return True
+    KS = K @ S
+    return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * scale
 
 
 def sym_eigenvalues(S, tol: float = DEFAULT_TOL) -> np.ndarray:

@@ -107,10 +107,13 @@ def held_karp(D, tol: float = DEFAULT_TOL) -> Tour:
     """Exact minimum by dynamic programming over subsets.  Cap at 20 cities.
 
     Standard table: for every subset of cities 1..n-1 and every last city j
-    in it, the cheapest path from 0 through the subset ending at j.  Runs in
-    O(2^n n^2) time and O(2^n n) memory; ties resolve to the smallest city
-    index at every argmin, so the order returned is deterministic (though
-    not necessarily the same one brute_force picks among equals).
+    in it, the cheapest path from 0 through the subset ending at j.  The
+    table is filled layer by layer over subset size, as Held and Karp (1962)
+    lay it out: for each last city j, one array step extends every subset
+    of the previous layer that lacks j.  Runs in O(2^n n^2) time and
+    O(2^n n) memory; ties resolve to the smallest city index at every
+    argmin, so the order returned is deterministic (though not necessarily
+    the same one brute_force picks among equals).
     """
     A = check_distance_matrix(D, tol)
     n = A.shape[0]
@@ -122,26 +125,23 @@ def held_karp(D, tol: float = DEFAULT_TOL) -> Tour:
     parent = np.full((1 << m, m), -1, dtype=np.int8)
     dp[[1 << j for j in range(m)], range(m)] = A[0, 1:]
 
-    for mask in range(3, 1 << m):
-        if mask & (mask - 1) == 0:
-            continue  # single-city masks were seeded above
-        members = []
-        rest = mask
-        while rest:
-            low = rest & -rest
-            members.append(low.bit_length() - 1)
-            rest ^= low
-        js = np.array(members)
-        prev = dp[[mask ^ (1 << j) for j in members], :]
-        cand = prev + Dsub.T[js]
-        k = np.argmin(cand, axis=1)
-        dp[mask, js] = cand[np.arange(len(js)), k]
-        parent[mask, js] = k
+    masks = np.arange(1 << m)
+    sizes = np.zeros(1 << m, dtype=np.int8)  # popcount: setting bit b adds one
+    for b in range(m):
+        sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
+    for k in range(2, m + 1):
+        layer = masks[sizes == k]
+        for j in range(m):
+            ms = layer[(layer >> j) & 1 == 1]
+            # cand[r, i]: reach city i through ms[r] without j, then step to j
+            cand = dp[ms ^ (1 << j)] + Dsub[:, j]
+            best = np.argmin(cand, axis=1)
+            dp[ms, j] = cand[np.arange(len(ms)), best]
+            parent[ms, j] = best
 
     full = (1 << m) - 1
     closing = dp[full] + A[1:, 0]
     j = int(np.argmin(closing))
-    length = float(closing[j])
 
     tail = []
     mask = full
@@ -154,19 +154,17 @@ def held_karp(D, tol: float = DEFAULT_TOL) -> Tour:
     return Tour(order=order, length=tour_length(A, order))
 
 
-def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> list[int]:
+def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
     n = A.shape[0]
-    order = [0]
-    unvisited = set(range(1, n))
-    while unvisited:
-        here = order[-1]
-        cand = sorted(unvisited)
-        dists = A[here, cand]
-        lo = dists.min()
-        near = [c for c, d in zip(cand, dists) if d == lo]
+    order = np.zeros(n, dtype=int)
+    free = np.ones(n, dtype=bool)
+    free[0] = False
+    for step in range(1, n):
+        row = np.where(free, A[order[step - 1]], np.inf)
+        near = np.flatnonzero(row == row.min())  # ascending city index
         pick = near[0] if len(near) == 1 else near[rng.next_u64() % len(near)]
-        order.append(pick)
-        unvisited.remove(pick)
+        order[step] = pick
+        free[pick] = False
     return order
 
 
@@ -183,19 +181,29 @@ def two_opt(D, seed: int = 0, tol: float = DEFAULT_TOL) -> Tour:
     if not is_symmetric(A, tol):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
-    rng = SplitMix64(seed)
-    order = _nearest_neighbour(A, rng)
+    order = _nearest_neighbour(A, SplitMix64(seed))
 
     improved = True
     while improved:
         improved = False
         for i in range(1, n - 1):
             a, b = order[i - 1], order[i]
-            for j in range(i + 2, n + 1):
-                c, d = order[j - 1], order[j % n]
-                delta = A[a, c] + A[b, d] - A[a, b] - A[c, d]
-                if delta < -1e-12:
-                    order[i:j] = reversed(order[i:j])
-                    improved = True
-                    a, b = order[i - 1], order[i]
+            # the move (i, j) reverses order[i:j]; edge (c, d) is (order[j - 1], order[j % n])
+            # for j = i + 2 .. n.  A reversal leaves every position from j on
+            # alone, so after one the scan resumes at j + 1 with only b changed.
+            c = order[i + 1 :]
+            d = np.append(order[i + 2 :], order[0])
+            ac, cd = A[a, c], A[c, d]
+            start = 0
+            while start < len(d):
+                delta = ac[start:] + A[b, d[start:]] - A[a, b] - cd[start:]
+                hits = np.flatnonzero(delta < -1e-12)
+                if not len(hits):
+                    break
+                j = i + 2 + start + int(hits[0])
+                order[i:j] = order[i:j][::-1].copy()
+                improved = True
+                b = order[i]
+                start = j - i - 1
+    order = [int(x) for x in order]
     return Tour(order=order, length=tour_length(A, order))

@@ -110,19 +110,28 @@ def _geo(coords: np.ndarray) -> np.ndarray:
 _COORD_DISTANCE = {"EUC_2D": _euc_2d, "ATT": _att, "GEO": _geo}
 
 
-def _explicit_positions(fmt: str, n: int) -> list[tuple[int, int]]:
-    """Fill order (i, j) of an EDGE_WEIGHT_SECTION in the given format."""
+def _explicit_count(fmt: str, n: int) -> int:
+    """Number of entries an EDGE_WEIGHT_SECTION holds in the given format."""
     if fmt == "FULL_MATRIX":
-        return [(i, j) for i in range(n) for j in range(n)]
-    if fmt == "UPPER_ROW":
-        return [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if fmt == "LOWER_ROW":
-        return [(i, j) for i in range(n) for j in range(i)]
-    if fmt == "UPPER_DIAG_ROW":
-        return [(i, j) for i in range(n) for j in range(i, n)]
-    if fmt == "LOWER_DIAG_ROW":
-        return [(i, j) for i in range(n) for j in range(i + 1)]
-    raise AssertionError(fmt)
+        return n * n
+    if fmt in ("UPPER_ROW", "LOWER_ROW"):
+        return n * (n - 1) // 2
+    return n * (n + 1) // 2  # UPPER_DIAG_ROW, LOWER_DIAG_ROW
+
+
+def _explicit_matrix(fmt: str, n: int, weights: list[float]) -> np.ndarray:
+    """The n x n matrix of an EDGE_WEIGHT_SECTION; triangular formats are mirrored.
+
+    Each triangle's entries come row by row, which is the order
+    np.triu_indices and np.tril_indices list their positions in.
+    """
+    if fmt == "FULL_MATRIX":
+        return np.array(weights, dtype=float).reshape(n, n)
+    off = 0 if fmt.endswith("DIAG_ROW") else 1
+    r, c = np.triu_indices(n, off) if fmt.startswith("UPPER") else np.tril_indices(n, -off)
+    D = np.zeros((n, n))
+    D[r, c] = D[c, r] = weights
+    return D
 
 
 def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
@@ -131,7 +140,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
     header: dict[str, str] = {}
     n: int | None = None
     coords: np.ndarray | None = None
-    weights: list[float] | None = None
+    explicit: np.ndarray | None = None
 
     def fail(exc, lineno, msg):
         raise exc(f"{source}, line {lineno + 1}: {msg}")
@@ -173,7 +182,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                 fail(InputFormatError, i, f"{key} before DIMENSION")
 
             if key == "NODE_COORD_SECTION":
-                rows = np.zeros((n, 2))
+                rows = []  # grows with the data, not with the declared DIMENSION
                 for k in range(n):
                     i += 1
                     if i >= len(lines):
@@ -187,8 +196,8 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                         fail(TruncatedSection, i, f"malformed coordinate line {lines[i].strip()!r}")
                     if idx != k + 1:
                         fail(DimensionMismatch, i, f"coordinate index {idx}, expected {k + 1}")
-                    rows[k] = (x, y)
-                coords = rows
+                    rows.append((x, y))
+                coords = np.array(rows)
                 i += 1
                 continue
 
@@ -200,7 +209,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
             fmt = header.get("EDGE_WEIGHT_FORMAT")
             if fmt not in _WEIGHT_FORMATS:
                 fail(UnsupportedKeyword, i, f"EDGE_WEIGHT_FORMAT {fmt!r} is not supported")
-            need = len(_explicit_positions(fmt, n))
+            need = _explicit_count(fmt, n)
             weights = []
             start = i
             while len(weights) < need:
@@ -214,6 +223,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                 weights.extend(vals)
             if len(weights) > need:
                 fail(DimensionMismatch, i, f"section has more than the {need} entries implied by DIMENSION")
+            explicit = _explicit_matrix(fmt, n, weights)
             i += 1
             continue
 
@@ -229,14 +239,11 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
         raise UnsupportedKeyword(f"{source}: EDGE_WEIGHT_TYPE {wtype!r} is not supported")
 
     if wtype == "EXPLICIT":
-        if weights is None:
+        if explicit is None:
             raise InputFormatError(f"{source}: EXPLICIT problem has no EDGE_WEIGHT_SECTION")
-        fmt = header["EDGE_WEIGHT_FORMAT"]
-        D = np.zeros((n, n))
-        for (r, c), v in zip(_explicit_positions(fmt, n), weights):
-            D[r, c] = v
-            if fmt != "FULL_MATRIX":
-                D[c, r] = v
+        if explicit.shape[0] != n:
+            raise DimensionMismatch(f"{source}: DIMENSION changed after the EDGE_WEIGHT_SECTION")
+        D = explicit
         if not np.array_equal(D, D.T):
             raise InputFormatError(f"{source}: FULL_MATRIX weights are not symmetric")
         if np.any(np.diagonal(D) != 0):

@@ -4,6 +4,8 @@ Everything here is written the slow, obvious way, with different numpy
 primitives (projector instead of an explicit basis, complex `eig` instead
 of a real-arithmetic split, exhaustive enumeration instead of assignment
 solvers) so that agreement with the library is evidence, not tautology.
+The loop versions of the solvers and instance generators are the
+reference the library's array versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -137,15 +139,170 @@ def circulant_center_spectrum(first_row) -> np.ndarray:
     return -lam[1:]
 
 
-def splitmix64_reference(seed: int, count: int) -> list[int]:
+def _splitmix64(seed: int):
     """The well-known 64-bit mixing generator, transcribed independently."""
     mask = (1 << 64) - 1
     x = seed & mask
-    out = []
-    for _ in range(count):
+    while True:
         x = (x + 0x9E3779B97F4A7C15) & mask
         z = x
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        out.append(z ^ (z >> 31))
-    return out
+        yield z ^ (z >> 31)
+
+
+def splitmix64_reference(seed: int, count: int) -> list[int]:
+    return list(itertools.islice(_splitmix64(seed), count))
+
+
+def _unit_floats(seed: int):
+    return ((u >> 11) * 2.0**-53 for u in _splitmix64(seed))
+
+
+# ---------------------------------------------------------------------------
+# the random instance families, one Python draw per entry in the documented order
+
+
+def random_euclidean(n: int, seed: int, dim: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    draws = _unit_floats(seed)
+    pts = np.array([[next(draws) for _ in range(dim)] for _ in range(n)])
+    diff = pts[:, None, :] - pts[None, :, :]
+    D = np.sqrt((diff * diff).sum(axis=2))
+    np.fill_diagonal(D, 0.0)
+    return D, pts
+
+
+def random_symmetric(n: int, seed: int) -> np.ndarray:
+    draws = _unit_floats(seed)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            D[i, j] = D[j, i] = next(draws)
+    return D
+
+
+def random_asymmetric(n: int, seed: int) -> np.ndarray:
+    draws = _unit_floats(seed)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                D[i, j] = next(draws)
+    return D
+
+
+def random_circulant(n: int, seed: int) -> np.ndarray:
+    draws = _unit_floats(seed)
+    r = np.zeros(n)
+    for k in range(1, n):
+        r[k] = next(draws)
+    idx = np.arange(n)
+    return r[(idx[None, :] - idx[:, None]) % n]
+
+
+# ---------------------------------------------------------------------------
+# solvers, one subset or one pair at a time; each returns (order, length)
+# with the length summed as solvers.tour_length sums it
+
+
+def _closed_length(D: np.ndarray, order: list[int]) -> float:
+    p = np.asarray(order)
+    return float(D[p, np.roll(p, -1)].sum())
+
+
+def held_karp(D) -> tuple[list[int], float]:
+    """Held-Karp over the masks in increasing order; first index wins every tie."""
+    D = np.asarray(D, dtype=float)
+    m = D.shape[0] - 1
+    Dsub = D[1:, 1:]
+    dp = np.full((1 << m, m), np.inf)
+    parent = np.full((1 << m, m), -1, dtype=np.int8)
+    dp[[1 << j for j in range(m)], range(m)] = D[0, 1:]
+    for mask in range(3, 1 << m):
+        if mask & (mask - 1) == 0:
+            continue  # single-city masks were seeded above
+        members = [j for j in range(m) if mask >> j & 1]
+        js = np.array(members)
+        cand = dp[[mask ^ (1 << j) for j in members], :] + Dsub.T[js]
+        k = np.argmin(cand, axis=1)
+        dp[mask, js] = cand[np.arange(len(js)), k]
+        parent[mask, js] = k
+    mask = (1 << m) - 1
+    j = int(np.argmin(dp[mask] + D[1:, 0]))
+    tail = []
+    while j >= 0:
+        tail.append(j + 1)
+        j, mask = int(parent[mask, j]), mask ^ (1 << j)
+    order = [0, *reversed(tail)]
+    return order, _closed_length(D, order)
+
+
+def two_opt(D, seed: int = 0) -> tuple[list[int], float]:
+    """Nearest neighbour from city 0 (ties by a SplitMix64 draw), then
+    first-improvement 2-opt, one pair (i, j) at a time."""
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    draws = _splitmix64(seed)
+    order = [0]
+    unvisited = set(range(1, n))
+    while unvisited:
+        cand = sorted(unvisited)
+        dists = D[order[-1], cand]
+        lo = dists.min()
+        near = [c for c, d in zip(cand, dists) if d == lo]
+        pick = near[0] if len(near) == 1 else near[next(draws) % len(near)]
+        order.append(pick)
+        unvisited.remove(pick)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(1, n - 1):
+            for j in range(i + 2, n + 1):
+                a, b, c, d = order[i - 1], order[i], order[j - 1], order[j % n]
+                if D[a, c] + D[b, d] - D[a, b] - D[c, d] < -1e-12:
+                    order[i:j] = reversed(order[i:j])
+                    improved = True
+    return order, _closed_length(D, order)
+
+
+# ---------------------------------------------------------------------------
+# graph quantities with closed forms on regular families
+
+
+def hop_distances(g) -> np.ndarray:
+    """All-pairs hop distances by Floyd-Warshall relaxation (inf when unreachable)."""
+    A = np.asarray(g.adjacency)
+    D = np.where(A == 1, 1.0, np.inf)
+    np.fill_diagonal(D, 0.0)
+    for k in range(len(D)):
+        D = np.minimum(D, D[:, k : k + 1] + D[k])
+    return D
+
+
+def is_transmission_regular(g) -> bool:
+    """True iff every vertex has the same total hop distance to all others."""
+    t = hop_distances(g).sum(axis=1)
+    return bool(np.all(t == t[0]))
+
+
+def complement_phi_regular(g) -> float:
+    """phi of the complement's adjacency for a regular graph: n plus the
+    coefficient pairing against the adjacency spectrum of G with one copy
+    of the valency removed."""
+    A = np.asarray(g.adjacency, dtype=float)
+    if np.ptp(A.sum(axis=1)) != 0:
+        raise ValueError("requires a regular graph")
+    n = len(A)
+    lam = np.sort(np.linalg.eigvalsh(A))[::-1]
+    return float(n + cosine_coefficients(n) @ lam[1:])
+
+
+def distance_phi_transmission_regular(g) -> float:
+    """phi of the hop-distance matrix for a transmission-regular graph: the
+    coefficients (ascending) paired against the non-Perron distance
+    eigenvalues (ascending), negated."""
+    if not is_transmission_regular(g):
+        raise ValueError("requires a transmission-regular graph")
+    D = hop_distances(g)
+    kappa = np.sort(np.linalg.eigvalsh(D))  # ascending; the Perron value is last
+    return float(-(cosine_coefficients(len(D)) @ kappa[:-1]))

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from spectral_tsp import graphs
 from spectral_tsp.errors import (
     Disconnected,
@@ -18,7 +19,6 @@ from spectral_tsp.graphs import (
     cayley_graph,
     complement,
     complement_phi,
-    complement_phi_regular,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -29,7 +29,6 @@ from spectral_tsp.graphs import (
     distance_hamiltonian_screen,
     distance_matrix,
     distance_phi,
-    distance_phi_transmission_regular,
     from_edges,
     graph_from_text,
     hamiltonian_screen,
@@ -37,7 +36,6 @@ from spectral_tsp.graphs import (
     is_hamiltonian,
     is_regular,
     is_traceable,
-    is_transmission_regular,
     path_graph,
     traceable_screen,
 )
@@ -93,11 +91,18 @@ def test_connectivity_and_distances():
         distance_matrix(disjoint_cliques(3))
 
 
+def test_distance_matrix_matches_floyd_warshall():
+    for seed in range(30):
+        g = random_graph(4 + seed % 9, seed=500 + seed, density=0.45)
+        if is_connected(g):
+            assert np.array_equal(distance_matrix(g), oracles.hop_distances(g))
+
+
 def test_regularity_predicates():
     assert is_regular(cycle_graph(8))
     assert not is_regular(path_graph(8))
-    assert is_transmission_regular(cycle_graph(9))
-    assert not is_transmission_regular(path_graph(9))
+    assert oracles.is_transmission_regular(cycle_graph(9))
+    assert not oracles.is_transmission_regular(path_graph(9))
 
 
 # ---------------------------------------------------------------- group tables
@@ -187,7 +192,7 @@ def test_cayley_graphs_are_regular_and_transmission_regular():
     ):
         assert is_regular(g)
         if is_connected(g):
-            assert is_transmission_regular(g)
+            assert oracles.is_transmission_regular(g)
             T = distance_matrix(g)
             assert np.ptp(T.sum(axis=1)) == 0
 
@@ -234,17 +239,17 @@ def test_complement_identity_on_random_graphs():
 def test_regular_fast_path_matches_generic():
     for g in (cycle_graph(9), complete_graph(7), complete_bipartite(4, 4),
               dihedral_reflection_cayley(4)):
-        assert abs(complement_phi_regular(g) - complement_phi(g)) < 1e-9
+        assert abs(oracles.complement_phi_regular(g) - complement_phi(g)) < 1e-9
 
 
 def test_regular_fast_path_rejects_irregular():
     with pytest.raises(Exception):
-        complement_phi_regular(path_graph(5))
+        oracles.complement_phi_regular(path_graph(5))
 
 
 def test_transmission_regular_fast_path_matches_generic():
     for g in (cycle_graph(8), cycle_graph(11), dihedral_reflection_cayley(5)):
-        assert abs(distance_phi_transmission_regular(g) - distance_phi(g)) < 1e-9
+        assert abs(oracles.distance_phi_transmission_regular(g) - distance_phi(g)) < 1e-9
 
 
 # ---------------------------------------------------------------- screens

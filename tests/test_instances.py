@@ -123,3 +123,23 @@ def test_same_seed_same_instance_different_seed_different():
 def test_too_small_dimensions_rejected(factory):
     with pytest.raises(InvalidDimension):
         factory(2)
+
+
+# the top of the uint64 range exercises the counter's wraparound; negative
+# and oversized seeds reduce modulo 2**64 as SplitMix64 reduces them
+@pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 1, 2**64 - 1, -1, 2**64 + 3])
+def test_random_families_are_the_per_draw_oracles(seed):
+    for n in (3, 4, 7, 16, 61):
+        for family in ("random_symmetric", "random_asymmetric", "random_circulant"):
+            got = getattr(instances, family)(n, seed)
+            assert got.tobytes() == getattr(oracles, family)(n, seed).tobytes(), (family, n)
+        for dim in (1, 2, 3):
+            D, pts = instances.random_euclidean(n, seed, dim)
+            D0, pts0 = oracles.random_euclidean(n, seed, dim)
+            assert pts.tobytes() == pts0.tobytes() and D.tobytes() == D0.tobytes(), (n, dim)
+
+
+def test_floats_are_the_stream():
+    for seed in (0, 2**63 + 1, 2**64 - 1):
+        r = SplitMix64(seed)
+        assert instances._floats(seed, 300).tolist() == [r.next_float() for _ in range(300)]

@@ -85,6 +85,33 @@ def test_is_normal_scale_invariance():
     assert linalg.is_normal(1e-6 * M)
 
 
+def test_normality_shortcut_agrees_with_the_commutator():
+    """4 ||K|| ||S|| <= tol ||M||^2 bounds the commutator test, so taking it
+    first must not change the verdict, whichever of the two decides."""
+
+    def commutator_test(M, tol=linalg.DEFAULT_TOL):
+        KS = 0.5 * (M - M.T) @ (0.5 * (M + M.T))
+        return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * float(np.linalg.norm(M)) ** 2
+
+    rng = np.random.default_rng(3)
+    shortcut = 0
+    for n in (3, 6, 17, 60):
+        W = rng.standard_normal((n, n))
+        for M in (W, W + W.T, W - W.T, W + W.T + 1e-9 * W, linalg.center_restrict(random_circulant(n + 1, seed=n))):
+            for alpha in (1e-12, 1.0, 1e12):
+                X = alpha * M
+                S, K = 0.5 * (X + X.T), 0.5 * (X - X.T)
+                shortcut += 4.0 * np.linalg.norm(K) * np.linalg.norm(S) <= 1e-8 * np.linalg.norm(X) ** 2
+                assert linalg.is_normal(X) == commutator_test(X)
+    assert 0 < shortcut < 60  # both paths were taken
+    # across the threshold: S + eps K for generic S and K, eps on a fine grid
+    for n in (3, 4, 6):
+        W, V = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        for eps in np.logspace(-11, -7, 201):
+            X = W + W.T + eps * (V - V.T)
+            assert linalg.is_normal(X) == commutator_test(X), (n, eps)
+
+
 def test_predicates_are_scale_free_and_pass_the_zero_matrix():
     Z = np.zeros((4, 4))
     assert linalg.is_symmetric(Z) and linalg.is_antisymmetric(Z) and linalg.is_normal(Z)

@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -143,3 +144,46 @@ def test_two_opt_output_is_two_opt_minimal():
         for j in range(i + 1, n):
             cand = order[: i + 1] + order[i + 1 : j + 1][::-1] + order[j + 1 :]
             assert solvers.tour_length(D, cand) >= t.length - 1e-9
+
+
+# ------------------------------------------------ array solvers against the loop oracles
+
+# the top of the uint64 range exercises the generator's wraparound
+SEEDS = (0, 5, 2**63 + 1, 2**64 - 1)
+
+
+def _matrices(n: int, seed: int):
+    """Random and integer-tied matrices, symmetric and asymmetric."""
+    for D in (random_symmetric(n, seed), random_asymmetric(n, seed)):
+        yield D
+        yield np.floor(3.0 * D)
+
+
+def test_held_karp_is_the_loop_oracle():
+    for n in range(3, 15):
+        for seed in SEEDS[-1:] if n > 12 else SEEDS:
+            for D in _matrices(n, seed):
+                t = solvers.held_karp(D)
+                assert (t.order, t.length) == oracles.held_karp(D), (n, seed)
+
+
+def test_held_karp_is_the_loop_oracle_at_17():
+    D = np.floor(3.0 * random_symmetric(17, 2**64 - 1))
+    t = solvers.held_karp(D)
+    assert (t.order, t.length) == oracles.held_karp(D)
+
+
+def test_two_opt_is_the_loop_oracle():
+    for n in (5, 6, 7, 8, 9, 11, 14, 20, 33, 60, 120, 250):
+        for seed in SEEDS if n <= 60 else SEEDS[::3]:
+            for D in (random_symmetric(n, seed), np.floor(3.0 * random_symmetric(n, seed)), random_euclidean(n, seed)[0]):
+                t = solvers.two_opt(D, seed=seed)
+                assert (t.order, t.length) == oracles.two_opt(D, seed), (n, seed)
+
+
+def test_held_karp_at_its_cap_is_fast():
+    D = random_symmetric(20, seed=9)
+    t0 = time.perf_counter()
+    t = solvers.held_karp(D)
+    assert time.perf_counter() - t0 < 6.0  # about 2 s on 2 cores; one mask at a time took 12 s
+    assert t.length <= solvers.two_opt(D).length + 1e-12

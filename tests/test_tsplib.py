@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +51,35 @@ def test_all_explicit_formats_agree():
     for fmt, body in bodies.items():
         p = tsplib.parse_tsplib(make("EXPLICIT", body, n=4, fmt=fmt), source=fmt)
         assert np.array_equal(p.matrix, M), fmt
+
+
+@pytest.mark.parametrize("fmt", ["FULL_MATRIX", "UPPER_ROW", "LOWER_ROW", "UPPER_DIAG_ROW", "LOWER_DIAG_ROW"])
+def test_huge_declared_dimension_is_truncated_without_allocating(fmt):
+    # the entry count comes from a formula, so a tiny file that declares
+    # 200000 cities fails at its end instead of listing 4e10 positions
+    text = make("EXPLICIT", "0 1 2", n=200_000, fmt=fmt)
+    tracemalloc.start()
+    t0 = time.perf_counter()
+    try:
+        with pytest.raises(TruncatedSection):
+            tsplib.parse_tsplib(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - t0 < 1.0
+    assert peak < 2_000_000
+
+
+def test_huge_declared_dimension_with_coordinates_is_truncated():
+    text = make("EUC_2D", "1 0 0\n2 3 4", n=10**15)
+    with pytest.raises(TruncatedSection):
+        tsplib.parse_tsplib(text)
+
+
+def test_dimension_redeclared_after_weights_is_rejected():
+    text = make("EXPLICIT", "0 1 2\n1 0 3\n2 3 0", fmt="FULL_MATRIX").replace("EOF", "DIMENSION: 4\nEOF")
+    with pytest.raises(DimensionMismatch):
+        tsplib.parse_tsplib(text)
 
 
 def test_weights_may_wrap_lines_arbitrarily():
