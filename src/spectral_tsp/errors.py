@@ -29,6 +29,11 @@ class DimensionMismatch(InputFormatError):
     """Declared dimension disagrees with the amount of data present."""
 
 
+class NonFiniteValue(InputFormatError):
+    """A problem or sidecar file holds a number that is not finite, or
+    coordinates whose realized distances are not."""
+
+
 class InvalidDimension(SpectralTspError):
     """Matrix or instance size outside the operation's admissible range."""
 

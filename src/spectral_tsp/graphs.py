@@ -46,9 +46,9 @@ class Graph:
         A = np.asarray(self.adjacency)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InvalidMatrix(f"adjacency must be square, got shape {A.shape}")
-        A = A.astype(np.int8)
         if not np.isin(A, (0, 1)).all():
             raise InvalidMatrix("adjacency entries must be 0 or 1")
+        A = A.astype(np.int8)
         if not np.array_equal(A, A.T):
             raise InvalidMatrix("adjacency must be symmetric")
         if np.any(np.diagonal(A)):
@@ -206,14 +206,11 @@ class GroupTable:
             raise InvalidMatrix("multiplication table must be square")
         self.mult = M
         if self.inverse is None:
-            n = M.shape[0]
-            inv = np.full(n, -1, dtype=np.int64)
-            for a in range(n):
-                hits = np.flatnonzero(M[a] == self.identity)
-                if len(hits) != 1:
-                    raise InvalidMatrix(f"element {a} has no unique inverse")
-                inv[a] = hits[0]
-            self.inverse = inv
+            hits = M == self.identity
+            bad = np.flatnonzero(hits.sum(axis=1) != 1)
+            if bad.size:
+                raise InvalidMatrix(f"element {bad[0]} has no unique inverse")
+            self.inverse = hits.argmax(axis=1)
         else:
             self.inverse = np.asarray(self.inverse, dtype=np.int64)
 
@@ -253,14 +250,9 @@ def dihedral_group(m: int) -> GroupTable:
     """
     if m < 1:
         raise InvalidDimension("dihedral groups need m >= 1")
-    n = 2 * m
-    M = np.zeros((n, n), dtype=np.int64)
-    for g in range(n):
-        e1, k1 = divmod(g, m)
-        for h in range(n):
-            e2, k2 = divmod(h, m)
-            sign = -1 if e2 else 1
-            M[g, h] = ((e1 ^ e2) * m) + (sign * k1 + k2) % m
+    e, k = np.divmod(np.arange(2 * m), m)
+    sign = 1 - 2 * e  # r^k s = s r^-k: a reflection on the right negates k1
+    M = (e[:, None] ^ e[None, :]) * m + (sign[None, :] * k[:, None] + k[None, :]) % m
     return GroupTable(mult=M, identity=0)
 
 
@@ -279,11 +271,9 @@ def cayley_graph(table: GroupTable, connection) -> Graph:
         raise IdentityInConnectionSet("connection set contains the identity")
     if any(int(table.inverse[s]) not in S for s in S):
         raise NotInverseClosed("connection set is not closed under inversion")
-    A = np.zeros((n, n), dtype=np.int8)
-    for g in range(n):
-        for h in range(n):
-            if g != h and int(table.mult[h, table.inverse[g]]) in S:
-                A[g, h] = 1
+    # row g of mult.T[inverse] holds h o g^-1 for every h
+    A = np.isin(table.mult.T[table.inverse], list(S)).astype(np.int8)
+    np.fill_diagonal(A, 0)
     return Graph(A)
 
 
@@ -447,7 +437,7 @@ def graph_from_text(text: str, fmt: str = "auto") -> Graph:
         if any(len(r) != n for r in rows):
             raise InputFormatError("adjacency matrix must be square")
         try:
-            return Graph(np.array(rows, dtype=np.int8))
+            return Graph(np.array(rows))
         except InvalidMatrix as exc:
             raise InputFormatError(str(exc)) from None
 

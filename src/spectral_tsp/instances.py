@@ -23,6 +23,7 @@ import math
 import numpy as np
 
 from .errors import InvalidDimension
+from .linalg import squared_distances
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -118,10 +119,7 @@ def random_euclidean(n: int, seed: int, dim: int = 2) -> tuple[np.ndarray, np.nd
     if dim < 1:
         raise InvalidDimension("dim must be at least 1")
     pts = _floats(seed, n * dim).reshape(n, dim)
-    diff = pts[:, None, :] - pts[None, :, :]
-    D = np.sqrt((diff * diff).sum(axis=2))
-    np.fill_diagonal(D, 0.0)
-    return D, pts
+    return np.sqrt(squared_distances(pts)), pts
 
 
 def random_symmetric(n: int, seed: int) -> np.ndarray:

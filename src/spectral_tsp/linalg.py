@@ -39,6 +39,16 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def squared_distances(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of an (n, dim) point array.
+
+    With two coordinates each entry is dx*dx + dy*dy, evaluated in that order.
+    """
+    diff = points[:, None, :] - points[None, :, :]
+    diff *= diff
+    return diff.sum(axis=2)
+
+
 def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
     A = as_square(M)
     return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))

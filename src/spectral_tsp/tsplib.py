@@ -7,10 +7,16 @@ rounding conventions, so values agree with published optima:
 
   EUC_2D  nint(sqrt(dx^2 + dy^2)) with nint(x) = floor(x + 0.5)
   ATT     r = sqrt((dx^2 + dy^2) / 10), t = nint(r), d = t + (t < r)
-  GEO     degrees.minutes decoding (deg = nint(coord)), great-circle
-          distance on a sphere of radius 6378.388, truncated to int
+  GEO     DDD.MM: deg = trunc(x), angle PI (deg + 5 (x - deg) / 3) / 180
+          with PI = 3.141592, d = trunc(6378.388 acos(0.5 ((1 + q1) q2 -
+          (1 - q1) q3)) + 1), q1 = cos(dlon), q2 = cos(dlat), q3 = cos(lat+lat')
 
-Parse failures raise typed errors naming the offending line.  A companion
+GEO follows the TSPLIB95 FAQ; Concorde also truncates the degrees.  The
+format document's nint(x) would read 14.55 as 14.25 degrees, not 14 deg 55'.
+
+Parse failures raise typed errors naming the offending line; a number
+that is not finite (nan, inf, 1e999) raises NonFiniteValue, as does a
+coordinate set whose realized distances overflow.  A companion
 "sidecar" file may record the known optimal tour length as a single
 `optimum: <value>` line.
 """
@@ -26,9 +32,11 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     InputFormatError,
+    NonFiniteValue,
     TruncatedSection,
     UnsupportedKeyword,
 )
+from .linalg import squared_distances
 
 _WEIGHT_TYPES = {"EXPLICIT", "EUC_2D", "ATT", "GEO"}
 _WEIGHT_FORMATS = {"FULL_MATRIX", "UPPER_ROW", "LOWER_ROW", "UPPER_DIAG_ROW", "LOWER_DIAG_ROW"}
@@ -54,56 +62,26 @@ class TsplibProblem:
     coords: np.ndarray | None = None
 
 
-def _nint(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
 def _euc_2d(coords: np.ndarray) -> np.ndarray:
-    n = len(coords)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = coords[i, 0] - coords[j, 0]
-            dy = coords[i, 1] - coords[j, 1]
-            D[i, j] = D[j, i] = _nint(math.sqrt(dx * dx + dy * dy))
-    return D
+    return np.floor(np.sqrt(squared_distances(coords)) + 0.5)
 
 
 def _att(coords: np.ndarray) -> np.ndarray:
-    n = len(coords)
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = coords[i, 0] - coords[j, 0]
-            dy = coords[i, 1] - coords[j, 1]
-            r = math.sqrt((dx * dx + dy * dy) / 10.0)
-            t = _nint(r)
-            D[i, j] = D[j, i] = t + 1 if t < r else t
-    return D
-
-
-def _geo_radians(coords: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(coords)
-    for i, coord in enumerate(coords):
-        for k in (0, 1):
-            deg = _nint(coord[k])
-            minutes = coord[k] - deg
-            out[i, k] = math.pi * (deg + 5.0 * minutes / 3.0) / 180.0
-    return out
+    r = np.sqrt(squared_distances(coords) / 10.0)
+    t = np.floor(r + 0.5)
+    return t + (t < r)
 
 
 def _geo(coords: np.ndarray) -> np.ndarray:
-    rad = _geo_radians(coords)
-    rrr = 6378.388
+    deg = np.trunc(coords)
+    lat, lon = (3.141592 * (deg + 5.0 * (coords - deg) / 3.0) / 180.0).T
     n = len(coords)
+    i, j = np.triu_indices(n, 1)
+    q1 = np.cos(lon[i] - lon[j])
+    q2 = np.cos(lat[i] - lat[j])
+    q3 = np.cos(lat[i] + lat[j])
     D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            q1 = math.cos(rad[i, 1] - rad[j, 1])
-            q2 = math.cos(rad[i, 0] - rad[j, 0])
-            q3 = math.cos(rad[i, 0] + rad[j, 0])
-            d = int(rrr * math.acos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
-            D[i, j] = D[j, i] = d
+    D[i, j] = D[j, i] = np.trunc(6378.388 * np.arccos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
     return D
 
 
@@ -164,8 +142,8 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
             # section is parsed under a wrong assumption
             if key == "EDGE_WEIGHT_TYPE" and value not in _WEIGHT_TYPES:
                 fail(UnsupportedKeyword, i, f"EDGE_WEIGHT_TYPE {value!r} is not supported")
-            if key == "TYPE" and value.split()[0] != "TSP":
-                fail(UnsupportedKeyword, i, f"only TYPE TSP is supported, got {value.split()[0]!r}")
+            if key == "TYPE" and value.split()[:1] != ["TSP"]:
+                fail(UnsupportedKeyword, i, f"only TYPE TSP is supported, got {value!r}")
             if key == "DIMENSION":
                 try:
                     n = int(value)
@@ -196,6 +174,8 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                         fail(TruncatedSection, i, f"malformed coordinate line {lines[i].strip()!r}")
                     if idx != k + 1:
                         fail(DimensionMismatch, i, f"coordinate index {idx}, expected {k + 1}")
+                    if not (math.isfinite(x) and math.isfinite(y)):
+                        fail(NonFiniteValue, i, f"coordinate is not a finite number: {lines[i].strip()!r}")
                     rows.append((x, y))
                 coords = np.array(rows)
                 i += 1
@@ -220,6 +200,8 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                     vals = [float(tok) for tok in lines[i].split()]
                 except ValueError:
                     fail(TruncatedSection, i, f"section has {len(weights)} of {need} entries")
+                if not all(map(math.isfinite, vals)):
+                    fail(NonFiniteValue, i, f"weight is not a finite number: {lines[i].strip()!r}")
                 weights.extend(vals)
             if len(weights) > need:
                 fail(DimensionMismatch, i, f"section has more than the {need} entries implied by DIMENSION")
@@ -231,9 +213,6 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
 
     if n is None:
         raise InputFormatError(f"{source}: missing DIMENSION")
-    problem_type = header.get("TYPE", "TSP").split()[0]
-    if problem_type != "TSP":
-        raise UnsupportedKeyword(f"{source}: only TYPE TSP is supported, got {problem_type!r}")
     wtype = header.get("EDGE_WEIGHT_TYPE")
     if wtype not in _WEIGHT_TYPES:
         raise UnsupportedKeyword(f"{source}: EDGE_WEIGHT_TYPE {wtype!r} is not supported")
@@ -251,7 +230,12 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
     else:
         if coords is None:
             raise InputFormatError(f"{source}: {wtype} problem has no NODE_COORD_SECTION")
-        D = _COORD_DISTANCE[wtype](coords)
+        if len(coords) != n:
+            raise DimensionMismatch(f"{source}: DIMENSION changed after the NODE_COORD_SECTION")
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = _COORD_DISTANCE[wtype](coords)
+        if not np.isfinite(D).all():
+            raise NonFiniteValue(f"{source}: {wtype} distances overflow; the coordinates are too large")
 
     return TsplibProblem(
         name=header.get("NAME", Path(source).stem),
@@ -278,9 +262,12 @@ def read_optimum(path) -> float:
         if key.strip().lower() != "optimum" or not value.strip():
             raise InputFormatError(f"{p}, line {lineno + 1}: expected 'optimum: <value>'")
         try:
-            return float(value.strip())
+            optimum = float(value.strip())
         except ValueError:
             raise InputFormatError(f"{p}, line {lineno + 1}: optimum is not a number") from None
+        if not math.isfinite(optimum):
+            raise NonFiniteValue(f"{p}, line {lineno + 1}: optimum is not a finite number")
+        return optimum
     raise InputFormatError(f"{p}: no optimum line found")
 
 

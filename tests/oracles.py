@@ -4,8 +4,9 @@ Everything here is written the slow, obvious way, with different numpy
 primitives (projector instead of an explicit basis, complex `eig` instead
 of a real-arithmetic split, exhaustive enumeration instead of assignment
 solvers) so that agreement with the library is evidence, not tautology.
-The loop versions of the solvers and instance generators are the
-reference the library's array versions must match bit for bit.
+The loop versions of the solvers, instance generators, TSPLIB distance
+rules and group and Cayley builders are the reference the library's array
+versions must match bit for bit.
 """
 
 from __future__ import annotations
@@ -306,3 +307,104 @@ def distance_phi_transmission_regular(g) -> float:
     D = hop_distances(g)
     kappa = np.sort(np.linalg.eigvalsh(D))  # ascending; the Perron value is last
     return float(-(cosine_coefficients(len(D)) @ kappa[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# TSPLIB distance rules, one pair at a time as the format's reference code
+# computes them; each returns the full symmetric matrix
+
+
+def _nint(x: float) -> int:
+    return int(math.floor(x + 0.5))
+
+
+def tsplib_euc_2d(coords) -> np.ndarray:
+    n = len(coords)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = coords[i][0] - coords[j][0]
+            dy = coords[i][1] - coords[j][1]
+            D[i, j] = D[j, i] = _nint(math.sqrt(dx * dx + dy * dy))
+    return D
+
+
+def tsplib_att(coords) -> np.ndarray:
+    n = len(coords)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx = coords[i][0] - coords[j][0]
+            dy = coords[i][1] - coords[j][1]
+            r = math.sqrt((dx * dx + dy * dy) / 10.0)
+            t = _nint(r)
+            D[i, j] = D[j, i] = t + 1 if t < r else t
+    return D
+
+
+def tsplib_geo(coords) -> np.ndarray:
+    """The TSPLIB95 FAQ's GEO code: `deg = (int) x`, PI = 3.141592."""
+    PI = 3.141592
+    RRR = 6378.388
+
+    def radians(x: float) -> float:
+        deg = int(x)
+        minutes = x - deg
+        return PI * (deg + 5.0 * minutes / 3.0) / 180.0
+
+    latitude = [radians(float(x)) for x, _ in coords]
+    longitude = [radians(float(y)) for _, y in coords]
+    n = len(coords)
+    D = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            q1 = math.cos(longitude[i] - longitude[j])
+            q2 = math.cos(latitude[i] - latitude[j])
+            q3 = math.cos(latitude[i] + latitude[j])
+            D[i, j] = D[j, i] = int(RRR * math.acos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
+    return D
+
+
+# ---------------------------------------------------------------------------
+# group tables and Cayley graphs, one entry at a time
+
+
+def dihedral_table(m: int) -> np.ndarray:
+    """Element e * m + k is s^e r^k; s r s = r^-1."""
+    n = 2 * m
+    M = np.zeros((n, n), dtype=np.int64)
+    for g in range(n):
+        e1, k1 = divmod(g, m)
+        for h in range(n):
+            e2, k2 = divmod(h, m)
+            sign = -1 if e2 else 1
+            M[g, h] = ((e1 ^ e2) * m) + (sign * k1 + k2) % m
+    return M
+
+
+def cyclic_table(n: int) -> np.ndarray:
+    return np.array([[(a + b) % n for b in range(n)] for a in range(n)], dtype=np.int64)
+
+
+def group_inverse(M, identity: int = 0) -> np.ndarray:
+    """inv[a] is the one b with a o b = identity; ValueError naming the first a without one."""
+    n = len(M)
+    inv = np.full(n, -1, dtype=np.int64)
+    for a in range(n):
+        hits = np.flatnonzero(M[a] == identity)
+        if len(hits) != 1:
+            raise ValueError(f"element {a} has no unique inverse")
+        inv[a] = hits[0]
+    return inv
+
+
+def cayley_adjacency(M, inverse, connection) -> np.ndarray:
+    """A[g, h] = 1 iff g != h and h o g^-1 lies in the connection set."""
+    S = set(int(s) for s in connection)
+    n = len(M)
+    A = np.zeros((n, n), dtype=np.int8)
+    for g in range(n):
+        for h in range(n):
+            if g != h and int(M[h, inverse[g]]) in S:
+                A[g, h] = 1
+    return A

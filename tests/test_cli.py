@@ -220,3 +220,37 @@ def test_batch_shipped_manifest_is_clean():
     names = [r["instance"]["name"] for r in rows]
     assert names == ["gr17", "dantzig42", "att48"]
     assert all(r["ratio"] is not None for r in rows)
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        "NODE_COORD_SECTION\n1 0 0\n2 nan 1\n3 1 1",
+        "NODE_COORD_SECTION\n1 0 0\n2 inf 1\n3 1 1",
+        "NODE_COORD_SECTION\n1 -1e308 0\n2 1e308 0\n3 1 1",  # finite, but the distance overflows
+        "EDGE_WEIGHT_SECTION\n0 1 2\n1 0 inf\n2 inf 0",
+    ],
+)
+def test_non_finite_numbers_exit_2_and_batch_keeps_going(tmp_path, section):
+    kind = "EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX" if section.startswith("EDGE") else "EUC_2D"
+    bad = tmp_path / "bad.tsp"
+    bad.write_text(f"NAME: bad\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: {kind}\n{section}\nEOF\n")
+    proc = run_cli("bound", str(bad))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+    (tmp_path / "run.manifest").write_text(f"bad.tsp\n{FIXTURES / 'gr17.tsp'}\n")
+    proc = run_cli("batch", str(tmp_path / "run.manifest"))
+    assert proc.returncode == 2 and "Traceback" not in proc.stderr
+    rows = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert rows[0]["error_kind"] == "input"
+    assert "not a finite number" in rows[0]["error"] or "overflow" in rows[0]["error"]
+    assert rows[1]["instance"]["name"] == "gr17" and "error" not in rows[1]
+
+
+def test_check_graph_rejects_entries_outside_zero_one(tmp_path):
+    f = tmp_path / "wide.adj"
+    f.write_text("0 256 1\n256 0 1\n1 1 0\n")
+    proc = run_cli("check-graph", str(f))
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "0 or 1" in proc.stderr and "Traceback" not in proc.stderr

@@ -9,6 +9,7 @@ from spectral_tsp.errors import (
     Disconnected,
     IdentityInConnectionSet,
     InputFormatError,
+    InvalidDimension,
     InvalidMatrix,
     NotInverseClosed,
     TooLarge,
@@ -72,6 +73,26 @@ def test_from_edges_and_validation():
         from_edges(3, [(0, 3)])
     with pytest.raises(Exception):
         from_edges(3, [(1, 1)])
+
+
+@pytest.mark.parametrize(
+    "A",
+    [
+        np.array([[0, 257, 1], [257, 0, 1], [1, 1, 0]]),  # 257 wraps to 1 in int8
+        np.array([[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]]),  # 0.5 truncates to 0
+        np.array([[0, -255, 1], [-255, 0, 1], [1, 1, 0]]),
+        np.array([[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]]),
+    ],
+)
+def test_graph_checks_entries_before_casting(A):
+    with pytest.raises(InvalidMatrix, match="0 or 1"):
+        graphs.Graph(A)
+
+
+def test_graph_accepts_zero_one_values_of_any_dtype():
+    for dtype in (bool, np.int64, float):
+        g = graphs.Graph(complete_graph(4).adjacency.astype(dtype))
+        assert g.adjacency.dtype == np.int8 and g.edge_count == 6
 
 
 def test_complement_is_involution():
@@ -146,6 +167,53 @@ def test_group_table_rejects_broken_inverses():
         GroupTable(mult=M).validate()
 
 
+def test_group_tables_are_the_loops():
+    for m in range(1, 41):
+        d = dihedral_group(m)
+        assert d.mult.tobytes() == oracles.dihedral_table(m).tobytes(), m
+        assert d.inverse.tobytes() == oracles.group_inverse(d.mult).tobytes(), m
+        c = cyclic_group(m)
+        assert c.mult.tobytes() == oracles.cyclic_table(m).tobytes(), m
+        assert c.inverse.tobytes() == oracles.group_inverse(c.mult).tobytes(), m
+        # the inverse computed from the table is the one cyclic_group states
+        assert GroupTable(mult=c.mult).inverse.tobytes() == c.inverse.tobytes(), m
+
+
+def test_group_table_without_unique_inverse_names_the_first_element():
+    rng = np.random.default_rng(0)
+    for trial in range(40):
+        n = 2 + trial % 7
+        M = rng.integers(0, n, size=(n, n))
+        try:
+            want = oracles.group_inverse(M)
+        except ValueError as exc:
+            with pytest.raises(InvalidMatrix, match=f"^{exc}$"):
+                GroupTable(mult=M)
+        else:
+            assert GroupTable(mult=M).inverse.tobytes() == want.tobytes()
+
+
+def _inverse_closed_sets(table, rng, count):
+    """Random connection sets: unions of {a, a^-1} over non-identity a."""
+    others = np.flatnonzero(np.arange(table.order) != table.identity)
+    for _ in range(count):
+        picked = rng.choice(others, size=rng.integers(1, len(others) + 1), replace=True)
+        yield set(picked.tolist()) | set(table.inverse[picked].tolist())
+
+
+def test_cayley_graphs_are_the_loops():
+    rng = np.random.default_rng(1)
+    for m in range(1, 41):
+        for table in (cyclic_group(m + 1), dihedral_group(m)):
+            for S in _inverse_closed_sets(table, rng, 3):
+                want = oracles.cayley_adjacency(table.mult, table.inverse, S)
+                assert cayley_graph(table, S).adjacency.tobytes() == want.tobytes(), (m, S)
+        if m >= 2:
+            t = dihedral_group(m)
+            want = oracles.cayley_adjacency(oracles.dihedral_table(m), t.inverse, range(m, 2 * m))
+            assert dihedral_reflection_cayley(m).adjacency.tobytes() == want.tobytes(), m
+
+
 # ---------------------------------------------------------------- cayley graphs
 
 
@@ -175,6 +243,11 @@ def test_cayley_connection_set_validation():
         cayley_graph(t, {0, 1, 5})
     with pytest.raises(NotInverseClosed):
         cayley_graph(t, {1})  # inverse of 1 is 5
+    for outside in (6, -1):
+        with pytest.raises(InvalidDimension, match="out of range"):
+            cayley_graph(t, {1, 5, outside})
+    with pytest.raises(InvalidDimension):
+        dihedral_reflection_cayley(1)
 
 
 def test_cayley_non_generating_set_gives_disconnected_graph():
@@ -373,3 +446,6 @@ def test_graph_from_text_comments_and_errors():
         graph_from_text("0 1\n1 0 1\n")
     with pytest.raises(InputFormatError):
         graph_from_text("0 1\n1 1\n")  # nonzero diagonal
+    for big in ("256", "257", str(10**30), "-1"):
+        with pytest.raises(InputFormatError, match="0 or 1"):
+            graph_from_text(f"0 {big} 1\n{big} 0 1\n1 1 0\n")

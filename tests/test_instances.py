@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -143,3 +144,15 @@ def test_floats_are_the_stream():
     for seed in (0, 2**63 + 1, 2**64 - 1):
         r = SplitMix64(seed)
         assert instances._floats(seed, 300).tolist() == [r.next_float() for _ in range(300)]
+
+
+@pytest.mark.parametrize(
+    "n, seed, dim, digest",
+    [
+        (50, 7, 2, "a2a8e157158f8be49aac891a2d6be3753d9a590f0186385be86907a49937db65"),
+        (31, 2**64 - 1, 3, "7b4e52cfab74c784f09f79923ea7098a2deac3263c2d8a87557e2f49faf471c8"),
+    ],
+)
+def test_random_euclidean_reference_bytes(n, seed, dim, digest):
+    D, pts = instances.random_euclidean(n, seed, dim)
+    assert hashlib.sha256(D.tobytes() + pts.tobytes()).hexdigest() == digest

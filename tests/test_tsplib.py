@@ -5,11 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as stn
 
+import oracles
 from spectral_tsp import solvers, tsplib
 from spectral_tsp.errors import (
     DimensionMismatch,
     InputFormatError,
+    NonFiniteValue,
     TruncatedSection,
     UnsupportedKeyword,
 )
@@ -116,15 +119,31 @@ def test_att_small_case():
     assert p.matrix[0, 1] == 3.0  # r = sqrt(5), t = 2 < r, so 3
 
 
+def _geo_km(a, b) -> int:
+    """A second route to a GEO distance: DDD.MM to decimal degrees as
+    degrees + minutes / 60, then a haversine arc on the TSPLIB sphere."""
+
+    def radians(v: float) -> float:
+        whole = math.trunc(v)
+        return math.radians(whole + (v - whole) * 100.0 / 60.0)
+
+    (la1, lo1), (la2, lo2) = [(radians(x), radians(y)) for x, y in (a, b)]
+    h = math.sin((la2 - la1) / 2) ** 2 + math.cos(la1) * math.cos(la2) * math.sin((lo2 - lo1) / 2) ** 2
+    return int(6378.388 * 2.0 * math.asin(math.sqrt(h)) + 1.0)
+
+
 def test_geo_known_distances():
     p = tsplib.parse_tsplib(
         make("GEO", "1 46.00 11.00\n2 48.30 16.20\n3 14.55 -23.31")
     )
-    assert p.matrix[0, 1] == 490.0
+    assert p.matrix[0, 1] == _geo_km((46.00, 11.00), (48.30, 16.20)) == 490.0
+    # 14.55 is 14 degrees 55 minutes; rounding the degrees to the nearest
+    # integer, as the TSPLIB95 format document writes it, would read 14.25
+    # degrees and give 1756
     q = tsplib.parse_tsplib(
         make("GEO", "1 14.55 -23.31\n2 28.06 -15.24\n3 46.00 11.00")
     )
-    assert q.matrix[0, 1] == 1756.0
+    assert q.matrix[0, 1] == _geo_km((14.55, -23.31), (28.06, -15.24)) == 1690.0
 
 
 def test_geo_coordinates_are_degrees_and_minutes():
@@ -133,6 +152,180 @@ def test_geo_coordinates_are_degrees_and_minutes():
     p = tsplib.parse_tsplib(make("GEO", body))
     half_degree_km = math.pi * 6378.388 / 360.0
     assert abs(p.matrix[0, 1] - int(half_degree_km + 1)) <= 1.0
+
+
+# ------------------------------------------------- the array rules against the loops
+
+_ORACLE = {"EUC_2D": oracles.tsplib_euc_2d, "ATT": oracles.tsplib_att, "GEO": oracles.tsplib_geo}
+
+
+def coord_text(kind: str, coords) -> str:
+    """A problem file whose coordinates parse back to exactly `coords`."""
+    body = "\n".join(f"{k + 1} {float(x)!r} {float(y)!r}" for k, (x, y) in enumerate(coords))
+    return make(kind, body, n=len(coords))
+
+
+def assert_matches_oracle(kind: str, coords):
+    p = tsplib.parse_tsplib(coord_text(kind, coords))
+    assert np.array_equal(p.coords, coords)
+    assert p.matrix.tobytes() == _ORACLE[kind](p.coords).tobytes(), kind
+
+
+@pytest.mark.parametrize("kind", ["EUC_2D", "ATT"])
+@pytest.mark.parametrize("seed", range(6))
+def test_planar_rules_are_the_loops(kind, seed):
+    rng = np.random.default_rng(seed)
+    n = 40
+    for coords in (
+        rng.integers(-5000, 5000, size=(n, 2)).astype(float),
+        np.round(rng.uniform(-1000, 1000, size=(n, 2)), 2),
+        rng.uniform(0, 1e6, size=(n, 2)),
+        rng.integers(0, 8, size=(n, 2)) * 0.5,  # many exact .5 ties and duplicates
+    ):
+        assert_matches_oracle(kind, coords)
+
+
+def test_planar_rounding_ties_and_att_bump():
+    # EUC_2D: 0.5, 1.5 and 2.5 are exact ties and round up
+    coords = np.array([[0.0, 0.0], [0.5, 0.0], [1.5, 0.0], [0.0, 2.5], [3.0, 4.0]])
+    p = tsplib.parse_tsplib(coord_text("EUC_2D", coords))
+    assert p.matrix[0, 1:].tolist() == [1.0, 2.0, 3.0, 5.0]
+    assert_matches_oracle("EUC_2D", coords)
+    # ATT: r = 1.5 exactly rounds to 2 with no bump; sqrt(10) and sqrt(5) bump
+    coords = np.array([[0.0, 0.0], [4.5, 1.5], [10.0, 0.0], [7.0, 1.0]])
+    p = tsplib.parse_tsplib(coord_text("ATT", coords))
+    assert p.matrix[0, 1:].tolist() == [2.0, 4.0, 3.0]
+    assert_matches_oracle("ATT", coords)
+
+
+_DDD_MM = stn.tuples(stn.integers(-90, 90), stn.integers(0, 59), stn.integers(-180, 180), stn.integers(0, 59))
+
+
+def _ddd_mm(deg: int, minutes: int) -> float:
+    """The DDD.MM number with the sign of the whole angle on both parts."""
+    sign = -1.0 if deg < 0 else 1.0
+    return float(f"{sign * (abs(deg) + minutes / 100.0):.2f}")
+
+
+@settings(max_examples=60, deadline=None)
+@given(stn.lists(_DDD_MM, min_size=3, max_size=25), stn.data())
+def test_geo_rule_is_the_faq_code(points, data):
+    coords = np.array([(_ddd_mm(a, b), _ddd_mm(c, d)) for a, b, c, d in points])
+    k = data.draw(stn.integers(0, len(coords) - 1))
+    coords = np.vstack([coords, coords[k:k + 1], [[90.0, 0.0], [-90.0, 180.0]]])
+    assert_matches_oracle("GEO", coords)
+
+
+def test_geo_duplicates_are_one_apart():
+    coords = np.array([[14.55, -23.31], [14.55, -23.31], [-90.0, 0.0], [-90.0, 0.0], [90.0, 179.59]])
+    p = tsplib.parse_tsplib(coord_text("GEO", coords))
+    assert not np.diagonal(p.matrix).any()
+    assert p.matrix[0, 1] == p.matrix[2, 3] == 1.0
+    assert_matches_oracle("GEO", coords)
+
+
+# ---------------------------------------------------------------- numbers that are not finite
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN", "1e999", "-Infinity"])
+def test_non_finite_coordinate_is_rejected_at_its_line(token):
+    for kind in ("EUC_2D", "ATT", "GEO"):
+        with pytest.raises(NonFiniteValue, match="line 7"):
+            tsplib.parse_tsplib(make(kind, f"1 0 0\n2 {token} 1\n3 1 1"))
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-1e999"])
+def test_non_finite_weight_is_rejected_at_its_line(token):
+    text = make("EXPLICIT", f"0 1 2\n1 0 {token}\n2 3 0", fmt="FULL_MATRIX")
+    with pytest.raises(NonFiniteValue, match="line 8"):
+        tsplib.parse_tsplib(text)
+
+
+@pytest.mark.parametrize("kind", ["EUC_2D", "ATT", "GEO"])
+def test_overflowing_distances_are_rejected(kind):
+    with pytest.raises(NonFiniteValue, match="overflow"):
+        tsplib.parse_tsplib(make(kind, "1 -1e308 0\n2 1e308 0\n3 0 0"))
+
+
+def test_largest_finite_weights_are_kept():
+    p = tsplib.parse_tsplib(make("EXPLICIT", "1e308 -0 1e308", fmt="UPPER_ROW"))
+    assert p.matrix[0, 1] == 1e308 and np.isfinite(p.matrix).all()
+
+
+def test_dimension_redeclared_after_coordinates_is_rejected():
+    text = make("EUC_2D", "1 0 0\n2 3 4\n3 1 1").replace("EOF", "DIMENSION: 4\nEOF")
+    with pytest.raises(DimensionMismatch):
+        tsplib.parse_tsplib(text)
+
+
+@pytest.mark.parametrize("value", ["", "  "])
+def test_empty_type_is_rejected_at_its_line(value):
+    with pytest.raises(UnsupportedKeyword, match="line 1"):
+        tsplib.parse_tsplib(f"TYPE:{value}\nDIMENSION: 3\n")
+
+
+# ---------------------------------------------------------------- fuzzing the parser
+
+_WEIRD = ["nan", "inf", "-inf", "1e308", "-1e308", "1e999", "-0", "0", "1", "2.5", "-3", "x", "1e-320", "90.00"]
+_TOKEN = stn.one_of(
+    stn.sampled_from(_WEIRD),
+    stn.integers(-10**4, 10**4).map(str),
+    stn.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_DIMENSION = stn.one_of(
+    stn.integers(3, 6).map(str), stn.sampled_from(["0", "2", "-4", "abc", "4.0", "1e3", "", str(10**15), str(2**63)])
+)
+
+
+@stn.composite
+def tsplib_texts(draw):
+    """Problem text assembled from headers and sections, then damaged: odd
+    header values, numbers swapped for odd tokens, blocks out of order,
+    lines cut short.  Half the draws keep the headers and their order sound."""
+    sound = draw(stn.booleans())
+
+    def choose(good, *bad):
+        return good if sound else draw(stn.sampled_from([good, *bad]))
+
+    n = draw(stn.integers(3, 6))
+    kind = choose(draw(stn.sampled_from(["EXPLICIT", "EUC_2D", "ATT", "GEO"])), "EUC_3D")
+    fmt = choose(draw(stn.sampled_from(sorted(tsplib._WEIGHT_FORMATS))), "FUNCTION")
+    number = stn.one_of(stn.integers(0, 999).map(str), _TOKEN) if draw(stn.booleans()) else stn.integers(0, 99).map(str)
+    coords = ["NODE_COORD_SECTION"] + [f"{k + 1} {draw(number)} {draw(number)}" for k in range(n)]
+    count = tsplib._explicit_count(fmt, n) if fmt != "FUNCTION" else n * n
+    weights = ["EDGE_WEIGHT_SECTION", " ".join(draw(number) for _ in range(count))]
+    headers = [
+        ["NAME: fuzz"],
+        [f"TYPE: {choose('TSP', 'TSP x', 'ATSP', '')}"],
+        [f"DIMENSION: {choose(str(n), draw(_DIMENSION))}"],
+        [f"EDGE_WEIGHT_TYPE: {kind}"],
+        [f"EDGE_WEIGHT_FORMAT: {fmt}"],
+    ]
+    extra = choose([], ["DISPLAY_DATA_SECTION", "1 0 0"], ["COMMENT: c"], ["FROBNICATE: 1"], weights, coords)
+    blocks = draw(stn.permutations(headers)) + [coords if kind != "EXPLICIT" else weights, extra]
+    if not sound and draw(stn.booleans()):
+        blocks = draw(stn.permutations(blocks))
+    lines = [line for block in blocks for line in block]
+    if draw(stn.booleans()):
+        cut = draw(stn.integers(0, len(lines) - 1))
+        lines = lines[:cut] + [lines[cut][: draw(stn.integers(0, len(lines[cut])))]] + lines[cut + 1:]
+    if draw(stn.booleans()):
+        lines.append("EOF")
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tsplib_texts())
+def test_parser_fails_only_with_input_errors_and_returns_clean_matrices(text):
+    try:
+        p = tsplib.parse_tsplib(text)
+    except InputFormatError:
+        return
+    D = p.matrix
+    assert D.shape == (p.dimension, p.dimension)
+    assert np.isfinite(D).all()
+    assert np.array_equal(D, D.T)
+    assert not np.diagonal(D).any()
 
 
 # ---------------------------------------------------------------- headers, errors
@@ -219,6 +412,15 @@ def test_read_optimum_malformed(tmp_path):
     f = tmp_path / "x.opt"
     f.write_text("best = 12\n")
     with pytest.raises(InputFormatError):
+        tsplib.read_optimum(f)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
+def test_read_optimum_rejects_non_finite_values(tmp_path, value):
+    # a NaN optimum would reach the JSON output as a bare NaN, which is not JSON
+    f = tmp_path / "x.opt"
+    f.write_text(f"optimum: {value}\n")
+    with pytest.raises(NonFiniteValue, match="line 1"):
         tsplib.read_optimum(f)
 
 
