@@ -31,15 +31,7 @@ from .graphs import (
     hamiltonian_screen,
     traceable_screen,
 )
-from .linalg import (
-    antisym_spectrum,
-    center_restrict,
-    householder_basis,
-    is_normal,
-    normal_complex_spectrum,
-    sym_eigenvalues,
-    vn_trace_range,
-)
+from .linalg import center_restrict, householder_basis, vn_trace_range
 from .solvers import Tour, brute_force, held_karp, tour_length, two_opt
 from .tsplib import load_tsplib, load_with_optimum, parse_tsplib
 
@@ -50,7 +42,6 @@ __all__ = [
     "Graph",
     "SpectralTspError",
     "Tour",
-    "antisym_spectrum",
     "bound_report",
     "brute_force",
     "center_restrict",
@@ -59,18 +50,15 @@ __all__ = [
     "hamiltonian_screen",
     "held_karp",
     "householder_basis",
-    "is_normal",
     "load_tsplib",
     "load_with_optimum",
     "mean_distance",
     "n2_bound",
-    "normal_complex_spectrum",
     "parse_tsplib",
     "phi_general",
     "phi_normal",
     "phi_symmetric",
     "schoenberg_edm_check",
-    "sym_eigenvalues",
     "tour_length",
     "tsp_coefficients",
     "traceable_screen",

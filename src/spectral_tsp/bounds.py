@@ -16,7 +16,9 @@ Three variants, by what the compressed matrix supports:
                  parts separately and adds the two pairings.
 
 All three are valid lower bounds on the length of every closed tour, and
-they agree when the matrix is symmetric.  Affine behaviour is exact:
+they agree when the matrix is symmetric.  They stay sound whatever tol
+judges: the symmetric bounds pay Compression.skew for any asymmetry, and
+the normal route needs its spectrum certified (Compression.normal).  Affine behaviour is exact:
 shifting all off-diagonal distances by beta adds beta * n to each bound,
 scaling by alpha >= 0 multiplies it by alpha.
 """
@@ -31,7 +33,7 @@ import numpy as np
 from .errors import InvalidDimension, NonzeroDiagonal, NotNormal, NotSymmetric
 from .linalg import (
     DEFAULT_TOL,
-    antisym_spectrum,
+    _antisym_spectrum,
     as_square,
     center_restrict,
     commuting_spectrum,
@@ -40,21 +42,21 @@ from .linalg import (
 )
 
 _DIAG_TOL = 1e-12
+# a residual of roundoff size, whatever tol is: at most this times n * (its scale)
+_ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
-def check_distance_matrix(D, tol: float = DEFAULT_TOL, symmetric: bool = False) -> np.ndarray:
+def check_distance_matrix(D) -> np.ndarray:
     """Validate a distance matrix: square, finite, n >= 3, zero diagonal.
 
     The diagonal must vanish to within 1e-12 * ||D||_F; it is never
-    silently zeroed.  With symmetric=True also insists on D = D^T.
+    silently zeroed.
     """
     A = as_square(D, "distance matrix")
     if A.shape[0] < 3:
         raise InvalidDimension("tours need at least 3 cities")
     if np.abs(np.diagonal(A)).max() > _DIAG_TOL * float(np.linalg.norm(A)):
         raise NonzeroDiagonal("distance matrix must have a zero diagonal")
-    if symmetric and not is_symmetric(A, tol):
-        raise NotSymmetric("this bound requires a symmetric distance matrix")
     return A
 
 
@@ -74,14 +76,15 @@ class Compression:
 
     R is the compression of -D onto the mean-zero subspace
     (linalg.center_restrict), S and K its symmetric and antisymmetric parts,
-    mu the descending spectrum of S.  Each is computed on first use and
-    kept.  Every bound function below accepts a Compression in place of D
-    (its own tol then applies), so asking one for all bounds costs one
-    validation, one compression and, on symmetric input, one eigensolve.
+    mu the descending spectrum of S and w the complex spectrum of R.  Each
+    is computed on first use and kept.  Every bound function below accepts
+    a Compression in place of D (its own tol then applies), so asking one
+    for all bounds costs one validation, one compression and, on symmetric
+    input, one eigensolve.
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
-        self.A = check_distance_matrix(D, tol)
+        self.A = check_distance_matrix(D)
         self.n = self.A.shape[0]
         self.tol = tol
 
@@ -102,13 +105,36 @@ class Compression:
         return 0.5 * (self.R - self.R.T)
 
     @cached_property
+    def skew(self) -> float:
+        """sum_i max_j |K_D[i, j]|, K_D = (A - A^T) / 2: 0 on exactly symmetric A.
+
+        A tour takes one entry per row, so on A it is at least as long as on
+        (A + A^T) / 2 less this, whatever tol judged A to be symmetric."""
+        return float(0.5 * np.abs(self.A - self.A.T).max(axis=1).sum())
+
+    @cached_property
     def normal(self) -> bool:
-        """linalg.is_normal(R), from the cached parts."""
-        return parts_commute(self.S, self.K, float(np.linalg.norm(self.R)) ** 2, self.tol)
+        """R commutes with R^T at tol, and the spectrum phi_normal pairs is certified.
+
+        The certificate is Schur's identity part by part, sum (Re w)^2 = ||S||_F^2
+        and sum (Im w)^2 = ||K||_F^2 to roundoff, whatever tol is (w is mu on
+        symmetric input): a commutator small at tol can still split an eigenvalue
+        of S wider than the cluster gap, losing the imaginary parts over it."""
+        scale = float(np.linalg.norm(self.R)) ** 2
+        if not parts_commute(self.S, self.K, scale, self.tol):
+            return False
+        w = self.mu if self.symmetric else self.w
+        parts = ((w.real, self.S), (w.imag, self.K))
+        return all(abs(float(x @ x) - float(np.linalg.norm(P)) ** 2) <= _ROUNDOFF * self.n * scale for x, P in parts)
 
     @cached_property
     def mu(self) -> np.ndarray:
         return np.sort(np.linalg.eigvalsh(self.S))[::-1]
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        """The complex spectrum of R, read as if S and K commute."""
+        return commuting_spectrum(*np.linalg.eigh(self.S), self.K, self.tol)
 
     @cached_property
     def psd(self) -> bool:
@@ -123,20 +149,16 @@ def _compression(D, tol: float, symmetric: bool = False) -> Compression:
     return c
 
 
-def restricted_spectrum(D, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Descending eigenvalues of the symmetrized compression of -D."""
-    return _compression(D, tol).mu
-
-
 def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
     """Spectral lower bound on shortest-tour length for symmetric distances.
 
     Pairs tsp_coefficients(n) ascending with the compressed spectrum
     descending; by the rearrangement inequality this is the cheapest pairing,
-    and it lower-bounds the length of every Hamiltonian cycle through D.
+    and it lower-bounds the length of every Hamiltonian cycle through
+    (D + D^T) / 2.  Less the `skew` of D, it bounds every tour through D.
     """
     c = _compression(D, tol, symmetric=True)
-    return float(tsp_coefficients(c.n) @ c.mu)
+    return float(tsp_coefficients(c.n) @ c.mu) - c.skew
 
 
 def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
@@ -157,10 +179,9 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
         return phi_symmetric(c)
     from scipy.optimize import linear_sum_assignment
 
-    w = commuting_spectrum(*np.linalg.eigh(c.S), c.K, c.tol)
     ang = 2.0 * np.pi * np.arange(1, c.n) / c.n
     # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t
-    cost = np.outer(1.0 - np.cos(ang), w.real) + np.outer(np.sin(ang), w.imag)
+    cost = np.outer(1.0 - np.cos(ang), c.w.real) + np.outer(np.sin(ang), c.w.imag)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].sum())
 
@@ -178,7 +199,7 @@ def phi_general(D, tol: float = DEFAULT_TOL) -> float:
     if c.symmetric:
         return phi_symmetric(c)
     b = np.sort(np.sin(2.0 * np.pi * np.arange(1, c.n) / c.n))
-    return float(tsp_coefficients(c.n) @ c.mu + b @ antisym_spectrum(c.K, c.tol))
+    return float(tsp_coefficients(c.n) @ c.mu + b @ _antisym_spectrum(c.K))
 
 
 def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
@@ -186,11 +207,13 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
 
     Every tour enters and leaves each city once, so this is a lower bound on
     symmetric tour length.  It is the classical degree-two counting bound and
-    serves as the non-spectral baseline.
+    serves as the non-spectral baseline.  It is taken on (D + D^T) / 2, less
+    the `skew` of D.
     """
     c = _compression(D, tol, symmetric=True)
-    off = c.A + np.diag(np.full(c.n, np.inf))
-    return float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum())
+    A = c.A if c.skew == 0.0 else 0.5 * (c.A + c.A.T)
+    off = A + np.diag(np.full(c.n, np.inf))
+    return float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - c.skew
 
 
 def mean_distance(D, tol: float = DEFAULT_TOL) -> float:
@@ -213,15 +236,17 @@ def schoenberg_edm_check(D, tol: float = DEFAULT_TOL) -> bool:
 
 
 def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
-    """Closed-form floor n (1 - cos(2 pi / n)) * mean_distance(D).
+    """Closed-form floor (n - 1) (1 - cos(2 pi / n)) * mean_distance(D), less the `skew` of D.
 
-    A lower bound on phi_symmetric(D) whenever the compressed spectrum is
-    non-negative (schoenberg_edm_check passes), which covers every matrix of
-    Euclidean point-to-point distances.  The value is computed regardless;
-    its bound interpretation needs that hypothesis.
+    The compressed spectrum sums to (n - 1) * mean_distance(D), and the
+    smallest tour coefficient is 1 - cos(2 pi / n), so this is a lower bound
+    on phi_symmetric(D) whenever that spectrum is non-negative
+    (schoenberg_edm_check passes), which covers every matrix of Euclidean
+    point-to-point distances.  The value is computed regardless; its bound
+    interpretation needs that hypothesis.
     """
     c = _compression(D, tol, symmetric=True)
-    return float(c.n * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c))
+    return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c)) - c.skew
 
 
 @dataclass
@@ -232,7 +257,9 @@ class BoundReport:
     n2 and euclidean_floor need symmetry, phi_normal a normal compression,
     and euclidean_floor also `psd`, which says the descending spectrum `mu`
     of the symmetrized compression is non-negative (at tolerance); for
-    symmetric D it is schoenberg_edm_check.  `phi` is the sharpest bound:
+    symmetric D it is schoenberg_edm_check.  The floor takes the tighter of
+    tol and roundoff (64 n eps ||S||_F) there, since a negative mu that a
+    loose tol admits can lift it above phi.  `phi` is the sharpest bound:
     phi_symmetric when symmetric, else phi_normal when defined, else
     phi_general.  On symmetric D the routes coincide, so phi_normal (when
     normal) and phi_general carry the phi_symmetric value.  All fields come
@@ -262,6 +289,7 @@ def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
     p_normal = phi_normal(c) if normal else None
     p_general = phi_general(c)
     phi = p_sym if sym else p_normal if normal else p_general
+    floor = sym and c.mu[-1] >= -min(c.tol, _ROUNDOFF * c.n) * float(np.linalg.norm(c.S))
     return BoundReport(
         n=c.n,
         symmetric=sym,
@@ -272,7 +300,7 @@ def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
         phi_normal=p_normal,
         phi_general=p_general,
         n2=n2_bound(c) if sym else None,
-        euclidean_floor=euclidean_floor(c) if sym and c.psd else None,
+        euclidean_floor=euclidean_floor(c) if floor else None,
         mean_distance=mean_distance(c),
         mu=[float(x) for x in c.mu],
     )

@@ -11,7 +11,8 @@ Output is deterministic byte for byte: fields appear in fixed order and
 timing is reported as null unless --timing is given.  --pretty adds a
 human-readable summary on stderr, leaving stdout machine-clean.  The
 decision tolerance defaults to 1e-8, can be set for a whole shell via the
-SPECTRAL_TSP_TOL environment variable, and per-run via --tol.
+SPECTRAL_TSP_TOL environment variable, and per-run via --tol; either must
+be a finite number >= 0, else the run exits 2.
 
 Exit codes: 0 success, 2 unreadable or unparseable input, 3 valid input
 rejected by a numeric precondition (asymmetry, size caps, and so on).
@@ -62,13 +63,17 @@ _GRAPH_FAMILY_PARAMS = {
 }
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("SPECTRAL_TSP_TOL", "")
+def _tolerance(flag: str | None) -> float:
+    """--tol, else a non-empty SPECTRAL_TSP_TOL, else 1e-8; each must be a finite number >= 0."""
+    env = os.environ.get("SPECTRAL_TSP_TOL") or "1e-8"
+    source, raw = ("--tol", flag) if flag is not None else ("SPECTRAL_TSP_TOL", env)
     try:
-        return float(raw) if raw else 1e-8
+        tol = float(raw)
     except ValueError:
-        print(f"warning: ignoring non-numeric SPECTRAL_TSP_TOL={raw!r}", file=sys.stderr)
-        return 1e-8
+        tol = np.nan
+    if not 0.0 <= tol < np.inf:
+        raise InputFormatError(f"{source} must be a finite number >= 0, got {raw!r}")
+    return tol
 
 
 def _load_matrix(args) -> tuple[np.ndarray, dict, float | None]:
@@ -271,13 +276,13 @@ def _add_instance_options(p: argparse.ArgumentParser, families: dict) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="spectral-tsp", description=__doc__.split("\n\n")[0])
-    ap.add_argument("--tol", type=float, default=None, help="decision tolerance (default 1e-8, or SPECTRAL_TSP_TOL)")
+    ap.add_argument("--tol", default=None, help="decision tolerance >= 0 (default 1e-8, or SPECTRAL_TSP_TOL)")
     ap.add_argument("--pretty", action="store_true", help="also print a human summary to stderr")
     ap.add_argument("--timing", action="store_true", help="fill timing_ms (off by default so output is deterministic)")
     # the same flags are accepted after the subcommand; SUPPRESS keeps a
     # subcommand parse from clobbering a value given before it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=argparse.SUPPRESS, help=argparse.SUPPRESS)
+    common.add_argument("--tol", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     common.add_argument("--timing", action="store_true", default=argparse.SUPPRESS, help=argparse.SUPPRESS)
     sub = ap.add_subparsers(dest="command", required=True)
@@ -311,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.tol is None:
-        args.tol = _default_tol()
     try:
+        args.tol = _tolerance(args.tol)
         return args.func(args)
     except (InputFormatError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -47,10 +47,6 @@ class NotSymmetric(SpectralTspError):
     """Operation requires a symmetric matrix and the argument is not one."""
 
 
-class NotAntisymmetric(SpectralTspError):
-    """Operation requires an antisymmetric matrix and the argument is not one."""
-
-
 class NotNormal(SpectralTspError):
     """Operation requires a normal matrix (commuting with its transpose)."""
 

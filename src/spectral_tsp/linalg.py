@@ -1,4 +1,4 @@
-"""Dense symmetric / antisymmetric / normal eigenstructure helpers.
+"""Dense eigenstructure helpers: the compression of -D and its spectra.
 
 All routines work on real square matrices and promise deterministic output
 ordering: real spectra come back sorted descending, complex spectra sorted
@@ -16,13 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    InvalidDimension,
-    InvalidMatrix,
-    NotAntisymmetric,
-    NotNormal,
-    NotSymmetric,
-)
+from .errors import InvalidDimension, InvalidMatrix, NotSymmetric
 
 DEFAULT_TOL = 1e-8
 
@@ -54,20 +48,6 @@ def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
     return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
 
 
-def is_antisymmetric(M, tol: float = DEFAULT_TOL) -> bool:
-    A = as_square(M)
-    return float(np.linalg.norm(A + A.T)) <= tol * float(np.linalg.norm(A))
-
-
-def is_normal(M, tol: float = DEFAULT_TOL) -> bool:
-    """True iff M commutes with its transpose.
-
-    The commutator is quadratic in M, so the scale here is ||M||_F^2.
-    """
-    A = as_square(M)
-    return parts_commute(0.5 * (A + A.T), 0.5 * (A - A.T), float(np.linalg.norm(A)) ** 2, tol)
-
-
 def parts_commute(S: np.ndarray, K: np.ndarray, scale: float, tol: float = DEFAULT_TOL) -> bool:
     """The normality test of M = S + K from its symmetric and antisymmetric parts.
 
@@ -81,15 +61,6 @@ def parts_commute(S: np.ndarray, K: np.ndarray, scale: float, tol: float = DEFAU
         return True
     KS = K @ S
     return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * scale
-
-
-def sym_eigenvalues(S, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted descending."""
-    A = as_square(S)
-    if not is_symmetric(A, tol):
-        raise NotSymmetric("sym_eigenvalues requires a symmetric matrix")
-    A = 0.5 * (A + A.T)
-    return np.sort(np.linalg.eigvalsh(A))[::-1]
 
 
 def householder_basis(n: int) -> np.ndarray:
@@ -123,8 +94,8 @@ def center_restrict(D) -> np.ndarray:
     return -(Q.T @ A @ Q)
 
 
-def antisym_spectrum(K, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Imaginary parts of the spectrum of an antisymmetric matrix, descending.
+def _antisym_spectrum(K: np.ndarray) -> np.ndarray:
+    """Imaginary parts of the spectrum of an exactly antisymmetric K, descending.
 
     An antisymmetric K has eigenvalues coming in pairs +/- i*theta with
     theta >= 0, plus a zero for odd dimension.  The thetas are recovered as
@@ -132,25 +103,12 @@ def antisym_spectrum(K, tol: float = DEFAULT_TOL) -> np.ndarray:
     two copies of each singular value are paired consecutively and averaged
     so the output is exactly symmetric around zero and sums to exactly 0.
     """
-    A = as_square(K)
-    if not is_antisymmetric(A, tol):
-        raise NotAntisymmetric("antisym_spectrum requires an antisymmetric matrix")
-    A = 0.5 * (A - A.T)
-    n = A.shape[0]
-    sq = np.linalg.eigvalsh(A.T @ A)
+    n = K.shape[0]
+    sq = np.linalg.eigvalsh(K.T @ K)
     s = np.sqrt(np.maximum(sq, 0.0))[::-1]
     m = n // 2
     theta = 0.5 * (s[0 : 2 * m : 2] + s[1 : 2 * m : 2])
     return np.concatenate([theta, np.zeros(n % 2), -theta[::-1]])
-
-
-def normal_complex_spectrum(M, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Complex spectrum of a real normal matrix; raises NotNormal otherwise."""
-    A = as_square(M)
-    if not is_normal(A, tol):
-        raise NotNormal("matrix does not commute with its transpose")
-    S = 0.5 * (A + A.T)
-    return commuting_spectrum(*np.linalg.eigh(S), 0.5 * (A - A.T), tol)
 
 
 def commuting_spectrum(w: np.ndarray, V: np.ndarray, K: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -173,7 +131,7 @@ def commuting_spectrum(w: np.ndarray, V: np.ndarray, K: np.ndarray, tol: float =
         elif len(wg) == 2:  # a 2 x 2 antisymmetric block has spectrum +-i|b|
             imags = [abs(B[0, 1]), -abs(B[0, 1])]
         else:
-            imags = antisym_spectrum(B, tol)
+            imags = _antisym_spectrum(B)
         real = float(np.mean(wg))
         out.extend(complex(real, a) for a in imags)
     out = np.array(out, dtype=complex)
@@ -189,8 +147,10 @@ def vn_trace_range(A, B, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     [sum_j lambda_j mu_{n+1-j}, sum_j lambda_j mu_j]: opposite-sorted pairing
     at the bottom, same-sorted at the top.  Returns (lo, hi).
     """
-    lam = sym_eigenvalues(A, tol)
-    mu = sym_eigenvalues(B, tol)
+    A, B = as_square(A), as_square(B)
+    if not (is_symmetric(A, tol) and is_symmetric(B, tol)):
+        raise NotSymmetric("vn_trace_range requires symmetric matrices")
+    lam, mu = (np.linalg.eigvalsh(0.5 * (M + M.T))[::-1] for M in (A, B))
     if lam.shape != mu.shape:
         raise InvalidDimension("vn_trace_range requires matrices of equal size")
     hi = float(lam @ mu)

@@ -74,7 +74,7 @@ def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
     in numpy batches: each batch fixes the leading cities and permutes the
     last nine, in lexicographic order.
     """
-    A = check_distance_matrix(D, tol)
+    A = check_distance_matrix(D)
     n = A.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
@@ -103,7 +103,7 @@ def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
     return Tour(order=order, length=tour_length(A, order))
 
 
-def held_karp(D, tol: float = DEFAULT_TOL) -> Tour:
+def held_karp(D) -> Tour:
     """Exact minimum by dynamic programming over subsets.  Cap at 20 cities.
 
     Standard table: for every subset of cities 1..n-1 and every last city j
@@ -115,7 +115,7 @@ def held_karp(D, tol: float = DEFAULT_TOL) -> Tour:
     argmin, so the order returned is deterministic (though not necessarily
     the same one brute_force picks among equals).
     """
-    A = check_distance_matrix(D, tol)
+    A = check_distance_matrix(D)
     n = A.shape[0]
     if n > HELD_KARP_CAP:
         raise TooLarge(f"held_karp is capped at {HELD_KARP_CAP} cities, got {n}")
@@ -177,7 +177,7 @@ def two_opt(D, seed: int = 0, tol: float = DEFAULT_TOL) -> Tour:
     by more than 1e-12.  The result is a local optimum: never longer than
     its greedy start, and of course never shorter than the true minimum.
     """
-    A = check_distance_matrix(D, tol)
+    A = check_distance_matrix(D)
     if not is_symmetric(A, tol):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]

@@ -51,6 +51,7 @@ _HEADER_KEYS = {
     "NODE_COORD_TYPE",
 }
 _SECTIONS = {"NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION", "DISPLAY_DATA_SECTION"}
+_KEYWORDS = _HEADER_KEYS | _SECTIONS | {"EOF"}
 
 
 @dataclass
@@ -182,7 +183,10 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                 continue
 
             if key == "DISPLAY_DATA_SECTION":
-                i += 1 + n  # cosmetic plotting coordinates; not used
+                # cosmetic plotting coordinates, not used: skip to the next keyword
+                i += 1
+                while i < len(lines) and lines[i].split(":", 1)[0].strip().upper() not in _KEYWORDS:
+                    i += 1
                 continue
 
             # EDGE_WEIGHT_SECTION

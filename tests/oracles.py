@@ -408,3 +408,21 @@ def cayley_adjacency(M, inverse, connection) -> np.ndarray:
             if g != h and int(M[h, inverse[g]]) in S:
                 A[g, h] = 1
     return A
+
+
+def validate_group(table) -> None:
+    """ValueError unless the table is a group: closed, latin, with its identity,
+    inverses and associativity, each checked element by element."""
+    M, e, inverse = table.mult, table.identity, table.inverse
+    n = len(M)
+    elements = set(range(n))
+    for a in range(n):
+        if set(int(x) for x in M[a]) != elements or set(int(M[b, a]) for b in range(n)) != elements:
+            raise ValueError(f"row or column {a} of the table is not a permutation")
+        if M[e, a] != a or M[a, e] != a:
+            raise ValueError("identity element does not act as identity")
+        if M[a, inverse[a]] != e or M[inverse[a], a] != e:
+            raise ValueError(f"inverse of {a} is wrong")
+        for b, c in itertools.product(range(n), repeat=2):
+            if M[M[a, b], c] != M[a, M[b, c]]:
+                raise ValueError(f"({a} {b}) {c} != {a} ({b} {c})")

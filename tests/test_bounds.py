@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -174,7 +175,7 @@ def test_restricted_spectrum_trace_identity():
     for seed in range(10):
         n = 5 + seed % 4
         D = random_symmetric(n, seed=seed)
-        mu = bounds.restricted_spectrum(D)
+        mu = bounds.Compression(D).mu
         assert len(mu) == n - 1
         assert abs(mu.sum() - (n - 1) * bounds.mean_distance(D)) < 1e-9
 
@@ -213,9 +214,19 @@ def test_schoenberg_check_agrees_with_projector_route():
 
 
 def test_euclidean_floor_sound_on_point_sets():
-    for seed in range(10):
-        D, _ = random_euclidean(7, seed=seed)
-        assert bounds.euclidean_floor(D) <= solvers.brute_force(D).length + 1e-9
+    for n, seed in itertools.product(range(3, 9), range(10)):
+        D, _ = random_euclidean(n, seed=seed)
+        floor = bounds.euclidean_floor(D)
+        assert floor <= bounds.phi_symmetric(D) + 1e-9
+        assert floor <= solvers.brute_force(D).length + 1e-9
+
+
+def test_euclidean_floor_is_tight_on_three_cities():
+    # both tour coefficients are 3/2 at n = 3, so the floor is phi and the only tour's length
+    D, _ = random_euclidean(3, seed=1)
+    length = D[0, 1] + D[1, 2] + D[2, 0]
+    assert bounds.euclidean_floor(D) == pytest.approx(length, rel=1e-12)
+    assert bounds.euclidean_floor(D) == pytest.approx(2.0 * 1.5 * bounds.mean_distance(D), rel=1e-12)
 
 
 def test_mean_distance():
@@ -410,6 +421,71 @@ def test_tiny_asymmetric_matrix_is_not_judged_symmetric():
         assert rep.phi <= solvers.brute_force(D).length * (1 + 1e-9)
 
 
+# ---------------------------------------------------------------- soundness at every tol
+
+
+_REPORTED_BOUNDS = ("phi", "phi_symmetric", "phi_normal", "phi_general", "n2", "euclidean_floor")
+
+
+def _assert_report_is_sound(D, tol):
+    rep = bounds.bound_report(D, tol)
+    opt = oracles.directed_optimum(D)
+    for field in _REPORTED_BOUNDS:
+        value = getattr(rep, field)
+        assert value is None or value <= opt + 1e-9 * abs(opt), (field, value, opt)
+    return rep
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stn.integers(min_value=0, max_value=10**6),
+    stn.integers(min_value=3, max_value=8),
+    stn.sampled_from([1e-8, 1e-6, 1e-4, 0.5, 1.0]),
+    stn.floats(min_value=0.05, max_value=1.0),
+)
+def test_every_reported_bound_is_sound_at_every_tol(seed, n, tol, size):
+    """A circulant plus a perturbation of size 0.05 to 1 times tol sits at the
+    edge of what tol judges normal (and, at a large tol, symmetric): every
+    route a report fills must still bound the directed optimum."""
+    C = random_circulant(n, seed)
+    E = np.random.default_rng(seed).standard_normal((n, n))
+    np.fill_diagonal(E, 0.0)
+    _assert_report_is_sound(C + size * tol * np.linalg.norm(C) * E, tol)
+
+
+def test_commuting_at_tol_is_not_normal_without_the_schur_certificate():
+    # seed 22 of random_circulant(7, s) + eps ||C|| E, E the 23rd draw of
+    # default_rng(0): eps is bisected to where the commutator test still passes.
+    # The perturbation splits a pair of eigenvalues of S beyond the cluster
+    # gap, the pairing loses the imaginary parts over it, and phi_normal was
+    # 1.831 against an optimum of 0.536.
+    rng = np.random.default_rng(0)
+    for _ in range(23):
+        E = rng.standard_normal((7, 7))
+    np.fill_diagonal(E, 0.0)
+    C = random_circulant(7, 22)
+    D = C + 1.8225940919869704e-09 * np.linalg.norm(C) * E
+    c = bounds.Compression(D)
+    assert linalg.parts_commute(c.S, c.K, float(np.linalg.norm(c.R)) ** 2, c.tol)
+    assert np.sum(c.w.imag**2) < 0.5 * np.linalg.norm(c.K) ** 2
+    rep = _assert_report_is_sound(D, linalg.DEFAULT_TOL)
+    assert not rep.normal and rep.phi_normal is None and rep.phi == rep.phi_general
+    assert oracles.directed_optimum(D) == pytest.approx(0.5358, abs=1e-4)
+    assert bounds.phi_general(D) == rep.phi
+
+
+def test_symmetric_at_a_loose_tol_pays_for_the_asymmetry():
+    # judged symmetric at tol 1.0, random_asymmetric(7, 3) had phi 1.912
+    # against a directed optimum of 1.511
+    D = random_asymmetric(7, seed=3)
+    rep = _assert_report_is_sound(D, 1.0)
+    assert rep.symmetric
+    c = bounds.Compression(D, 1.0)
+    assert c.skew > 0
+    assert rep.phi == pytest.approx(float(bounds.tsp_coefficients(7) @ c.mu) - c.skew, rel=1e-12)
+    assert bounds.Compression(0.5 * (D + D.T)).skew == 0.0
+
+
 # ---------------------------------------------------------------- validation
 
 
@@ -420,5 +496,6 @@ def test_check_distance_matrix_errors():
     with pytest.raises(NonzeroDiagonal):
         bounds.check_distance_matrix(bad_diag)
     asym = random_asymmetric(5, seed=1)
+    np.testing.assert_array_equal(bounds.check_distance_matrix(asym), asym)  # symmetry is for the bounds to demand
     with pytest.raises(NotSymmetric):
-        bounds.check_distance_matrix(asym, symmetric=True)
+        bounds.phi_symmetric(asym)

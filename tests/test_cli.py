@@ -254,3 +254,37 @@ def test_check_graph_rejects_entries_outside_zero_one(tmp_path):
     proc = run_cli("check-graph", str(f))
     assert proc.returncode == 2 and proc.stdout == ""
     assert "0 or 1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        (["--tol=-1e-3"], None),
+        (["--tol", "nan"], None),
+        (["--tol", "inf"], None),
+        (["--tol", "abc"], None),
+        ([], {"SPECTRAL_TSP_TOL": "nan"}),
+        ([], {"SPECTRAL_TSP_TOL": "-1"}),
+        ([], {"SPECTRAL_TSP_TOL": "inf"}),
+        ([], {"SPECTRAL_TSP_TOL": "abc"}),
+    ],
+)
+def test_bad_tolerance_exits_2(flags, env):
+    proc = run_cli(*flags, "check-graph", "--family", "cycle", "--n", "10", env_extra=env)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "finite number >= 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_zero_tolerance_is_accepted():
+    doc = doc_of(run_cli("--tol", "0", "bound", "--family", "circle", "--n", "8"))
+    assert doc["symmetric"] is True
+
+
+def test_bound_reads_a_short_display_section(tmp_path):
+    f = tmp_path / "display.tsp"
+    f.write_text(
+        "NAME: display\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+        "DISPLAY_DATA_SECTION\n1 0 0\nNODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 8\nEOF\n"
+    )
+    doc = doc_of(run_cli("bound", str(f)))
+    assert doc["instance"]["n"] == 3 and doc["mean_distance"] == pytest.approx(20.0 / 3)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as stn
 
 import oracles
-from spectral_tsp import linalg
+from spectral_tsp import bounds, linalg
 from spectral_tsp.errors import InvalidMatrix, NotNormal
 from spectral_tsp.instances import (
     SplitMix64,
@@ -31,7 +31,7 @@ def test_center_restrict_spectrum_matches_projector_route():
     # Same restricted operator, reached through two different constructions.
     for seed in range(8):
         D = random_symmetric(7, seed=seed)
-        lib = np.sort(linalg.sym_eigenvalues(linalg.center_restrict(D)))
+        lib = np.sort(bounds.Compression(D).mu)
         ora = np.sort(oracles._restricted_eigs_projector(D))
         np.testing.assert_allclose(lib, ora, atol=1e-9)
 
@@ -42,13 +42,15 @@ def test_center_restrict_preserves_symmetry_and_skewness():
     assert linalg.is_symmetric(M)
     K = random_asymmetric(6, seed=2)
     K = K - K.T
-    assert linalg.is_antisymmetric(linalg.center_restrict(K))
+    R = linalg.center_restrict(K)
+    assert np.linalg.norm(R + R.T) <= 1e-12 * np.linalg.norm(R)
 
 
 def test_sym_eigenvalues_descending():
     D = random_symmetric(8, seed=3)
-    w = linalg.sym_eigenvalues((D + D.T) / 2)
-    assert np.all(np.diff(w) <= 1e-12)
+    mu = bounds.Compression(D).mu
+    assert np.all(np.diff(mu) <= 0)
+    np.testing.assert_allclose(mu, np.linalg.eigvalsh(linalg.center_restrict(D))[::-1], atol=1e-9)
 
 
 def test_as_square_rejects_nonsquare_and_nan():
@@ -58,31 +60,35 @@ def test_as_square_rejects_nonsquare_and_nan():
         linalg.as_square(np.array([[0.0, np.nan], [1.0, 0.0]]))
 
 
+def is_normal(M, tol=linalg.DEFAULT_TOL):
+    """The package's normality test, parts_commute, on a whole matrix."""
+    return linalg.parts_commute(0.5 * (M + M.T), 0.5 * (M - M.T), float(np.linalg.norm(M)) ** 2, tol)
+
+
 def test_symmetry_predicates():
     S = random_symmetric(5, seed=4)
     assert linalg.is_symmetric(S)
-    assert not linalg.is_antisymmetric(S)
-    K = S - S.T  # zero
     A = random_asymmetric(5, seed=5)
-    assert linalg.is_antisymmetric(A - A.T)
-    assert not linalg.is_symmetric(A - A.T) or np.allclose(A, A.T)
+    assert not linalg.is_symmetric(A)
+    assert not linalg.is_symmetric(A - A.T)
 
 
 def test_is_normal_on_circulants_and_counterexample():
     # Circulants commute with their transpose; a generic matrix does not.
     for seed in range(5):
         C = random_circulant(6, seed=seed)
-        assert linalg.is_normal(linalg.center_restrict(C))
+        assert bounds.Compression(C).normal
     M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 2.0], [0.5, 0.0, 0.0]])
-    assert not linalg.is_normal(M)
+    assert not is_normal(M)
+    assert not bounds.Compression(M).normal
 
 
 def test_is_normal_scale_invariance():
     """The normality test must not get stricter as the matrix grows."""
-    M = linalg.center_restrict(random_circulant(8, seed=11))
-    assert linalg.is_normal(M)
-    assert linalg.is_normal(1e6 * M)
-    assert linalg.is_normal(1e-6 * M)
+    C = random_circulant(8, seed=11)
+    for alpha in (1.0, 1e6, 1e-6):
+        assert is_normal(alpha * linalg.center_restrict(C))
+        assert bounds.Compression(alpha * C).normal
 
 
 def test_normality_shortcut_agrees_with_the_commutator():
@@ -102,24 +108,24 @@ def test_normality_shortcut_agrees_with_the_commutator():
                 X = alpha * M
                 S, K = 0.5 * (X + X.T), 0.5 * (X - X.T)
                 shortcut += 4.0 * np.linalg.norm(K) * np.linalg.norm(S) <= 1e-8 * np.linalg.norm(X) ** 2
-                assert linalg.is_normal(X) == commutator_test(X)
+                assert is_normal(X) == commutator_test(X)
     assert 0 < shortcut < 60  # both paths were taken
     # across the threshold: S + eps K for generic S and K, eps on a fine grid
     for n in (3, 4, 6):
         W, V = rng.standard_normal((n, n)), rng.standard_normal((n, n))
         for eps in np.logspace(-11, -7, 201):
             X = W + W.T + eps * (V - V.T)
-            assert linalg.is_normal(X) == commutator_test(X), (n, eps)
+            assert is_normal(X) == commutator_test(X), (n, eps)
 
 
 def test_predicates_are_scale_free_and_pass_the_zero_matrix():
     Z = np.zeros((4, 4))
-    assert linalg.is_symmetric(Z) and linalg.is_antisymmetric(Z) and linalg.is_normal(Z)
+    assert linalg.is_symmetric(Z) and is_normal(Z) and bounds.Compression(Z).normal
     A = random_asymmetric(6, seed=3)
     for alpha in (1e-12, 1.0, 1e12):
         assert not linalg.is_symmetric(alpha * A)
-        assert not linalg.is_antisymmetric(alpha * A)
-        assert not linalg.is_normal(linalg.center_restrict(alpha * A))
+        assert not is_normal(linalg.center_restrict(alpha * A))
+        assert not bounds.Compression(alpha * A).normal
 
 
 def test_is_psd():
@@ -133,7 +139,7 @@ def test_antisym_spectrum_pairs_exactly():
     rng = SplitMix64(7)
     A = np.array([[rng.next_float() for _ in range(7)] for _ in range(7)])
     K = A - A.T
-    spec = linalg.antisym_spectrum(K)
+    spec = linalg._antisym_spectrum(K)
     assert len(spec) == 7
     # exact +-theta pairing and descending order
     np.testing.assert_array_equal(spec, -spec[::-1])
@@ -145,40 +151,41 @@ def test_antisym_spectrum_matches_hermitian_route():
     for seed in range(6):
         A = random_asymmetric(6, seed=seed)
         K = A - A.T
-        lib = np.sort(linalg.antisym_spectrum(K))
+        lib = np.sort(linalg._antisym_spectrum(K))
         ora = np.sort(np.linalg.eigvalsh(-1j * K).real)
         np.testing.assert_allclose(lib, ora, atol=1e-9)
 
 
-def test_antisym_spectrum_rejects_symmetric_input():
-    from spectral_tsp.errors import NotAntisymmetric
-
-    with pytest.raises(NotAntisymmetric):
-        linalg.antisym_spectrum(random_symmetric(4, seed=0))
+def spectrum_of_parts(M):
+    """commuting_spectrum of M from its symmetric and antisymmetric parts."""
+    S, K = 0.5 * (M + M.T), 0.5 * (M - M.T)
+    return linalg.commuting_spectrum(*np.linalg.eigh(S), K)
 
 
 def test_normal_complex_spectrum_matches_complex_eigensolver():
     for seed in range(8):
         C = random_circulant(7, seed=seed)
         M = linalg.center_restrict(C)
-        lib = np.sort_complex(linalg.normal_complex_spectrum(M))
+        lib = np.sort_complex(spectrum_of_parts(M))
         ora = np.sort_complex(np.linalg.eigvals(M))
         np.testing.assert_allclose(lib, ora, atol=1e-8)
+        np.testing.assert_array_equal(bounds.Compression(C).w, spectrum_of_parts(M))
 
 
 def test_normal_complex_spectrum_real_for_symmetric_input():
     M = linalg.center_restrict(random_symmetric(6, seed=9))
-    spec = linalg.normal_complex_spectrum(M)
+    spec = spectrum_of_parts(M)
     np.testing.assert_allclose(spec.imag, 0.0, atol=1e-10)
-    np.testing.assert_allclose(
-        np.sort(spec.real), np.sort(linalg.sym_eigenvalues(M)), atol=1e-9
-    )
+    np.testing.assert_allclose(np.sort(spec.real), np.linalg.eigvalsh(0.5 * (M + M.T)), atol=1e-9)
 
 
 def test_normal_complex_spectrum_rejects_non_normal():
-    M = np.triu(np.ones((4, 4)), 1)
+    # the gate in front of the complex spectrum is Compression.normal; phi_normal raises past it
+    assert not is_normal(np.triu(np.ones((4, 4)), 1))
+    D = random_asymmetric(6, seed=1)
+    assert not bounds.Compression(D).normal
     with pytest.raises(NotNormal):
-        linalg.normal_complex_spectrum(M)
+        bounds.phi_normal(D)
 
 
 def test_vn_trace_range_brackets_trace():
@@ -212,6 +219,6 @@ def test_restricted_spectrum_invariant_under_constant_offdiagonal_shift(seed, n)
     D = random_symmetric(n, seed=seed)
     beta = 0.75
     shifted = D + beta * (np.ones((n, n)) - np.eye(n))
-    a = np.sort(linalg.sym_eigenvalues(linalg.center_restrict(D)))
-    b = np.sort(linalg.sym_eigenvalues(linalg.center_restrict(shifted)))
+    a = np.sort(bounds.Compression(D).mu)
+    b = np.sort(bounds.Compression(shifted).mu)
     np.testing.assert_allclose(b, a + beta, atol=1e-8)

@@ -399,6 +399,19 @@ def test_display_data_section_is_skipped():
     assert p.matrix[1, 2] == 3.0
 
 
+def test_display_data_section_ends_at_the_next_keyword():
+    # a display section shorter than DIMENSION must not swallow the next section header
+    text = (
+        "TYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+        "DISPLAY_DATA_SECTION\n1 0 0\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 8\nEOF\n"
+    )
+    p = tsplib.parse_tsplib(text)
+    assert p.matrix[0, 1] == 5.0 and p.matrix[0, 2] == 10.0
+    trailing = text.replace("EOF\n", "DISPLAY_DATA_SECTION\n1 0 0\n2 1 1\n")
+    assert np.array_equal(tsplib.parse_tsplib(trailing).matrix, p.matrix)
+
+
 # ---------------------------------------------------------------- sidecars
 
 
