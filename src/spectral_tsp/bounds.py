@@ -114,18 +114,20 @@ class Compression:
 
     @cached_property
     def normal(self) -> bool:
-        """R commutes with R^T at tol, and the spectrum phi_normal pairs is certified.
+        """R commutes with R^T at tol, and on asymmetric input w is certified.
 
         The certificate is Schur's identity part by part, sum (Re w)^2 = ||S||_F^2
-        and sum (Im w)^2 = ||K||_F^2 to roundoff, whatever tol is (w is mu on
-        symmetric input): a commutator small at tol can still split an eigenvalue
-        of S wider than the cluster gap, losing the imaginary parts over it."""
+        and sum (Im w)^2 = ||K||_F^2 to roundoff, whatever tol is: a commutator
+        small at tol can still split an eigenvalue of S wider than the cluster
+        gap, losing the imaginary parts over it.  Symmetric input needs none:
+        phi_normal is then phi_symmetric, which pays `skew` instead."""
         scale = float(np.linalg.norm(self.R)) ** 2
         if not parts_commute(self.S, self.K, scale, self.tol):
             return False
-        w = self.mu if self.symmetric else self.w
-        parts = ((w.real, self.S), (w.imag, self.K))
-        return all(abs(float(x @ x) - float(np.linalg.norm(P)) ** 2) <= _ROUNDOFF * self.n * scale for x, P in parts)
+        return self.symmetric or all(
+            abs(float(x @ x) - float(np.linalg.norm(P)) ** 2) <= _ROUNDOFF * self.n * scale
+            for x, P in ((self.w.real, self.S), (self.w.imag, self.K))
+        )
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -140,6 +142,11 @@ class Compression:
     def psd(self) -> bool:
         """mu is non-negative, at tolerance tol * ||S||_F."""
         return bool(self.mu[-1] >= -self.tol * float(np.linalg.norm(self.S)))
+
+    @cached_property
+    def floor_holds(self) -> bool:
+        """psd at the tighter of tol and roundoff (64 n eps): what euclidean_floor needs."""
+        return bool(self.mu[-1] >= -min(self.tol, _ROUNDOFF * self.n) * float(np.linalg.norm(self.S)))
 
 
 def _compression(D, tol: float, symmetric: bool = False) -> Compression:
@@ -211,8 +218,7 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
     the `skew` of D.
     """
     c = _compression(D, tol, symmetric=True)
-    A = c.A if c.skew == 0.0 else 0.5 * (c.A + c.A.T)
-    off = A + np.diag(np.full(c.n, np.inf))
+    off = 0.5 * (c.A + c.A.T) + np.diag(np.full(c.n, np.inf))
     return float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - c.skew
 
 
@@ -240,10 +246,9 @@ def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
 
     The compressed spectrum sums to (n - 1) * mean_distance(D), and the
     smallest tour coefficient is 1 - cos(2 pi / n), so this is a lower bound
-    on phi_symmetric(D) whenever that spectrum is non-negative
-    (schoenberg_edm_check passes), which covers every matrix of Euclidean
-    point-to-point distances.  The value is computed regardless; its bound
-    interpretation needs that hypothesis.
+    on phi_symmetric(D) whenever that spectrum is non-negative to roundoff
+    (Compression.floor_holds), as for every matrix of Euclidean point
+    distances.  The value is computed regardless of that hypothesis.
     """
     c = _compression(D, tol, symmetric=True)
     return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c)) - c.skew
@@ -257,14 +262,13 @@ class BoundReport:
     n2 and euclidean_floor need symmetry, phi_normal a normal compression,
     and euclidean_floor also `psd`, which says the descending spectrum `mu`
     of the symmetrized compression is non-negative (at tolerance); for
-    symmetric D it is schoenberg_edm_check.  The floor takes the tighter of
-    tol and roundoff (64 n eps ||S||_F) there, since a negative mu that a
-    loose tol admits can lift it above phi.  `phi` is the sharpest bound:
-    phi_symmetric when symmetric, else phi_normal when defined, else
-    phi_general.  On symmetric D the routes coincide, so phi_normal (when
-    normal) and phi_general carry the phi_symmetric value.  All fields come
-    from one Compression: one validation, one compression and, on
-    symmetric input, one eigensolve.
+    symmetric D it is schoenberg_edm_check.  The floor needs the stricter
+    Compression.floor_holds, so a loose tol can report psd with no floor.
+    `phi` is the sharpest bound: phi_symmetric when symmetric, else
+    phi_normal when defined, else phi_general.  On symmetric D the routes
+    coincide, so phi_normal (when normal) and phi_general carry the
+    phi_symmetric value.  All fields come from one Compression: one
+    validation, one compression and, on symmetric input, one eigensolve.
     """
 
     n: int
@@ -289,7 +293,6 @@ def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
     p_normal = phi_normal(c) if normal else None
     p_general = phi_general(c)
     phi = p_sym if sym else p_normal if normal else p_general
-    floor = sym and c.mu[-1] >= -min(c.tol, _ROUNDOFF * c.n) * float(np.linalg.norm(c.S))
     return BoundReport(
         n=c.n,
         symmetric=sym,
@@ -300,7 +303,7 @@ def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
         phi_normal=p_normal,
         phi_general=p_general,
         n2=n2_bound(c) if sym else None,
-        euclidean_floor=euclidean_floor(c) if floor else None,
+        euclidean_floor=euclidean_floor(c) if sym and c.floor_holds else None,
         mean_distance=mean_distance(c),
         mu=[float(x) for x in c.mu],
     )

@@ -153,6 +153,4 @@ def vn_trace_range(A, B, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     lam, mu = (np.linalg.eigvalsh(0.5 * (M + M.T))[::-1] for M in (A, B))
     if lam.shape != mu.shape:
         raise InvalidDimension("vn_trace_range requires matrices of equal size")
-    hi = float(lam @ mu)
-    lo = float(lam @ mu[::-1])
-    return lo, hi
+    return float(lam @ mu[::-1]), float(lam @ mu)

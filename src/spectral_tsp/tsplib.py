@@ -51,7 +51,6 @@ _HEADER_KEYS = {
     "NODE_COORD_TYPE",
 }
 _SECTIONS = {"NODE_COORD_SECTION", "EDGE_WEIGHT_SECTION", "DISPLAY_DATA_SECTION"}
-_KEYWORDS = _HEADER_KEYS | _SECTIONS | {"EOF"}
 
 
 @dataclass
@@ -183,9 +182,9 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                 continue
 
             if key == "DISPLAY_DATA_SECTION":
-                # cosmetic plotting coordinates, not used: skip to the next keyword
+                # cosmetic plotting coordinates, not used: skip its 'index x y' lines
                 i += 1
-                while i < len(lines) and lines[i].split(":", 1)[0].strip().upper() not in _KEYWORDS:
+                while i < len(lines) and all(tok.isdigit() for tok in lines[i].split()[:1]):
                     i += 1
                 continue
 

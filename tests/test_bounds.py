@@ -486,6 +486,28 @@ def test_symmetric_at_a_loose_tol_pays_for_the_asymmetry():
     assert bounds.Compression(0.5 * (D + D.T)).skew == 0.0
 
 
+def test_symmetric_at_a_loose_tol_needs_no_schur_certificate():
+    # phi_normal then repeats phi_symmetric, which already pays `skew`, so
+    # normal is the commutator test alone and the complex spectrum is not computed
+    D = random_asymmetric(7, seed=3)
+    c = bounds.Compression(D, 1.0)
+    assert c.symmetric and c.normal == linalg.parts_commute(c.S, c.K, float(np.linalg.norm(c.R)) ** 2, 1.0)
+    assert "w" not in vars(c)
+    rep = _assert_report_is_sound(D, 1.0)
+    assert rep.normal and rep.phi_normal == rep.phi_symmetric
+
+
+def test_psd_at_a_loose_tol_reports_no_euclidean_floor():
+    D = random_symmetric(6, seed=0)
+    mu = bounds.Compression(D).mu
+    tol = 2.0 * -mu[-1] / float(np.linalg.norm(mu))  # ||S||_F = ||mu||
+    c = bounds.Compression(D, tol)
+    assert mu[-1] < 0 and c.psd and not c.floor_holds
+    rep = bounds.bound_report(D, tol)
+    assert rep.psd and rep.euclidean_floor is None
+    assert bounds.Compression(random_euclidean(6, seed=0)[0]).floor_holds
+
+
 # ---------------------------------------------------------------- validation
 
 

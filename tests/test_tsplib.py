@@ -412,6 +412,18 @@ def test_display_data_section_ends_at_the_next_keyword():
     assert np.array_equal(tsplib.parse_tsplib(trailing).matrix, p.matrix)
 
 
+@pytest.mark.parametrize("section", ["FIXED_EDGES_SECTION", "TOUR_SECTION", "NODE_COORD_SECTON"])
+def test_display_data_section_does_not_hide_an_unsupported_section(section):
+    # the skip ends at the first line that is not 'index x y' display data
+    text = (
+        "TYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+        "NODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 8\n"
+        f"DISPLAY_DATA_SECTION\n1 0 0\n2 3 4\n3 6 8\n{section}\n1 2\n-1\nEOF\n"
+    )
+    with pytest.raises(UnsupportedKeyword, match=section):
+        tsplib.parse_tsplib(text)
+
+
 # ---------------------------------------------------------------- sidecars
 
 
