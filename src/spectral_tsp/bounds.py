@@ -222,9 +222,9 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
     return float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - c.skew
 
 
-def mean_distance(D, tol: float = DEFAULT_TOL) -> float:
+def mean_distance(D) -> float:
     """Mean off-diagonal entry."""
-    c = _compression(D, tol)
+    c = _compression(D, DEFAULT_TOL)
     return float(c.A.sum() / (c.n * (c.n - 1)))
 
 

@@ -12,7 +12,12 @@ timing is reported as null unless --timing is given.  --pretty adds a
 human-readable summary on stderr, leaving stdout machine-clean.  The
 decision tolerance defaults to 1e-8, can be set for a whole shell via the
 SPECTRAL_TSP_TOL environment variable, and per-run via --tol; either must
-be a finite number >= 0, else the run exits 2.
+be a finite number >= 0, else the run exits 2.  --n, --m, --dim and the
+vertex count of an edge-list file are capped at graphs.SIZE_CAP (2048).
+
+The bound fields are those of bounds.BoundReport and each screen's those
+of graphs.ScreenResult, in declaration order; the CLI adds only kind,
+instance, optimum, ratio and timing_ms.
 
 Exit codes: 0 success, 2 unreadable or unparseable input, 3 valid input
 rejected by a numeric precondition (asymmetry, size caps, and so on).
@@ -21,17 +26,17 @@ rejected by a numeric precondition (asymmetry, size caps, and so on).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import bounds, graphs, instances, solvers, tsplib
-from .errors import InputFormatError, SpectralTspError
+from .errors import InputFormatError, SpectralTspError, TooLarge
 
 _MATRIX_FAMILIES = {
     "uniform": lambda a: instances.uniform_instance(a.n),
@@ -44,22 +49,17 @@ _MATRIX_FAMILIES = {
     "random-circulant": lambda a: instances.random_circulant(a.n, a.seed),
 }
 
-_GRAPH_FAMILIES = {
-    "path": lambda a: graphs.path_graph(a.n),
-    "cycle": lambda a: graphs.cycle_graph(a.n),
-    "complete": lambda a: graphs.complete_graph(a.n),
-    "complete-bipartite": lambda a: graphs.complete_bipartite(a.n, a.m),
-    "bow-tie": lambda a: graphs.bow_tie(),
-    "dihedral-reflection": lambda a: graphs.dihedral_reflection_cayley(a.m),
-}
+# errors that exit 2 (a file that cannot be read or parsed); other SpectralTspErrors exit 3
+_INPUT_ERRORS = (InputFormatError, OSError, UnicodeDecodeError)
 
-_GRAPH_FAMILY_PARAMS = {
-    "path": ("n",),
-    "cycle": ("n",),
-    "complete": ("n",),
-    "complete-bipartite": ("n", "m"),
-    "bow-tie": (),
-    "dihedral-reflection": ("m",),
+# family: (builder, the flags it takes as positional arguments)
+_GRAPH_FAMILIES = {
+    "path": (graphs.path_graph, ("n",)),
+    "cycle": (graphs.cycle_graph, ("n",)),
+    "complete": (graphs.complete_graph, ("n",)),
+    "complete-bipartite": (graphs.complete_bipartite, ("n", "m")),
+    "bow-tie": (graphs.bow_tie, ()),
+    "dihedral-reflection": (graphs.dihedral_reflection_cayley, ("m",)),
 }
 
 
@@ -88,44 +88,32 @@ def _load_matrix(args) -> tuple[np.ndarray, dict, float | None]:
         return D, {"name": name, "n": D.shape[0], "source": "generated"}, None
     if not args.input:
         raise InputFormatError("give a problem file or --family")
-    problem, optimum = tsplib.load_with_optimum(args.input, args.sidecar)
-    meta = {"name": problem.name, "n": problem.dimension, "source": str(args.input)}
-    return problem.matrix, meta, optimum
+    return _load_problem(str(args.input), args.sidecar)
 
 
-def _emit(doc: dict, pretty_lines: list[str] | None, args) -> None:
+def _load_problem(path: str, sidecar: str | None) -> tuple[np.ndarray, dict, float | None]:
+    """A problem file's matrix, its `instance` entry and its optimum (None without a sidecar)."""
+    problem, optimum = tsplib.load_with_optimum(path, sidecar)
+    return problem.matrix, {"name": problem.name, "n": problem.dimension, "source": path}, optimum
+
+
+def _emit(doc: dict, pretty_lines: list[str], args) -> None:
+    doc["timing_ms"] = round((time.perf_counter() - args.t0) * 1e3, 3) if args.timing else None
     print(json.dumps(doc))
-    if args.pretty and pretty_lines:
+    if args.pretty:
         print("\n".join(pretty_lines), file=sys.stderr)
 
 
 def _bound_doc(D: np.ndarray, meta: dict, optimum: float | None, tol: float) -> dict:
-    rep = bounds.bound_report(D, tol)
-    doc = {
-        "kind": "bound",
-        "instance": meta,
-        "symmetric": rep.symmetric,
-        "normal": rep.normal,
-        "psd": rep.psd,
-        "phi": rep.phi,
-        "phi_symmetric": rep.phi_symmetric,
-        "phi_normal": rep.phi_normal,
-        "phi_general": rep.phi_general,
-        "n2": rep.n2,
-        "euclidean_floor": rep.euclidean_floor,
-        "mean_distance": rep.mean_distance,
-        "mu": rep.mu,
-        "optimum": optimum,
-        "ratio": (rep.phi / optimum) if optimum else None,
-    }
-    return doc
+    fields = dataclasses.asdict(bounds.bound_report(D, tol))
+    del fields["n"]  # the instance entry carries it
+    ratio = fields["phi"] / optimum if optimum else None
+    return {"kind": "bound", "instance": meta, **fields, "optimum": optimum, "ratio": ratio}
 
 
 def _cmd_bound(args) -> int:
-    t0 = time.perf_counter()
     D, meta, optimum = _load_matrix(args)
     doc = _bound_doc(D, meta, optimum, args.tol)
-    doc["timing_ms"] = round((time.perf_counter() - t0) * 1e3, 3) if args.timing else None
     lines = [
         f"{meta['name']}: n={meta['n']} phi={doc['phi']:.6f} psd={'yes' if doc['psd'] else 'no'}"
     ]
@@ -136,7 +124,6 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    t0 = time.perf_counter()
     D, meta, optimum = _load_matrix(args)
     method = {
         "brute": solvers.brute_force,
@@ -151,28 +138,18 @@ def _cmd_solve(args) -> int:
         "length": tour.length,
         "order": tour.order,
         "optimum": optimum,
-        "timing_ms": round((time.perf_counter() - t0) * 1e3, 3) if args.timing else None,
     }
     _emit(doc, [f"{meta['name']}: {args.method} length={tour.length:g}"], args)
     return 0
 
 
-def _screen_doc(s: graphs.ScreenResult) -> dict:
-    return {
-        "value": s.value,
-        "threshold": s.threshold,
-        "verdict": s.verdict,
-        "saturated": s.saturated,
-    }
-
-
 def _cmd_check_graph(args) -> int:
-    t0 = time.perf_counter()
     if args.family:
-        for param in _GRAPH_FAMILY_PARAMS[args.family]:
+        build, params = _GRAPH_FAMILIES[args.family]
+        for param in params:
             if getattr(args, param) is None:
                 raise InputFormatError(f"--family {args.family} needs --{param}")
-        g = _GRAPH_FAMILIES[args.family](args)
+        g = build(*(getattr(args, param) for param in params))
         meta = {"name": args.family, "n": g.n, "source": "generated"}
     elif args.input:
         g = graphs.graph_from_text(Path(args.input).read_text(), args.format)
@@ -186,12 +163,11 @@ def _cmd_check_graph(args) -> int:
         "instance": meta,
         "connected": connected,
         "regular": graphs.is_regular(g),
-        "hamiltonian": _screen_doc(graphs.hamiltonian_screen(g, args.tol)),
-        "traceable": _screen_doc(graphs.traceable_screen(g, args.tol)),
+        "hamiltonian": dataclasses.asdict(graphs.hamiltonian_screen(g, args.tol)),
+        "traceable": dataclasses.asdict(graphs.traceable_screen(g, args.tol)),
         "distance_hamiltonian": (
-            _screen_doc(graphs.distance_hamiltonian_screen(g, args.tol)) if connected else None
+            dataclasses.asdict(graphs.distance_hamiltonian_screen(g, args.tol)) if connected else None
         ),
-        "timing_ms": round((time.perf_counter() - t0) * 1e3, 3) if args.timing else None,
     }
     lines = [f"{meta['name']}: n={g.n}"]
     for label in ("hamiltonian", "traceable", "distance_hamiltonian"):
@@ -212,7 +188,7 @@ def _manifest_rows(path: Path) -> list[tuple[str, str | None]]:
         if not line:
             continue
         parts = [p.strip() for p in line.split(",")]
-        if len(parts) > 2 or not parts[0]:
+        if len(parts) > 2 or not parts[0] or "\0" in line:
             raise InputFormatError(f"{path}, line {lineno + 1}: expected 'problem[,sidecar]'")
         base = path.parent
         problem = str(base / parts[0])
@@ -224,15 +200,13 @@ def _manifest_rows(path: Path) -> list[tuple[str, str | None]]:
 def _batch_row(job) -> dict:
     problem_path, sidecar_path, tol = job
     try:
-        problem, optimum = tsplib.load_with_optimum(problem_path, sidecar_path)
-        meta = {"name": problem.name, "n": problem.dimension, "source": problem_path}
-        return _bound_doc(problem.matrix, meta, optimum, tol)
-    except (SpectralTspError, OSError) as e:
+        return _bound_doc(*_load_problem(problem_path, sidecar_path), tol)
+    except (SpectralTspError, *_INPUT_ERRORS) as e:
         return {
             "kind": "bound",
             "instance": {"name": None, "n": None, "source": problem_path},
             "error": str(e),
-            "error_kind": "input" if isinstance(e, (InputFormatError, OSError)) else "numeric",
+            "error_kind": "input" if isinstance(e, _INPUT_ERRORS) else "numeric",
         }
 
 
@@ -240,6 +214,9 @@ def _cmd_batch(args) -> int:
     rows = _manifest_rows(Path(args.manifest))
     jobs = [(p, s, args.tol) for p, s in rows]
     if args.jobs > 1:
+        # only a pool needs this import, which is a noticeable share of start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             docs = list(pool.map(_batch_row, jobs))
     else:
@@ -265,13 +242,13 @@ def _cmd_batch(args) -> int:
     return worst
 
 
-def _add_instance_options(p: argparse.ArgumentParser, families: dict) -> None:
+def _add_instance_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", help="problem file (omit when using --family)")
-    p.add_argument("--family", choices=sorted(families), help="generate a stock instance")
+    p.add_argument("--family", choices=sorted(_MATRIX_FAMILIES), help="generate a stock instance")
     p.add_argument("--n", type=int, help="instance size for --family")
-    p.add_argument("--m", type=int, help="second size parameter, where the family takes one")
     p.add_argument("--dim", type=int, default=2, help="dimension for random-euclidean")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized families")
+    p.add_argument("--sidecar", help="file holding 'optimum: <value>'")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -288,13 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bound", parents=[common], help="spectral lower bounds for one instance")
-    _add_instance_options(p, _MATRIX_FAMILIES)
-    p.add_argument("--sidecar", help="file holding 'optimum: <value>'")
+    _add_instance_options(p)
     p.set_defaults(func=_cmd_bound)
 
     p = sub.add_parser("solve", parents=[common], help="run a tour solver on one instance")
-    _add_instance_options(p, _MATRIX_FAMILIES)
-    p.add_argument("--sidecar", help="file holding 'optimum: <value>'")
+    _add_instance_options(p)
     p.add_argument("--method", choices=("brute", "held-karp", "two-opt"), default="held-karp")
     p.set_defaults(func=_cmd_solve)
 
@@ -316,10 +291,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.t0 = time.perf_counter()
     try:
         args.tol = _tolerance(args.tol)
+        for flag in ("n", "m", "dim"):
+            value = getattr(args, flag, None)
+            if value is not None and value > graphs.SIZE_CAP:
+                raise TooLarge(f"--{flag} is capped at {graphs.SIZE_CAP}, got {value}")
         return args.func(args)
-    except (InputFormatError, OSError) as e:
+    except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SpectralTspError as e:

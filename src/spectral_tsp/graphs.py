@@ -34,6 +34,9 @@ from .errors import (
 from .linalg import DEFAULT_TOL
 
 ORACLE_CAP = 12
+# largest edge-list vertex count and command-line size flag: orders stay
+# <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
+SIZE_CAP = 2048
 
 
 @dataclass
@@ -46,6 +49,8 @@ class Graph:
         A = np.asarray(self.adjacency)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InvalidMatrix(f"adjacency must be square, got shape {A.shape}")
+        if A.shape[0] < 1:
+            raise InvalidDimension("graphs need at least one vertex")
         if not np.isin(A, (0, 1)).all():
             raise InvalidMatrix("adjacency entries must be 0 or 1")
         A = A.astype(np.int8)
@@ -136,10 +141,14 @@ def is_regular(g: Graph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
+    if n < 1:
+        raise InvalidDimension("graphs need at least one vertex")
     return Graph(np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
+    if min(a, b) < 0:
+        raise InvalidDimension("part sizes must be non-negative")
     n = a + b
     A = np.zeros((n, n), dtype=np.int8)
     A[:a, a:] = 1
@@ -271,14 +280,14 @@ def dihedral_reflection_cayley(m: int) -> Graph:
 # spectral screens
 
 
-def complement_phi(g: Graph, tol: float = DEFAULT_TOL) -> float:
+def complement_phi(g: Graph) -> float:
     """The tour bound applied to the complement's adjacency matrix."""
-    return phi_symmetric(complement(g).adjacency.astype(float), tol)
+    return phi_symmetric(complement(g).adjacency.astype(float))
 
 
-def distance_phi(g: Graph, tol: float = DEFAULT_TOL) -> float:
+def distance_phi(g: Graph) -> float:
     """The tour bound applied to the hop-distance matrix (connected graphs)."""
-    return phi_symmetric(distance_matrix(g), tol)
+    return phi_symmetric(distance_matrix(g))
 
 
 @dataclass
@@ -310,21 +319,21 @@ def hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the complement bound rises above 0."""
     if g.n < 3:
         raise InvalidDimension("Hamiltonian cycles need at least 3 vertices")
-    return _screen(complement_phi(g, tol), 0.0, tol)
+    return _screen(complement_phi(g), 0.0, tol)
 
 
 def traceable_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonian paths when the complement bound rises above 1."""
     if g.n < 3:
         raise InvalidDimension("screen needs at least 3 vertices")
-    return _screen(complement_phi(g, tol), 1.0, tol)
+    return _screen(complement_phi(g), 1.0, tol)
 
 
 def distance_hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the hop-distance bound rises above n."""
     if g.n < 3:
         raise InvalidDimension("Hamiltonian cycles need at least 3 vertices")
-    return _screen(distance_phi(g, tol), float(g.n), tol)
+    return _screen(distance_phi(g), float(g.n), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -394,9 +403,11 @@ def graph_from_text(text: str, fmt: str = "auto") -> Graph:
 
     if fmt == "edges":
         head = lines[0].split()
-        if len(head) != 1 or not head[0].isdigit():
+        if len(head) != 1 or not head[0].isdecimal():
             raise InputFormatError(f"expected a vertex count on the first line, got {lines[0]!r}")
         n = int(head[0])
+        if n > SIZE_CAP:
+            raise TooLarge(f"edge lists are capped at {SIZE_CAP} vertices, got {n}")
         edges = []
         for line in lines[1:]:
             parts = line.split()

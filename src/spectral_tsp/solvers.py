@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import SplitMix64
-from .linalg import DEFAULT_TOL, is_symmetric
+from .linalg import is_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -63,14 +63,15 @@ def _permutations(m: int) -> np.ndarray:
     return P
 
 
-def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
+def brute_force(D) -> Tour:
     """Exact minimum by enumerating every tour.  Hard cap at 12 cities.
 
-    City 0 is pinned first so each cyclic order appears once; for symmetric
-    distances each direction of traversal is enumerated once as well (the
-    orientation with the smaller second city is kept).  Among tours of
-    exactly minimal length the lexicographically smallest order wins, which
-    makes the result reproducible bit for bit.  Tours are built and measured
+    City 0 is pinned first so each cyclic order appears once; for exactly
+    symmetric distances each direction of traversal is enumerated once as
+    well (the orientation with the smaller second city is kept), since any
+    asymmetry can make one direction the shorter.  Among tours of exactly
+    minimal length the lexicographically smallest order wins, which makes
+    the result reproducible bit for bit.  Tours are built and measured
     in numpy batches: each batch fixes the leading cities and permutes the
     last nine, in lexicographic order.
     """
@@ -78,7 +79,7 @@ def brute_force(D, tol: float = DEFAULT_TOL) -> Tour:
     n = A.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
-    symmetric = is_symmetric(A, tol)
+    symmetric = np.array_equal(A, A.T)
 
     cities = np.arange(1, n, dtype=np.int8)
     suffixes = _permutations(min(n - 1, _BATCH_CITIES))
@@ -168,7 +169,7 @@ def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
     return order
 
 
-def two_opt(D, seed: int = 0, tol: float = DEFAULT_TOL) -> Tour:
+def two_opt(D, seed: int = 0) -> Tour:
     """2-opt local search from a nearest-neighbour start (symmetric only).
 
     Starts at city 0, greedily visits the nearest unvisited city (exact
@@ -176,9 +177,10 @@ def two_opt(D, seed: int = 0, tol: float = DEFAULT_TOL) -> Tour:
     first-improvement segment reversals until no reversal shortens the tour
     by more than 1e-12.  The result is a local optimum: never longer than
     its greedy start, and of course never shorter than the true minimum.
+    Raises NotSymmetric unless D is symmetric at the default tolerance.
     """
     A = check_distance_matrix(D)
-    if not is_symmetric(A, tol):
+    if not is_symmetric(A):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
     order = _nearest_neighbour(A, SplitMix64(seed))

@@ -5,6 +5,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as stn
+
+from spectral_tsp import cli, graphs
+from spectral_tsp.errors import InputFormatError
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures" / "tsplib"
@@ -19,6 +23,7 @@ BOUND_KEYS = [
 def run_cli(*args: str, env_extra: dict | None = None):
     env = os.environ.copy()
     env.pop("SPECTRAL_TSP_TOL", None)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -288,3 +293,168 @@ def test_bound_reads_a_short_display_section(tmp_path):
     )
     doc = doc_of(run_cli("bound", str(f)))
     assert doc["instance"]["n"] == 3 and doc["mean_distance"] == pytest.approx(20.0 / 3)
+
+
+def test_cli_import_leaves_the_process_pool_out_and_batch_jobs_2_works():
+    probe = "import sys, spectral_tsp.cli; print('concurrent.futures.process' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"
+    one = run_cli("batch", str(FIXTURES / "table1.manifest"))
+    two = run_cli("batch", str(FIXTURES / "table1.manifest"), "--jobs", "2")
+    assert two.returncode == one.returncode == 0 and two.stdout == one.stdout != ""
+
+
+@pytest.mark.parametrize("command", ["bound", "solve"])
+def test_m_is_a_check_graph_option_only(command, capsys):
+    with pytest.raises(SystemExit) as exited:
+        cli.main([command, "--family", "circle", "--n", "5", "--m", "3"])
+    assert exited.value.code == 2 and "--m" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, edge_list",
+    [
+        (["check-graph"], "1000000000000"),
+        (["check-graph"], "40000\n0 1\n"),
+        (["check-graph", "--format", "edges"], f"{graphs.SIZE_CAP + 1}\n"),
+        (["bound", "--family", "uniform", "--n", "1000000000000"], None),
+        (["bound", "--family", "circle", "--n", "30000"], None),
+        (["solve", "--family", "line", "--n", str(graphs.SIZE_CAP + 1)], None),
+        (["bound", "--family", "random-euclidean", "--n", "5", "--dim", "10000000000"], None),
+        (["check-graph", "--family", "complete", "--n", "5000"], None),
+        (["check-graph", "--family", "complete-bipartite", "--n", "3", "--m", "2049"], None),
+        (["check-graph", "--family", "dihedral-reflection", "--m", "1000000000000"], None),
+    ],
+)
+def test_sizes_past_the_cap_exit_3_before_allocating(tmp_path, capsys, argv, edge_list):
+    if edge_list is not None:
+        (tmp_path / "big.txt").write_text(edge_list)
+        argv = [*argv, str(tmp_path / "big.txt")]
+    assert cli.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "capped at 2048" in err
+
+
+def test_undecodable_and_nul_inputs_exit_2(tmp_path, capsys):
+    (tmp_path / "bin.tsp").write_bytes(b"NAME: x\xff\n")
+    (tmp_path / "bin.txt").write_bytes(b"3\n0 1\xff\n")
+    for argv in (["bound", str(tmp_path / "bin.tsp")], ["check-graph", str(tmp_path / "bin.txt")]):
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    (tmp_path / "bin.manifest").write_bytes(b"\xff\n")
+    (tmp_path / "nul.manifest").write_text("gr17.tsp\x00\n")
+    for name in ("bin.manifest", "nul.manifest"):
+        assert cli.main(["batch", str(tmp_path / name)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+    (tmp_path / "rows.manifest").write_text(f"bin.tsp\n{FIXTURES / 'gr17.tsp'}\n")
+    assert cli.main(["batch", str(tmp_path / "rows.manifest")]) == 2
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rows[0]["error_kind"] == "input" and rows[1]["instance"]["name"] == "gr17"
+
+
+# ---------------------------------------------------------------- fuzzing
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(stn.text(alphabet=stn.sampled_from([*"ab./,# \t\r\n\x00", "é", " "]), max_size=60) | stn.text(max_size=30))
+def test_manifest_reader_fails_only_with_input_errors(tmp_path, text):
+    path = tmp_path / "fuzz.manifest"
+    path.write_text(text, encoding="utf-8")
+    try:
+        rows = cli._manifest_rows(path)
+    except InputFormatError:
+        return
+    for problem, sidecar in rows:
+        assert problem and "\0" not in problem and "," not in problem
+        assert sidecar is None or ("\0" not in sidecar and "," not in sidecar)
+
+
+_PROBLEMS = [
+    "NAME: t\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 3 0\n3 3 4\n4 0 4\nEOF\n",
+    "NAME: e\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: UPPER_ROW\n"
+    "EDGE_WEIGHT_SECTION\n1 2\n3\nEOF\n",
+    "NAME: g\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: GEO\nNODE_COORD_SECTION\n1 10.30 20.15\n2 11 21\n3 -5.5 0\n",
+]
+_GRAPHS = ["5\n0 1\n0 2\n1 2\n2 3\n2 4\n3 4\n", "0 1 1\n1 0 1\n1 1 0\n", "4\n0 1\n2 3\n", "1\n", "0\n"]
+_SIDECARS = ["optimum: 14\n", "optimum: 0\n", "optimum: -3\n", "optimum: nan\n", "best: 1\n"]
+
+
+def _mangled(texts):
+    """One of `texts` (half the time), cut short with bytes spliced in, or plain random bytes."""
+    whole = stn.sampled_from(texts).map(str.encode)
+    cut = stn.tuples(whole, stn.integers(0, 200), stn.binary(max_size=4)).map(
+        lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+    )
+    return stn.one_of(whole, whole, cut, stn.binary(max_size=24))
+
+
+_VALUES = stn.one_of(
+    stn.integers(3, 9).map(str),
+    stn.integers(-2, 9).map(str),
+    stn.sampled_from(["x", "", "1.5", "2049", str(10**12)]),
+)
+_FLAGS = {
+    "--n": _VALUES,
+    "--m": _VALUES,
+    "--dim": _VALUES,
+    "--seed": _VALUES,
+    "--method": stn.sampled_from(["brute", "held-karp", "two-opt", "exact"]),
+    "--format": stn.sampled_from(["auto", "edges", "adjacency", "csv"]),
+    "--jobs": stn.sampled_from(["-1", "0", "1"]),  # never a process pool
+    "--sidecar": stn.just("p.opt"),
+}
+# command: (its input file, its families, the flags it takes)
+_COMMANDS = {
+    "bound": ("p.tsp", sorted(cli._MATRIX_FAMILIES), ["--n", "--dim", "--seed", "--sidecar"]),
+    "solve": ("p.tsp", sorted(cli._MATRIX_FAMILIES), ["--n", "--dim", "--seed", "--sidecar", "--method"]),
+    "check-graph": ("g.txt", sorted(cli._GRAPH_FAMILIES), ["--n", "--m", "--format"]),
+    "batch": ("m.manifest", [], ["--jobs"]),
+}
+
+
+@stn.composite
+def cli_runs(draw):
+    files = {
+        "p.tsp": draw(_mangled(_PROBLEMS)),
+        "p.opt": draw(_mangled(_SIDECARS)),
+        "g.txt": draw(_mangled(_GRAPHS)),
+        "m.manifest": draw(_mangled(["p.tsp\n", "p.tsp,p.opt\n# c\nq.tsp\n", "p.tsp,p.opt,x\n", ",\n"])),
+    }
+    command = draw(stn.sampled_from(sorted(_COMMANDS)))
+    own_file, families, own_flags = _COMMANDS[command]
+    argv = []
+    if draw(stn.booleans()):
+        argv += ["--tol", draw(stn.sampled_from(["0", "1e-8", "0.5", "1", "1e300", "-1", "x"]))]
+    argv.append(command)
+    if families and draw(stn.booleans()):
+        argv += ["--family", draw(stn.sampled_from(families)), "--n", draw(_VALUES)]
+    else:
+        argv.append(draw(stn.sampled_from([own_file] * 4 + ["p.tsp", "g.txt", "missing.tsp"])))
+    flags = draw(stn.lists(stn.sampled_from(own_flags), max_size=3, unique=True))
+    if draw(stn.integers(0, 9)) == 0:  # now and then a flag of another command, or a repeated one
+        flags.append(draw(stn.sampled_from(sorted(_FLAGS))))
+    for flag in flags:
+        argv += [flag, draw(_FLAGS[flag])]
+    argv += draw(stn.lists(stn.sampled_from(["--pretty", "--timing"]), max_size=2, unique=True))
+    return files, argv
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_runs())
+def test_cli_exits_0_2_or_3_and_never_raises(tmp_path, capsys, run):
+    files, argv = run
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / a) if a in files or a == "missing.tsp" else a for a in argv]
+    try:
+        code = cli.main(argv)
+    except SystemExit as exited:  # argparse rejecting the flags
+        code = exited.code
+        assert code == 2
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code != 0 and "batch" not in argv:  # a batch prints the rows it could run
+        assert out == ""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as stn
 
 import oracles
 from spectral_tsp import graphs
@@ -12,6 +13,7 @@ from spectral_tsp.errors import (
     InvalidDimension,
     InvalidMatrix,
     NotInverseClosed,
+    SpectralTspError,
     TooLarge,
 )
 from spectral_tsp.graphs import (
@@ -64,6 +66,22 @@ def test_basic_generator_shapes():
     assert path_graph(7).edge_count == 6
     assert cycle_graph(7).edge_count == 7
     assert disjoint_cliques(4).edge_count == 12  # 2 * C(4,2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: complete_graph(0),
+        lambda: complete_graph(-2),
+        lambda: complete_bipartite(0, 0),
+        lambda: complete_bipartite(-1, 3),
+        lambda: complete_bipartite(-2, -2),
+        lambda: graphs.Graph(np.zeros((0, 0))),
+    ],
+)
+def test_empty_and_negative_sizes_are_rejected(build):
+    with pytest.raises(InvalidDimension):
+        build()
 
 
 def test_from_edges_and_validation():
@@ -449,3 +467,37 @@ def test_graph_from_text_comments_and_errors():
     for big in ("256", "257", str(10**30), "-1"):
         with pytest.raises(InputFormatError, match="0 or 1"):
             graph_from_text(f"0 {big} 1\n{big} 0 1\n1 1 0\n")
+
+
+def test_graph_from_text_caps_the_declared_vertex_count():
+    for n in (graphs.SIZE_CAP + 1, 40000, 10**12):
+        with pytest.raises(TooLarge, match="capped"):
+            graph_from_text(f"{n}\n0 1\n")
+    assert graph_from_text(f"{graphs.SIZE_CAP}\n0 1\n").n == graphs.SIZE_CAP
+
+
+def test_graph_from_text_rejects_digits_int_cannot_read():
+    with pytest.raises(InputFormatError, match="vertex count"):
+        graph_from_text("\u00b2\n")  # superscript two: str.isdigit, but not int()
+
+
+_TOKENS = stn.one_of(
+    stn.integers(-2, 6).map(str),
+    stn.sampled_from(["", "#", "x", "1.5", "1e3", "0x1", "1_0", "\u00b2", "\u0661", str(10**30)]),
+    stn.just(str(graphs.SIZE_CAP + 1)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    stn.lists(stn.lists(_TOKENS, max_size=6).map(" ".join), max_size=8).map("\n".join) | stn.text(max_size=40),
+    stn.sampled_from(["auto", "edges", "adjacency", "csv"]),
+)
+def test_graph_reader_fails_only_with_package_errors_and_returns_clean_graphs(text, fmt):
+    try:
+        g = graph_from_text(text, fmt)
+    except SpectralTspError:
+        return
+    A = g.adjacency
+    assert A.ndim == 2 and A.shape[0] == A.shape[1] >= 1
+    assert np.isin(A, (0, 1)).all() and np.array_equal(A, A.T) and not np.diagonal(A).any()

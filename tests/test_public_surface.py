@@ -48,3 +48,8 @@ def test_removed_methods_and_parameters_stay_out():
     assert not hasattr(graphs.GroupTable, "validate")
     assert list(inspect.signature(bounds.check_distance_matrix).parameters) == ["D"]
     assert list(inspect.signature(solvers.held_karp).parameters) == ["D"]
+    assert list(inspect.signature(solvers.brute_force).parameters) == ["D"]
+    assert list(inspect.signature(solvers.two_opt).parameters) == ["D", "seed"]
+    assert list(inspect.signature(bounds.mean_distance).parameters) == ["D"]
+    assert list(inspect.signature(graphs.complement_phi).parameters) == ["g"]
+    assert list(inspect.signature(graphs.distance_phi).parameters) == ["g"]

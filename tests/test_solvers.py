@@ -45,6 +45,15 @@ def test_brute_force_agrees_with_directed_enumeration():
         )
 
 
+def test_brute_force_enumerates_both_directions_unless_exactly_symmetric():
+    # 1e-10 on each forward edge of the optimum is far below the default
+    # tolerance, yet it makes the reversed tour the unique shortest one
+    D = random_symmetric(8, seed=3)
+    order = solvers.brute_force(D).order
+    D[order, np.roll(order, -1)] += 1e-10
+    assert solvers.brute_force(D).length == oracles.directed_optimum(D)
+
+
 def test_brute_force_tour_is_valid_and_starts_at_zero():
     D = random_symmetric(7, seed=3)
     t = solvers.brute_force(D)
