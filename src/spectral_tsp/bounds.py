@@ -131,7 +131,7 @@ class Compression:
 
     @cached_property
     def mu(self) -> np.ndarray:
-        return np.sort(np.linalg.eigvalsh(self.S))[::-1]
+        return np.linalg.eigvalsh(self.S)[::-1]  # eigvalsh ascends
 
     @cached_property
     def w(self) -> np.ndarray:

@@ -34,8 +34,8 @@ from .errors import (
 from .linalg import DEFAULT_TOL
 
 ORACLE_CAP = 12
-# largest edge-list vertex count and command-line size flag: orders stay
-# <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
+# largest edge-list vertex count and command-line size flag: orders, and a
+# TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
 SIZE_CAP = 2048
 
 
@@ -81,16 +81,12 @@ def from_edges(n: int, edges) -> Graph:
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidDimension(f"edge ({u}, {v}) out of range for {n} vertices")
-        if u == v:
-            raise InvalidMatrix(f"self-loop at vertex {u}")
         A[u, v] = A[v, u] = 1
     return Graph(A)
 
 
 def complement(g: Graph) -> Graph:
-    A = 1 - g.adjacency
-    np.fill_diagonal(A, 0)
-    return Graph(A)
+    return Graph(1 - np.eye(g.n, dtype=np.int8) - g.adjacency)
 
 
 def is_connected(g: Graph) -> bool:
@@ -171,25 +167,9 @@ def bow_tie() -> Graph:
     return from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
 
-def disjoint_cliques(sizes) -> Graph:
-    """Disjoint union of complete graphs.
-
-    Accepts either an iterable of clique sizes or a single integer n,
-    shorthand for two cliques of n vertices each.
-    """
-    if isinstance(sizes, (int, np.integer)):
-        sizes = (sizes, sizes)
-    sizes = tuple(int(s) for s in sizes)
-    if not sizes or min(sizes) < 1:
-        raise InvalidDimension("clique sizes must be positive")
-    n = sum(sizes)
-    A = np.zeros((n, n), dtype=np.int8)
-    at = 0
-    for s in sizes:
-        A[at : at + s, at : at + s] = 1
-        at += s
-    np.fill_diagonal(A, 0)
-    return Graph(A)
+def disjoint_cliques(n: int) -> Graph:
+    """Two disjoint cliques of n vertices each: the complement of K_{n,n}."""
+    return complement(complete_bipartite(n, n))
 
 
 # ---------------------------------------------------------------------------
@@ -200,27 +180,24 @@ def disjoint_cliques(sizes) -> Graph:
 class GroupTable:
     """A finite group as an explicit multiplication table.
 
-    mult[a, b] is the index of the product a o b; `inverse` and `identity`
-    are stored alongside.
+    mult[a, b] is the index of the product a o b, and element 0 is the
+    identity; `inverse` is read off the table.
     """
 
     mult: np.ndarray
-    identity: int = 0
-    inverse: np.ndarray = field(default=None)  # type: ignore[assignment]
+    inverse: np.ndarray = field(init=False)
+    identity = 0
 
     def __post_init__(self):
         M = np.asarray(self.mult, dtype=np.int64)
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidMatrix("multiplication table must be square")
+        hits = M == self.identity
+        bad = np.flatnonzero(hits.sum(axis=1) != 1)
+        if bad.size:
+            raise InvalidMatrix(f"element {bad[0]} has no unique inverse")
         self.mult = M
-        if self.inverse is None:
-            hits = M == self.identity
-            bad = np.flatnonzero(hits.sum(axis=1) != 1)
-            if bad.size:
-                raise InvalidMatrix(f"element {bad[0]} has no unique inverse")
-            self.inverse = hits.argmax(axis=1)
-        else:
-            self.inverse = np.asarray(self.inverse, dtype=np.int64)
+        self.inverse = hits.argmax(axis=1)
 
     @property
     def order(self) -> int:
@@ -231,7 +208,7 @@ def cyclic_group(n: int) -> GroupTable:
     if n < 1:
         raise InvalidDimension("groups need at least one element")
     idx = np.arange(n)
-    return GroupTable(mult=(idx[:, None] + idx[None, :]) % n, identity=0, inverse=(-idx) % n)
+    return GroupTable((idx[:, None] + idx[None, :]) % n)
 
 
 def dihedral_group(m: int) -> GroupTable:
@@ -245,7 +222,7 @@ def dihedral_group(m: int) -> GroupTable:
     e, k = np.divmod(np.arange(2 * m), m)
     sign = 1 - 2 * e  # r^k s = s r^-k: a reflection on the right negates k1
     M = (e[:, None] ^ e[None, :]) * m + (sign[None, :] * k[:, None] + k[None, :]) % m
-    return GroupTable(mult=M, identity=0)
+    return GroupTable(M)
 
 
 def cayley_graph(table: GroupTable, connection) -> Graph:
@@ -264,9 +241,8 @@ def cayley_graph(table: GroupTable, connection) -> Graph:
     if any(int(table.inverse[s]) not in S for s in S):
         raise NotInverseClosed("connection set is not closed under inversion")
     # row g of mult.T[inverse] holds h o g^-1 for every h
-    A = np.isin(table.mult.T[table.inverse], list(S)).astype(np.int8)
-    np.fill_diagonal(A, 0)
-    return Graph(A)
+    # the diagonal holds g o g^-1, the identity, which S lacks
+    return Graph(np.isin(table.mult.T[table.inverse], list(S)).astype(np.int8))
 
 
 def dihedral_reflection_cayley(m: int) -> Graph:
@@ -282,7 +258,7 @@ def dihedral_reflection_cayley(m: int) -> Graph:
 
 def complement_phi(g: Graph) -> float:
     """The tour bound applied to the complement's adjacency matrix."""
-    return phi_symmetric(complement(g).adjacency.astype(float))
+    return phi_symmetric(1.0 - np.eye(g.n) - g.adjacency)
 
 
 def distance_phi(g: Graph) -> float:

@@ -33,14 +33,25 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+_BLOCK_ENTRIES = 1 << 21  # differences squared_distances holds at once, 16 MB
+
+
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of an (n, dim) point array.
 
     With two coordinates each entry is dx*dx + dy*dy, evaluated in that order.
+    Blocks of rows hold at most _BLOCK_ENTRIES differences (or one row), so
+    dim never multiplies the n x n memory; each sums as one array would.
     """
-    diff = points[:, None, :] - points[None, :, :]
-    diff *= diff
-    return diff.sum(axis=2)
+    n = len(points)
+    step = max(1, _BLOCK_ENTRIES // max(points.size, 1))
+    out = np.empty((n, n))
+    for i in range(0, n, step):
+        diff = points[i : i + step, None, :] - points[None, :, :]
+        diff *= diff
+        diff.sum(axis=2, out=out[i : i + step])
+        del diff  # else the next block is allocated while this one is held
+    return out
 
 
 def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:

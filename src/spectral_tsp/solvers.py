@@ -111,10 +111,11 @@ def held_karp(D) -> Tour:
     in it, the cheapest path from 0 through the subset ending at j.  The
     table is filled layer by layer over subset size, as Held and Karp (1962)
     lay it out: for each last city j, one array step extends every subset
-    of the previous layer that lacks j.  Runs in O(2^n n^2) time and
-    O(2^n n) memory; ties resolve to the smallest city index at every
-    argmin, so the order returned is deterministic (though not necessarily
-    the same one brute_force picks among equals).
+    of the previous layer that lacks j.  Runs in O(2^n n^2) time; only two
+    layers of costs are held, and O(2^n n) memory is the int8 table of best
+    predecessors.  Ties resolve to the smallest city index at every argmin,
+    so the order returned is deterministic (though not necessarily the same
+    one brute_force picks among equals).
     """
     A = check_distance_matrix(D)
     n = A.shape[0]
@@ -122,30 +123,34 @@ def held_karp(D) -> Tour:
         raise TooLarge(f"held_karp is capped at {HELD_KARP_CAP} cities, got {n}")
     m = n - 1
     Dsub = A[1:, 1:]  # distances among cities 1..n-1
-    dp = np.full((1 << m, m), np.inf)
     parent = np.full((1 << m, m), -1, dtype=np.int8)
-    dp[[1 << j for j in range(m)], range(m)] = A[0, 1:]
 
-    masks = np.arange(1 << m)
     sizes = np.zeros(1 << m, dtype=np.int8)  # popcount: setting bit b adds one
     for b in range(m):
         sizes[1 << b : 2 << b] = sizes[: 1 << b] + 1
+    # two layers of the cost table: prev holds layer k - 1 while cur fills layer k, by rank[mask]
+    rank = np.zeros(1 << m, dtype=np.int32)
+    rank[1 << np.arange(m)] = np.arange(m)
+    prev = np.where(np.eye(m, dtype=bool), A[0, 1:], np.inf)
     for k in range(2, m + 1):
-        layer = masks[sizes == k]
+        layer = np.flatnonzero(sizes == k)  # the masks of size k, ascending
+        rank[layer] = np.arange(len(layer))
+        cur = np.full((len(layer), m), np.inf)
         for j in range(m):
-            ms = layer[(layer >> j) & 1 == 1]
+            rows = np.flatnonzero((layer >> j) & 1)
+            ms = layer[rows]
             # cand[r, i]: reach city i through ms[r] without j, then step to j
-            cand = dp[ms ^ (1 << j)] + Dsub[:, j]
+            cand = prev[rank[ms ^ (1 << j)]] + Dsub[:, j]
             best = np.argmin(cand, axis=1)
-            dp[ms, j] = cand[np.arange(len(ms)), best]
+            cur[rows, j] = cand[np.arange(len(ms)), best]
             parent[ms, j] = best
+        prev = cur
 
-    full = (1 << m) - 1
-    closing = dp[full] + A[1:, 0]
+    closing = prev[0] + A[1:, 0]
     j = int(np.argmin(closing))
 
     tail = []
-    mask = full
+    mask = (1 << m) - 1
     while j >= 0:
         tail.append(j + 1)
         j2 = int(parent[mask, j])

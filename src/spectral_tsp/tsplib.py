@@ -33,9 +33,11 @@ from .errors import (
     DimensionMismatch,
     InputFormatError,
     NonFiniteValue,
+    TooLarge,
     TruncatedSection,
     UnsupportedKeyword,
 )
+from .graphs import SIZE_CAP
 from .linalg import squared_distances
 
 _WEIGHT_TYPES = {"EXPLICIT", "EUC_2D", "ATT", "GEO"}
@@ -118,7 +120,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
     header: dict[str, str] = {}
     n: int | None = None
     coords: np.ndarray | None = None
-    explicit: np.ndarray | None = None
+    explicit: tuple[str, int, list[float]] | None = None  # format, DIMENSION, weights
 
     def fail(exc, lineno, msg):
         raise exc(f"{source}, line {lineno + 1}: {msg}")
@@ -208,7 +210,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
                 weights.extend(vals)
             if len(weights) > need:
                 fail(DimensionMismatch, i, f"section has more than the {need} entries implied by DIMENSION")
-            explicit = _explicit_matrix(fmt, n, weights)
+            explicit = (fmt, n, weights)
             i += 1
             continue
 
@@ -223,18 +225,22 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
     if wtype == "EXPLICIT":
         if explicit is None:
             raise InputFormatError(f"{source}: EXPLICIT problem has no EDGE_WEIGHT_SECTION")
-        if explicit.shape[0] != n:
+        if explicit[1] != n:
             raise DimensionMismatch(f"{source}: DIMENSION changed after the EDGE_WEIGHT_SECTION")
-        D = explicit
+    elif coords is None:
+        raise InputFormatError(f"{source}: {wtype} problem has no NODE_COORD_SECTION")
+    elif len(coords) != n:
+        raise DimensionMismatch(f"{source}: DIMENSION changed after the NODE_COORD_SECTION")
+    # the largest order the command line's size flags reach
+    if n > 2 * SIZE_CAP:
+        raise TooLarge(f"{source}: problems are capped at {2 * SIZE_CAP} cities, got DIMENSION {n}")
+    if wtype == "EXPLICIT":
+        D = _explicit_matrix(*explicit)
         if not np.array_equal(D, D.T):
             raise InputFormatError(f"{source}: FULL_MATRIX weights are not symmetric")
         if np.any(np.diagonal(D) != 0):
             raise InputFormatError(f"{source}: nonzero diagonal in EDGE_WEIGHT_SECTION")
     else:
-        if coords is None:
-            raise InputFormatError(f"{source}: {wtype} problem has no NODE_COORD_SECTION")
-        if len(coords) != n:
-            raise DimensionMismatch(f"{source}: DIMENSION changed after the NODE_COORD_SECTION")
         with np.errstate(over="ignore", invalid="ignore"):
             D = _COORD_DISTANCE[wtype](coords)
         if not np.isfinite(D).all():

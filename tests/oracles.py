@@ -173,6 +173,13 @@ def random_euclidean(n: int, seed: int, dim: int = 2) -> tuple[np.ndarray, np.nd
     return D, pts
 
 
+def squared_distances(points) -> np.ndarray:
+    """The whole (n, n, dim) difference array, squared and summed in one step."""
+    diff = points[:, None, :] - points[None, :, :]
+    diff *= diff
+    return diff.sum(axis=2)
+
+
 def random_symmetric(n: int, seed: int) -> np.ndarray:
     draws = _unit_floats(seed)
     D = np.zeros((n, n))
@@ -366,7 +373,16 @@ def tsplib_geo(coords) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# group tables and Cayley graphs, one entry at a time
+# stock graphs, group tables and Cayley graphs, one block or entry at a time
+
+
+def disjoint_cliques(n: int) -> np.ndarray:
+    """Adjacency of two disjoint n-cliques, one diagonal block at a time."""
+    A = np.zeros((2 * n, 2 * n), dtype=np.int8)
+    for at in (0, n):
+        A[at : at + n, at : at + n] = 1
+    np.fill_diagonal(A, 0)
+    return A
 
 
 def dihedral_table(m: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as stn
 
-from spectral_tsp import cli, graphs
+from spectral_tsp import cli, graphs, tsplib
 from spectral_tsp.errors import InputFormatError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -296,10 +296,14 @@ def test_bound_reads_a_short_display_section(tmp_path):
 
 
 def test_cli_import_leaves_the_process_pool_out_and_batch_jobs_2_works():
-    probe = "import sys, spectral_tsp.cli; print('concurrent.futures.process' in sys.modules)"
+    # scipy.sparse.csgraph alone takes longer to import than the whole CLI
+    probe = (
+        "import sys, spectral_tsp.cli; "
+        "print('concurrent.futures.process' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.split() == ["False", "False"]
     one = run_cli("batch", str(FIXTURES / "table1.manifest"))
     two = run_cli("batch", str(FIXTURES / "table1.manifest"), "--jobs", "2")
     assert two.returncode == one.returncode == 0 and two.stdout == one.stdout != ""
@@ -334,6 +338,24 @@ def test_sizes_past_the_cap_exit_3_before_allocating(tmp_path, capsys, argv, edg
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "capped at 2048" in err
+
+
+def test_tsplib_order_past_the_cap_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(tsplib, "SIZE_CAP", 3)
+    for n in (6, 7):
+        coords = "\n".join(f"{k + 1} {k} {k * k % 5}" for k in range(n))
+        (tmp_path / f"c{n}.tsp").write_text(
+            f"NAME: c{n}\nTYPE: TSP\nDIMENSION: {n}\nEDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n{coords}\nEOF\n"
+        )
+    assert cli.main(["bound", str(tmp_path / "c6.tsp")]) == 0
+    assert json.loads(capsys.readouterr().out)["instance"]["n"] == 6
+    assert cli.main(["bound", str(tmp_path / "c7.tsp")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "capped at 6 cities" in err and "Traceback" not in err
+    (tmp_path / "rows.manifest").write_text("c6.tsp\nc7.tsp\n")
+    assert cli.main(["batch", str(tmp_path / "rows.manifest")]) == 3
+    rows = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert "error" not in rows[0] and rows[1]["error_kind"] == "numeric"
 
 
 def test_undecodable_and_nul_inputs_exit_2(tmp_path, capsys):

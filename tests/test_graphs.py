@@ -84,6 +84,26 @@ def test_empty_and_negative_sizes_are_rejected(build):
         build()
 
 
+def test_disjoint_cliques_is_the_block_construction():
+    for n in range(1, 41):
+        g = disjoint_cliques(n)
+        assert g.adjacency.dtype == np.int8
+        assert g.adjacency.tobytes() == oracles.disjoint_cliques(n).tobytes(), n
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_disjoint_cliques_needs_a_positive_size(n):
+    with pytest.raises(InvalidDimension):
+        disjoint_cliques(n)
+
+
+def test_from_edges_leaves_self_loops_to_graph():
+    with pytest.raises(InvalidMatrix):
+        from_edges(3, [(1, 1)])
+    with pytest.raises(InvalidDimension):
+        from_edges(3, [(-1, 2)])  # a negative index would wrap silently
+
+
 def test_from_edges_and_validation():
     g = from_edges(3, [(0, 1), (1, 2)])
     assert g.edge_count == 2
@@ -193,8 +213,9 @@ def test_group_tables_are_the_loops():
         c = cyclic_group(m)
         assert c.mult.tobytes() == oracles.cyclic_table(m).tobytes(), m
         assert c.inverse.tobytes() == oracles.group_inverse(c.mult).tobytes(), m
-        # the inverse computed from the table is the one cyclic_group states
-        assert GroupTable(mult=c.mult).inverse.tobytes() == c.inverse.tobytes(), m
+        # the inverse read off the table is negation mod m
+        assert c.inverse.tolist() == [-a % m for a in range(m)], m
+        assert c.identity == d.identity == 0
 
 
 def test_group_table_without_unique_inverse_names_the_first_element():
@@ -325,6 +346,19 @@ def test_complement_identity_on_random_graphs():
         # phi of -A computed directly on the matrix (it has zero diagonal)
         rhs = n + phi_mat(-A)
         assert abs(lhs - rhs) < 1e-8 * max(1.0, abs(rhs))
+
+
+def test_complement_phi_builds_no_graph(monkeypatch):
+    from spectral_tsp.bounds import phi_symmetric
+
+    gs = [random_graph(5 + seed % 9, seed=seed, density=0.2 + 0.1 * (seed % 7)) for seed in range(60)]
+    gs += [cycle_graph(9), complete_graph(6), disjoint_cliques(4), dihedral_reflection_cayley(5)]
+    # the bytes of the route through a validated complement Graph
+    want = [phi_symmetric(complement(g).adjacency.astype(float)) for g in gs]
+    built = []
+    monkeypatch.setattr(graphs.Graph, "__post_init__", lambda self: built.append(self))
+    assert [complement_phi(g) for g in gs] == want
+    assert built == []
 
 
 def test_regular_fast_path_matches_generic():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as stn
@@ -222,3 +224,28 @@ def test_restricted_spectrum_invariant_under_constant_offdiagonal_shift(seed, n)
     a = np.sort(bounds.Compression(D).mu)
     b = np.sort(bounds.Compression(shifted).mu)
     np.testing.assert_allclose(b, a + beta, atol=1e-8)
+
+
+def test_squared_distances_is_the_one_shot_sum(monkeypatch):
+    # numpy sums 8 or more coordinates pairwise, so only whole rows of the
+    # (n, n, dim) array may be split off, never single coordinates
+    rng = np.random.default_rng(5)
+    cases = [(n, dim) for n in (3, 17, 60) for dim in (1, 2, 3, 7, 8, 9, 16, 31, 64, 300)]
+    cases += [(257, dim) for dim in (1, 2, 7, 8, 9, 16)]
+    for budget in (linalg._BLOCK_ENTRIES, 1000):  # one block at these sizes, and many
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", budget)
+        for n, dim in cases:
+            P = rng.random((n, dim)) * 1000.0
+            assert linalg.squared_distances(P).tobytes() == oracles.squared_distances(P).tobytes(), (budget, n, dim)
+
+
+def test_squared_distances_memory_does_not_grow_with_dim():
+    n = dim = 200  # the one-shot (n, n, dim) difference array is 64 MB
+    P = np.random.default_rng(0).random((n, dim))
+    tracemalloc.start()
+    try:
+        linalg.squared_distances(P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (linalg._BLOCK_ENTRIES + n * n) + 2**20

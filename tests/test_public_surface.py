@@ -46,6 +46,8 @@ def test_removed_name_cannot_be_imported(module, name):
 
 def test_removed_methods_and_parameters_stay_out():
     assert not hasattr(graphs.GroupTable, "validate")
+    assert list(inspect.signature(graphs.GroupTable).parameters) == ["mult"]
+    assert list(inspect.signature(graphs.disjoint_cliques).parameters) == ["n"]
     assert list(inspect.signature(bounds.check_distance_matrix).parameters) == ["D"]
     assert list(inspect.signature(solvers.held_karp).parameters) == ["D"]
     assert list(inspect.signature(solvers.brute_force).parameters) == ["D"]

@@ -1,5 +1,6 @@
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -180,6 +181,20 @@ def test_held_karp_is_the_loop_oracle_at_17():
     D = np.floor(3.0 * random_symmetric(17, 2**64 - 1))
     t = solvers.held_karp(D)
     assert (t.order, t.length) == oracles.held_karp(D)
+
+
+def test_held_karp_holds_two_layers_of_costs():
+    # the whole float table at n = 18 is 2^17 x 17 doubles, 17.8 MB; the
+    # int8 predecessor table is 2.2 MB and the largest layer 3.3 MB
+    D = np.floor(3.0 * random_symmetric(18, seed=5))
+    tracemalloc.start()
+    try:
+        t = solvers.held_karp(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 20_000_000
+    assert t.length <= solvers.two_opt(D).length
 
 
 def test_two_opt_is_the_loop_oracle():

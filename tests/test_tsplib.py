@@ -13,6 +13,7 @@ from spectral_tsp.errors import (
     DimensionMismatch,
     InputFormatError,
     NonFiniteValue,
+    TooLarge,
     TruncatedSection,
     UnsupportedKeyword,
 )
@@ -77,6 +78,33 @@ def test_huge_declared_dimension_with_coordinates_is_truncated():
     text = make("EUC_2D", "1 0 0\n2 3 4", n=10**15)
     with pytest.raises(TruncatedSection):
         tsplib.parse_tsplib(text)
+
+
+def _cities(n: int, kind: str = "EUC_2D") -> str:
+    if kind == "EXPLICIT":
+        return make(kind, " ".join("1" for _ in range(n * (n - 1) // 2)), n=n, fmt="UPPER_ROW")
+    return make(kind, "\n".join(f"{k + 1} {k} {k * k % 7}" for k in range(n)), n=n)
+
+
+@pytest.mark.parametrize("kind", ["EUC_2D", "GEO", "EXPLICIT"])
+def test_order_is_capped_at_twice_the_size_cap(monkeypatch, kind):
+    monkeypatch.setattr(tsplib, "SIZE_CAP", 3)
+    assert tsplib.parse_tsplib(_cities(6, kind)).matrix.shape == (6, 6)
+    with pytest.raises(TooLarge, match="capped at 6 cities"):
+        tsplib.parse_tsplib(_cities(7, kind))
+
+
+def test_a_full_file_over_the_cap_fails_before_its_matrix():
+    n = 2 * tsplib.SIZE_CAP + 1  # its matrix would take 134 MB
+    text = _cities(n)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TooLarge):
+            tsplib.parse_tsplib(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n / 10
 
 
 def test_dimension_redeclared_after_weights_is_rejected():
