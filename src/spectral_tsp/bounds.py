@@ -34,6 +34,7 @@ from .errors import InvalidDimension, NonzeroDiagonal, NotNormal, NotSymmetric
 from .linalg import (
     DEFAULT_TOL,
     _antisym_spectrum,
+    _Checked,
     as_square,
     center_restrict,
     commuting_spectrum,
@@ -90,11 +91,11 @@ class Compression:
 
     @cached_property
     def symmetric(self) -> bool:
-        return is_symmetric(self.A, self.tol)
+        return is_symmetric(_Checked(self.A), self.tol)
 
     @cached_property
     def R(self) -> np.ndarray:
-        return center_restrict(self.A)
+        return center_restrict(_Checked(self.A))
 
     @cached_property
     def S(self) -> np.ndarray:

@@ -14,6 +14,8 @@ results reproducible across BLAS builds to tight tolerance.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import InvalidDimension, InvalidMatrix, NotSymmetric
@@ -22,7 +24,7 @@ DEFAULT_TOL = 1e-8
 
 
 def as_square(M, name: str = "matrix") -> np.ndarray:
-    """Validate and return a float64 square 2-d array copy of `M`."""
+    """Validate `M` and return it as a float64 square 2-d array (a copy only if it is not one)."""
     A = np.asarray(M, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got shape {A.shape}")
@@ -31,6 +33,16 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise InvalidMatrix(f"{name} contains non-finite entries")
     return A
+
+
+class _Checked(NamedTuple):
+    """An array as_square has passed, handed on so that it is not checked again."""
+
+    A: np.ndarray
+
+
+def _square(M, name: str) -> np.ndarray:
+    return M.A if isinstance(M, _Checked) else as_square(M, name)
 
 
 _BLOCK_ENTRIES = 1 << 21  # differences squared_distances holds at once, 16 MB
@@ -55,7 +67,7 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
 
 
 def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
-    A = as_square(M)
+    A = _square(M, "matrix")
     return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
 
 
@@ -100,7 +112,7 @@ def center_restrict(D) -> np.ndarray:
     roundoff; callers that feed R to a symmetric eigensolver symmetrize it
     explicitly first.
     """
-    A = as_square(D, "distance matrix")
+    A = _square(D, "distance matrix")
     Q = householder_basis(A.shape[0])
     return -(Q.T @ A @ Q)
 

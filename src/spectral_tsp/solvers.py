@@ -10,6 +10,7 @@ seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -18,13 +19,15 @@ import numpy as np
 from .bounds import check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import SplitMix64
-from .linalg import is_symmetric
+from .linalg import _Checked, is_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
 
 # cities permuted inside one numpy batch of tours: 9! = 362880 rows, about 3 MB as int8
 _BATCH_CITIES = 9
+# rows of 2-opt moves measured in one array step
+_ROW_BLOCK = 16
 
 
 @dataclass
@@ -45,22 +48,54 @@ def tour_length(D, order) -> float:
     return float(A[p, np.roll(p, -1)].sum())
 
 
-def _chunk_lengths(A: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Lengths of the closed tours 0 -> tails[i, 0] -> ... -> tails[i, -1] -> 0."""
-    total = A[0, tails[:, 0]] + A[tails[:, -1], 0]
-    for k in range(tails.shape[1] - 1):
-        total = total + A[tails[:, k], tails[:, k + 1]]
-    return total
-
-
 def _permutations(m: int) -> np.ndarray:
     """Every permutation of range(m), one per row of an int8 array, in lexicographic order."""
     P = np.zeros((1, 0), dtype=np.int8)
     for k in range(1, m + 1):
         # rows led by `first`, then the permutations of the other k - 1 values
         # in order: P with every value >= first moved up by one
-        P = np.vstack([np.column_stack([np.full(len(P), first, np.int8), P + (P >= first)]) for first in range(k)])
+        Q = np.empty((k * len(P), k), dtype=np.int8)
+        for first, block in enumerate(np.split(Q, k)):
+            block[:, 0] = first
+            np.add(P, P >= first, out=block[:, 1:])
+        P = Q
     return P
+
+
+@dataclass(frozen=True)
+class _Suffixes:
+    """The permutations of range(m) as the arrays a batch of tours reads.
+
+    Row r visits first[r], then codes[k, r] % m for k = 0..m-2, ending at
+    last[r]; codes[k, r] = P[r, k] * m + P[r, k + 1] indexes the flattened
+    m x m block of distances among the batch's cities (at most 80, so int8).
+    All three are read-only and shared by every call with the same m.
+    """
+
+    first: np.ndarray
+    last: np.ndarray
+    codes: np.ndarray
+
+    def tail(self, r: int) -> list[int]:
+        """Row r as positions 0..m-1, in visiting order."""
+        m = len(self.codes) + 1
+        return [int(self.first[r]), *(int(c) % m for c in self.codes[:, r])]
+
+
+@functools.cache
+def _suffixes(m: int, rising: bool) -> _Suffixes:
+    """Permutation table for batches of m cities; with rising, only the rows
+    whose first value is below their last (one orientation of each tour)."""
+    P = _permutations(m)
+    if rising:
+        P = P[P[:, 0] < P[:, -1]]
+    codes = np.empty((m - 1, len(P)), dtype=np.int8)
+    for k in range(m - 1):
+        np.add(P[:, k] * np.int8(m), P[:, k + 1], out=codes[k])
+    table = _Suffixes(first=P[:, 0].copy(), last=P[:, -1].copy(), codes=codes)
+    for a in (table.first, table.last, table.codes):
+        a.flags.writeable = False
+    return table
 
 
 def brute_force(D) -> Tour:
@@ -71,37 +106,58 @@ def brute_force(D) -> Tour:
     well (the orientation with the smaller second city is kept), since any
     asymmetry can make one direction the shorter.  Among tours of exactly
     minimal length the lexicographically smallest order wins, which makes
-    the result reproducible bit for bit.  Tours are built and measured
-    in numpy batches: each batch fixes the leading cities and permutes the
-    last nine, in lexicographic order.
+    the result reproducible bit for bit.  Tours are measured in numpy
+    batches: each batch fixes the leading cities and permutes the last
+    m = min(n - 1, 9), in lexicographic order, through a permutation table
+    built once per m.  Each length is summed in one order, the closing
+    pair A[0, t0] + A[t_last, 0] and then every edge from left to right.
     """
     A = check_distance_matrix(D)
     n = A.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
     symmetric = np.array_equal(A, A.T)
+    m = min(n - 1, _BATCH_CITIES)
+    lead = n - 1 - m
+    # with no leading cities, keeping the tails whose first city is below
+    # their last is keeping the rows whose first position is below their last
+    table = _suffixes(m, symmetric and not lead)
+    total, edge = np.empty(len(table.first)), np.empty(len(table.first))
 
-    cities = np.arange(1, n, dtype=np.int8)
-    suffixes = _permutations(min(n - 1, _BATCH_CITIES))
-    lead = n - 1 - suffixes.shape[1]
     best_len = np.inf
-    best_tail: np.ndarray | None = None
+    best_tour: list[int] | None = None
     for head in itertools.permutations(range(1, n), lead):
-        rest = np.setdiff1d(cities, head)
-        tails = np.hstack([np.tile(np.array(head, dtype=np.int8), (len(suffixes), 1)), rest[suffixes]])
-        if symmetric:
-            tails = tails[tails[:, 0] < tails[:, -1]]
-        if not len(tails):
+        rest = np.setdiff1d(np.arange(1, n), head)
+        block = A[np.ix_(rest, rest)].ravel()
+        # every index is in range, so "clip" alters none; unlike "raise", it
+        # lets take write into out without a buffer
+        np.take(A[rest, 0], table.last, out=total, mode="clip")
+        if head:
+            total += A[0, head[0]]
+            for u, v in itertools.pairwise(head):
+                total += A[u, v]
+        np.take(A[head[-1] if head else 0, rest], table.first, out=edge, mode="clip")
+        total += edge
+        for codes in table.codes:
+            np.take(block, codes, out=edge, mode="clip")
+            total += edge
+        lengths, rows = total, None
+        if symmetric and head:
+            # one orientation: head[0] < rest[last], that is, last at or past
+            # the number of cities in rest below head[0]
+            rows = np.flatnonzero(table.last >= np.searchsorted(rest, head[0]))
+            lengths = total[rows]
+        if not len(lengths):
             continue
-        lengths = _chunk_lengths(A, tails)
         # batches come in lexicographic order and argmin takes the first
-        # minimum, so exact ties resolve to the lexicographically smallest order
+        # minimum, so exact ties resolve to the lexicographically smallest order;
+        # the first batch always counts, so lengths that overflow still give a tour
         i = int(np.argmin(lengths))
-        if lengths[i] < best_len:
-            best_len, best_tail = lengths[i], tails[i]
+        if best_tour is None or lengths[i] < best_len:
+            r = i if rows is None else int(rows[i])
+            best_len, best_tour = lengths[i], [0, *head, *(int(c) for c in rest[table.tail(r)])]
 
-    order = [0, *(int(c) for c in best_tail)]
-    return Tour(order=order, length=tour_length(A, order))
+    return Tour(order=best_tour, length=tour_length(A, best_tour))
 
 
 def held_karp(D) -> Tour:
@@ -174,6 +230,50 @@ def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
     return order
 
 
+def _first_improving_row(A: np.ndarray, order: np.ndarray, i: int, upper: np.ndarray) -> int:
+    """The first row from i on that holds an improving 2-opt move, or n - 1.
+
+    Row i holds the moves (i, j), j = i + 2 .. n, which reverse order[i:j]
+    and replace the edges (a, b) = (order[i - 1], order[i]) and
+    (c, d) = (order[j - 1], order[j % n]).  _ROW_BLOCK rows are measured in
+    one array step, every delta the same expression _improve_row evaluates;
+    upper[r, k] masks row r of a block to its own j = i + 2 + k >= i + r + 2.
+    """
+    n = len(order)
+    while i < n - 1:
+        rows = np.arange(i, min(i + _ROW_BLOCK, n - 1))
+        a, b = order[rows - 1], order[rows]
+        c = order[i + 1 :]
+        d = np.append(order[i + 2 :], order[0])
+        delta = A[a[:, None], c] + A[b[:, None], d] - A[a, b][:, None] - A[c, d]
+        hit = ((delta < -1e-12) & upper[: len(rows), : len(c)]).any(axis=1)
+        if hit.any():
+            return i + int(np.argmax(hit))
+        i += len(rows)
+    return n - 1
+
+
+def _improve_row(A: np.ndarray, order: np.ndarray, i: int) -> None:
+    """Apply row i's moves in place: the first improving j, then the first
+    improving one after it, until none is left."""
+    a, b = order[i - 1], order[i]
+    # a reversal leaves every position from j on alone, so after one the
+    # scan resumes at j + 1 with only b changed
+    c = order[i + 1 :]
+    d = np.append(order[i + 2 :], order[0])
+    ac, cd = A[a, c], A[c, d]
+    start = 0
+    while start < len(d):
+        delta = ac[start:] + A[b, d[start:]] - A[a, b] - cd[start:]
+        hits = np.flatnonzero(delta < -1e-12)
+        if not len(hits):
+            break
+        j = i + 2 + start + int(hits[0])
+        order[i:j] = order[i:j][::-1].copy()
+        b = order[i]
+        start = j - i - 1
+
+
 def two_opt(D, seed: int = 0) -> Tour:
     """2-opt local search from a nearest-neighbour start (symmetric only).
 
@@ -182,35 +282,24 @@ def two_opt(D, seed: int = 0) -> Tour:
     first-improvement segment reversals until no reversal shortens the tour
     by more than 1e-12.  The result is a local optimum: never longer than
     its greedy start, and of course never shorter than the true minimum.
+    Each sweep scans rows i = 1 .. n - 2 in blocks, jumps to the first row
+    with a move, applies that row's moves and resumes at the next row.
     Raises NotSymmetric unless D is symmetric at the default tolerance.
     """
     A = check_distance_matrix(D)
-    if not is_symmetric(A):
+    if not is_symmetric(_Checked(A)):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
     order = _nearest_neighbour(A, SplitMix64(seed))
 
+    upper = np.triu(np.ones((_ROW_BLOCK, n), dtype=bool))
     improved = True
     while improved:
         improved = False
-        for i in range(1, n - 1):
-            a, b = order[i - 1], order[i]
-            # the move (i, j) reverses order[i:j]; edge (c, d) is (order[j - 1], order[j % n])
-            # for j = i + 2 .. n.  A reversal leaves every position from j on
-            # alone, so after one the scan resumes at j + 1 with only b changed.
-            c = order[i + 1 :]
-            d = np.append(order[i + 2 :], order[0])
-            ac, cd = A[a, c], A[c, d]
-            start = 0
-            while start < len(d):
-                delta = ac[start:] + A[b, d[start:]] - A[a, b] - cd[start:]
-                hits = np.flatnonzero(delta < -1e-12)
-                if not len(hits):
-                    break
-                j = i + 2 + start + int(hits[0])
-                order[i:j] = order[i:j][::-1].copy()
-                improved = True
-                b = order[i]
-                start = j - i - 1
+        i = _first_improving_row(A, order, 1, upper)
+        while i < n - 1:
+            _improve_row(A, order, i)
+            improved = True
+            i = _first_improving_row(A, order, i + 1, upper)
     order = [int(x) for x in order]
     return Tour(order=order, length=tour_length(A, order))

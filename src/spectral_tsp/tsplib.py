@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedKeyword,
 )
 from .graphs import SIZE_CAP
-from .linalg import squared_distances
+from .linalg import _BLOCK_ENTRIES, squared_distances
 
 _WEIGHT_TYPES = {"EXPLICIT", "EUC_2D", "ATT", "GEO"}
 _WEIGHT_FORMATS = {"FULL_MATRIX", "UPPER_ROW", "LOWER_ROW", "UPPER_DIAG_ROW", "LOWER_DIAG_ROW"}
@@ -78,12 +78,19 @@ def _geo(coords: np.ndarray) -> np.ndarray:
     deg = np.trunc(coords)
     lat, lon = (3.141592 * (deg + 5.0 * (coords - deg) / 3.0) / 180.0).T
     n = len(coords)
-    i, j = np.triu_indices(n, 1)
-    q1 = np.cos(lon[i] - lon[j])
-    q2 = np.cos(lat[i] - lat[j])
-    q3 = np.cos(lat[i] + lat[j])
     D = np.zeros((n, n))
-    D[i, j] = D[j, i] = np.trunc(6378.388 * np.arccos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
+    # the pairs i < j of a block of rows; each holds at most eight 8-byte
+    # temporaries at once, so a block holds at most _BLOCK_ENTRIES of them
+    step = max(1, _BLOCK_ENTRIES // (8 * n))
+    for start in range(0, n - 1, step):
+        r, c = np.triu_indices(min(step, n - 1 - start), 0, n - 1 - start)
+        i, j = r + start, c + (start + 1)
+        del r, c
+        q1 = np.cos(lon[i] - lon[j])
+        q2 = np.cos(lat[i] - lat[j])
+        q3 = np.cos(lat[i] + lat[j])
+        D[i, j] = D[j, i] = np.trunc(6378.388 * np.arccos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
+        del i, j, q1, q2, q3  # else the next block is allocated while this one is held
     return D
 
 

@@ -6,11 +6,14 @@ of a real-arithmetic split, exhaustive enumeration instead of assignment
 solvers) so that agreement with the library is evidence, not tautology.
 The loop versions of the solvers, instance generators, TSPLIB distance
 rules and group and Cayley builders are the reference the library's array
-versions must match bit for bit.
+versions must match bit for bit; so are the whole-array routes of
+brute_force, squared distances and GEO distances for the library's cached
+tables and row blocks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -218,6 +221,48 @@ def _closed_length(D: np.ndarray, order: list[int]) -> float:
     return float(D[p, np.roll(p, -1)].sum())
 
 
+@functools.cache
+def _permutation_rows(m: int) -> np.ndarray:
+    """Every permutation of range(m) in itertools order, one int8 row each."""
+    flat = itertools.chain.from_iterable(itertools.permutations(range(m)))
+    return np.fromiter(flat, dtype=np.int8, count=math.factorial(m) * m).reshape(-1, m)
+
+
+def _chunk_lengths(D: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """Lengths of the closed tours 0 -> tails[i, 0] -> ... -> tails[i, -1] -> 0."""
+    total = D[0, tails[:, 0]] + D[tails[:, -1], 0]
+    for k in range(tails.shape[1] - 1):
+        total = total + D[tails[:, k], tails[:, k + 1]]
+    return total
+
+
+def brute_force(D, batch_cities: int = 9) -> tuple[list[int], float]:
+    """Enumeration in numpy batches of whole tails: each batch tiles its
+    leading cities beside every permutation of the other batch_cities, keeps
+    the tails with first < last on exactly symmetric input and measures
+    them edge by edge; the first minimum in lexicographic order wins."""
+    D = np.asarray(D, dtype=float)
+    n = D.shape[0]
+    symmetric = np.array_equal(D, D.T)
+    cities = np.arange(1, n, dtype=np.int8)
+    suffixes = _permutation_rows(min(n - 1, batch_cities))
+    lead = n - 1 - suffixes.shape[1]
+    best_len, best_tail = np.inf, None
+    for head in itertools.permutations(range(1, n), lead):
+        rest = np.setdiff1d(cities, head)
+        tails = np.hstack([np.tile(np.array(head, dtype=np.int8), (len(suffixes), 1)), rest[suffixes]])
+        if symmetric:
+            tails = tails[tails[:, 0] < tails[:, -1]]
+        if not len(tails):
+            continue
+        lengths = _chunk_lengths(D, tails)
+        i = int(np.argmin(lengths))
+        if lengths[i] < best_len:
+            best_len, best_tail = lengths[i], tails[i]
+    order = [0, *(int(c) for c in best_tail)]
+    return order, _closed_length(D, order)
+
+
 def held_karp(D) -> tuple[list[int], float]:
     """Held-Karp over the masks in increasing order; first index wins every tie."""
     D = np.asarray(D, dtype=float)
@@ -369,6 +414,21 @@ def tsplib_geo(coords) -> np.ndarray:
             q2 = math.cos(latitude[i] - latitude[j])
             q3 = math.cos(latitude[i] + latitude[j])
             D[i, j] = D[j, i] = int(RRR * math.acos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
+    return D
+
+
+def tsplib_geo_pairs(coords) -> np.ndarray:
+    """The same GEO rule as tsplib_geo, over every pair i < j in one array step."""
+    coords = np.asarray(coords, dtype=float)
+    deg = np.trunc(coords)
+    lat, lon = (3.141592 * (deg + 5.0 * (coords - deg) / 3.0) / 180.0).T
+    n = len(coords)
+    i, j = np.triu_indices(n, 1)
+    q1 = np.cos(lon[i] - lon[j])
+    q2 = np.cos(lat[i] - lat[j])
+    q3 = np.cos(lat[i] + lat[j])
+    D = np.zeros((n, n))
+    D[i, j] = D[j, i] = np.trunc(6378.388 * np.arccos(0.5 * ((1.0 + q1) * q2 - (1.0 - q1) * q3)) + 1.0)
     return D
 
 

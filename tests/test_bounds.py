@@ -327,6 +327,7 @@ def calls(monkeypatch):
     count("eigensolve", [np.linalg], "eigh")
     count("compression", [linalg, bounds], "center_restrict")
     count("validation", [bounds], "check_distance_matrix")
+    count("as_square", [linalg, bounds], "as_square")
     count("lsap", [scipy.optimize], "linear_sum_assignment")
     return counts
 
@@ -334,20 +335,20 @@ def calls(monkeypatch):
 def test_symmetric_report_is_one_pass(calls):
     D, _ = random_euclidean(40, seed=3)
     bounds.bound_report(D)
-    assert calls == {"validation": 1, "compression": 1, "eigensolve": 1}
+    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 1}
 
 
 def test_non_normal_report_solves_two_eigenproblems(calls):
     rep = bounds.bound_report(random_asymmetric(40, seed=3))
     assert not rep.normal
-    assert calls == {"validation": 1, "compression": 1, "eigensolve": 2}
+    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 2}
 
 
 def test_normal_report_solves_one_assignment(calls):
     # eigvalsh(S) for mu, eigh(S) for the complex spectrum, eigvalsh(K^T K) for phi_general
     rep = bounds.bound_report(random_circulant(7, seed=2))
     assert rep.normal and not rep.symmetric
-    assert calls == {"validation": 1, "compression": 1, "eigensolve": 3, "lsap": 1}
+    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 3, "lsap": 1}
 
 
 def test_symmetric_report_does_not_import_scipy_optimize():

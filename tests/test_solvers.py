@@ -71,6 +71,14 @@ def test_brute_force_deterministic_tie_break():
     assert t.order == [0, 1, 2, 3, 4, 5]
 
 
+def test_brute_force_returns_a_tour_when_every_length_overflows():
+    D = np.full((5, 5), 1e308)
+    np.fill_diagonal(D, 0.0)
+    with np.errstate(over="ignore"):
+        t = solvers.brute_force(D)
+    assert t.order == [0, 1, 2, 3, 4] and t.length == np.inf
+
+
 def test_permutations_in_lexicographic_order():
     for m in range(1, 7):
         assert solvers._permutations(m).tolist() == [list(p) for p in itertools.permutations(range(m))]
@@ -169,6 +177,49 @@ def _matrices(n: int, seed: int):
         yield np.floor(3.0 * D)
 
 
+def test_brute_force_is_the_batch_oracle():
+    for n in range(3, 12):
+        for seed in SEEDS[-1:] if n > 10 else SEEDS:
+            for D in _matrices(n, seed):
+                t = solvers.brute_force(D)
+                assert (t.order, t.length) == oracles.brute_force(D), (n, seed)
+
+
+@pytest.mark.parametrize("cities", [1, 2, 4])
+def test_brute_force_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
+    # leading cities fixed per batch, and on symmetric input the orientation
+    # filter reads the batch's head, not the table's own rows
+    monkeypatch.setattr(solvers, "_BATCH_CITIES", cities)
+    for n in (3, 5, 7):
+        for seed in SEEDS[::3]:
+            for D in _matrices(n, seed):
+                t = solvers.brute_force(D)
+                assert (t.order, t.length) == oracles.brute_force(D, cities), (n, seed)
+
+
+def test_suffix_tables_are_read_only():
+    for rising in (True, False):
+        table = solvers._suffixes(4, rising)
+        assert table is solvers._suffixes(4, rising)
+        for a in (table.first, table.last, table.codes):
+            with pytest.raises(ValueError):
+                a[0] = 0
+
+
+def test_brute_force_keeps_no_tour_table():
+    # the bound is the peak of the whole-tail route on this input, 9.99 MB:
+    # it builds the permutation table, the tails and their indexed edges
+    D = random_symmetric(10, seed=5)
+    tracemalloc.start()
+    try:
+        t = solvers.brute_force(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 9_985_000
+    assert (t.order, t.length) == oracles.brute_force(D)
+
+
 def test_held_karp_is_the_loop_oracle():
     for n in range(3, 15):
         for seed in SEEDS[-1:] if n > 12 else SEEDS:
@@ -203,6 +254,21 @@ def test_two_opt_is_the_loop_oracle():
             for D in (random_symmetric(n, seed), np.floor(3.0 * random_symmetric(n, seed)), random_euclidean(n, seed)[0]):
                 t = solvers.two_opt(D, seed=seed)
                 assert (t.order, t.length) == oracles.two_opt(D, seed), (n, seed)
+
+
+def test_two_opt_moves_across_row_blocks_are_the_loop_oracle(monkeypatch):
+    B = solvers._ROW_BLOCK
+    for n in (B + 1, B + 2, 2 * B + 3):
+        for seed in SEEDS:
+            for D in (random_symmetric(n, seed), np.floor(3.0 * random_symmetric(n, seed)), random_euclidean(n, seed)[0]):
+                t = solvers.two_opt(D, seed=seed)
+                assert (t.order, t.length) == oracles.two_opt(D, seed), (n, seed)
+    for rows in (1, 2, 3):
+        monkeypatch.setattr(solvers, "_ROW_BLOCK", rows)
+        for seed in SEEDS:
+            D = random_euclidean(20, seed)[0]
+            t = solvers.two_opt(D, seed=seed)
+            assert (t.order, t.length) == oracles.two_opt(D, seed), (rows, seed)
 
 
 def test_held_karp_at_its_cap_is_fast():

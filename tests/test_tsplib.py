@@ -252,6 +252,37 @@ def test_geo_duplicates_are_one_apart():
     assert_matches_oracle("GEO", coords)
 
 
+def _geo_coords(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    return np.round(np.column_stack([rng.uniform(-89, 89, n), rng.uniform(-179, 179, n)]), 2)
+
+
+@pytest.mark.parametrize("n", [3, 17, 400, 2000])
+def test_geo_row_blocks_are_the_one_step_route(n):
+    # n = 400 is one block; 2000 takes sixteen
+    p = tsplib.parse_tsplib(coord_text("GEO", _geo_coords(n, seed=n)))
+    assert p.matrix.tobytes() == oracles.tsplib_geo_pairs(p.coords).tobytes()
+
+
+def test_geo_in_blocks_of_a_few_rows(monkeypatch):
+    monkeypatch.setattr(tsplib, "_BLOCK_ENTRIES", 1000)  # one row a block at n = 200, seven at n = 17
+    for n in (3, 17, 200):
+        coords = _geo_coords(n, seed=n)
+        assert tsplib._geo(coords).tobytes() == oracles.tsplib_geo_pairs(coords).tobytes()
+
+
+def test_geo_peak_is_within_twice_its_matrix():
+    n = 2000  # the matrix is 32 MB; every pair at once (oracles.tsplib_geo_pairs) peaks at 144 MB
+    text = coord_text("GEO", _geo_coords(n, seed=1))
+    tracemalloc.start()
+    try:
+        tsplib.parse_tsplib(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n
+
+
 # ---------------------------------------------------------------- numbers that are not finite
 
 
