@@ -25,12 +25,13 @@ scaling by alpha >= 0 multiplies it by alpha.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InvalidDimension, NonzeroDiagonal, NotNormal, NotSymmetric
+from .errors import InvalidDimension, InvalidMatrix, NonzeroDiagonal, NotNormal, NotSymmetric
 from .linalg import (
     DEFAULT_TOL,
     _antisym_spectrum,
@@ -47,16 +48,33 @@ _DIAG_TOL = 1e-12
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
+def _scale(top: float) -> float:
+    """The exact divisor for a matrix whose largest |entry| is top: outside
+    2^-129 <= top < 2^128, the power of two math.frexp gives for top, else 1.
+    Inside that range no square or fourth power the bounds take of an entry
+    near top over- or underflows, and the matrix is not copied: a quotient
+    per report took bound_report at n = 400 from 17.5 to 22 ms on 2 cores."""
+    k = math.frexp(top)[1]
+    return 2.0**k if abs(k) > 128 else 1.0
+
+
 def check_distance_matrix(D) -> np.ndarray:
     """Validate a distance matrix: square, finite, n >= 3, zero diagonal.
 
-    The diagonal must vanish to within 1e-12 * ||D||_F; it is never
-    silently zeroed.
+    n * max|D| must be finite, so that no tour length overflows.  The
+    diagonal must vanish to within 1e-12 * ||D||_F, both taken on
+    D / _scale(max|D|); it is never silently zeroed.
     """
     A = as_square(D, "distance matrix")
-    if A.shape[0] < 3:
+    n = A.shape[0]
+    if n < 3:
         raise InvalidDimension("tours need at least 3 cities")
-    if np.abs(np.diagonal(A)).max() > _DIAG_TOL * float(np.linalg.norm(A)):
+    top = float(max(A.max(), -A.min()))
+    if not math.isfinite(n * top):
+        raise InvalidMatrix("distance matrix entries are so large that a tour length overflows")
+    scale = _scale(top)
+    diag = np.abs(np.diagonal(A)).max() / scale
+    if diag and diag > _DIAG_TOL * float(np.linalg.norm(A / scale)):
         raise NonzeroDiagonal("distance matrix must have a zero diagonal")
     return A
 
@@ -75,19 +93,25 @@ def tsp_coefficients(n: int) -> np.ndarray:
 class Compression:
     """One validated distance matrix and the spectral data the bounds read.
 
-    R is the compression of -D onto the mean-zero subspace
+    Everything is computed on A = D / scale, scale = _scale(max|D|), where
+    no square the tests and spectra take over- or underflows: every
+    decision is the same for D and 2^k D, and each bound is scale times its
+    value on A.  R is the compression of -A onto the mean-zero subspace
     (linalg.center_restrict), S and K its symmetric and antisymmetric parts,
-    mu the descending spectrum of S and w the complex spectrum of R.  Each
-    is computed on first use and kept.  Every bound function below accepts
-    a Compression in place of D (its own tol then applies), so asking one
-    for all bounds costs one validation, one compression and, on symmetric
+    `spectrum` the descending spectrum of S and w the complex spectrum of R;
+    mu is the descending spectrum on D's scale, scale * spectrum.  Each is
+    computed on first use and kept.  Every bound function below accepts a
+    Compression in place of D (its own tol then applies), so asking one for
+    all bounds costs one validation, one compression and, on symmetric
     input, one eigensolve.
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
-        self.A = check_distance_matrix(D)
-        self.n = self.A.shape[0]
+        D = check_distance_matrix(D)
+        self.n = D.shape[0]
         self.tol = tol
+        self.scale = _scale(float(max(D.max(), -D.min())))
+        self.A = D if self.scale == 1.0 else D / self.scale
 
     @cached_property
     def symmetric(self) -> bool:
@@ -131,8 +155,12 @@ class Compression:
         )
 
     @cached_property
-    def mu(self) -> np.ndarray:
+    def spectrum(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.S)[::-1]  # eigvalsh ascends
+
+    @cached_property
+    def mu(self) -> np.ndarray:
+        return self.scale * self.spectrum
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -142,12 +170,12 @@ class Compression:
     @cached_property
     def psd(self) -> bool:
         """mu is non-negative, at tolerance tol * ||S||_F."""
-        return bool(self.mu[-1] >= -self.tol * float(np.linalg.norm(self.S)))
+        return bool(self.spectrum[-1] >= -self.tol * float(np.linalg.norm(self.S)))
 
     @cached_property
     def floor_holds(self) -> bool:
         """psd at the tighter of tol and roundoff (64 n eps): what euclidean_floor needs."""
-        return bool(self.mu[-1] >= -min(self.tol, _ROUNDOFF * self.n) * float(np.linalg.norm(self.S)))
+        return bool(self.spectrum[-1] >= -min(self.tol, _ROUNDOFF * self.n) * float(np.linalg.norm(self.S)))
 
 
 def _compression(D, tol: float, symmetric: bool = False) -> Compression:
@@ -166,7 +194,7 @@ def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
     (D + D^T) / 2.  Less the `skew` of D, it bounds every tour through D.
     """
     c = _compression(D, tol, symmetric=True)
-    return float(tsp_coefficients(c.n) @ c.mu) - c.skew
+    return c.scale * (float(tsp_coefficients(c.n) @ c.spectrum) - c.skew)
 
 
 def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
@@ -191,7 +219,7 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
     # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t
     cost = np.outer(1.0 - np.cos(ang), c.w.real) + np.outer(np.sin(ang), c.w.imag)
     rows, cols = linear_sum_assignment(cost)
-    return float(cost[rows, cols].sum())
+    return c.scale * float(cost[rows, cols].sum())
 
 
 def phi_general(D, tol: float = DEFAULT_TOL) -> float:
@@ -207,7 +235,7 @@ def phi_general(D, tol: float = DEFAULT_TOL) -> float:
     if c.symmetric:
         return phi_symmetric(c)
     b = np.sort(np.sin(2.0 * np.pi * np.arange(1, c.n) / c.n))
-    return float(tsp_coefficients(c.n) @ c.mu + b @ _antisym_spectrum(c.K))
+    return c.scale * float(tsp_coefficients(c.n) @ c.spectrum + b @ _antisym_spectrum(c.K))
 
 
 def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
@@ -220,13 +248,13 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
     """
     c = _compression(D, tol, symmetric=True)
     off = 0.5 * (c.A + c.A.T) + np.diag(np.full(c.n, np.inf))
-    return float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - c.skew
+    return c.scale * (float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - c.skew)
 
 
 def mean_distance(D) -> float:
     """Mean off-diagonal entry."""
     c = _compression(D, DEFAULT_TOL)
-    return float(c.A.sum() / (c.n * (c.n - 1)))
+    return c.scale * float(c.A.sum() / (c.n * (c.n - 1)))
 
 
 def schoenberg_edm_check(D, tol: float = DEFAULT_TOL) -> bool:
@@ -252,7 +280,7 @@ def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
     distances.  The value is computed regardless of that hypothesis.
     """
     c = _compression(D, tol, symmetric=True)
-    return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c)) - c.skew
+    return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c)) - c.scale * c.skew
 
 
 @dataclass

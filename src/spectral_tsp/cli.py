@@ -21,7 +21,9 @@ of graphs.ScreenResult, in declaration order; the CLI adds only kind,
 instance, optimum, ratio and timing_ms.
 
 Exit codes: 0 success, 2 unreadable or unparseable input, 3 valid input
-rejected by a numeric precondition (asymmetry, size caps, and so on).
+rejected by a numeric precondition (asymmetry, size caps, distances whose
+tour lengths overflow, a bound or ratio that JSON cannot carry as a finite
+number, and so on).
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def _load_problem(path: str, sidecar: str | None) -> tuple[np.ndarray, dict, flo
 
 def _emit(doc: dict, pretty_lines: list[str], args) -> None:
     doc["timing_ms"] = round((time.perf_counter() - args.t0) * 1e3, 3) if args.timing else None
-    print(json.dumps(doc))
+    print(json.dumps(doc, allow_nan=False))
     if args.pretty:
         print("\n".join(pretty_lines), file=sys.stderr)
 
@@ -109,6 +111,8 @@ def _bound_doc(D: np.ndarray, meta: dict, optimum: float | None, tol: float) -> 
     fields = dataclasses.asdict(bounds.bound_report(D, tol))
     del fields["n"]  # the instance entry carries it
     ratio = fields["phi"] / optimum if optimum else None
+    if not np.isfinite([x for x in (*fields.values(), *fields["mu"], ratio) if isinstance(x, float)]).all():
+        raise SpectralTspError("a bound or ratio is not a finite number, which JSON cannot carry")
     return {"kind": "bound", "instance": meta, **fields, "optimum": optimum, "ratio": ratio}
 
 
@@ -226,7 +230,7 @@ def _cmd_batch(args) -> int:
     worst = 0
     pretty = [f"{'name':<12} {'n':>4} {'phi':>14} {'optimum':>10} {'ratio':>7}  psd"]
     for doc in docs:
-        print(json.dumps(doc))
+        print(json.dumps(doc, allow_nan=False))
         if "error" in doc:
             worst = max(worst, 2 if doc["error_kind"] == "input" else 3)
             pretty.append(f"{doc['instance']['source']}: ERROR {doc['error']}")

@@ -4,8 +4,9 @@ All routines work on real square matrices and promise deterministic output
 ordering: real spectra come back sorted descending, complex spectra sorted
 descending by real part with ties broken by descending imaginary part.
 A tolerance ``tol`` is relative, ``tol * ||M||_F`` (``||M||_F^2`` for the
-quadratic commutator), so no decision changes when the matrix is scaled;
-the tests compare with ``<=``, so the all-zero matrix passes them.
+quadratic commutator), so no decision changes when the matrix is scaled
+while no square over- or underflows (bounds.Compression sees to that); the
+tests compare with ``<=``, so the all-zero matrix passes them.
 
 Complex arithmetic never enters the computation.  Antisymmetric and normal
 spectra are obtained from real symmetric eigenproblems only, which keeps

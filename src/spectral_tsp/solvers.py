@@ -16,10 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_distance_matrix
+from .bounds import Compression, check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import SplitMix64
-from .linalg import _Checked, is_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -62,40 +61,24 @@ def _permutations(m: int) -> np.ndarray:
     return P
 
 
-@dataclass(frozen=True)
-class _Suffixes:
+@functools.cache
+def _suffixes(m: int, rising: bool) -> tuple[np.ndarray, np.ndarray]:
     """The permutations of range(m) as the arrays a batch of tours reads.
 
-    Row r visits first[r], then codes[k, r] % m for k = 0..m-2, ending at
-    last[r]; codes[k, r] = P[r, k] * m + P[r, k + 1] indexes the flattened
-    m x m block of distances among the batch's cities (at most 80, so int8).
-    All three are read-only and shared by every call with the same m.
+    Returns P, the rows of _permutations(m) (with rising, only those whose
+    first value is below their last: one orientation of each tour), and
+    codes[k, r] = P[r, k] * m + P[r, k + 1], which index the flattened
+    m x m block of distances among the batch's cities (at most 80, so
+    int8).  Both are read-only and shared by every call with the same m.
     """
-
-    first: np.ndarray
-    last: np.ndarray
-    codes: np.ndarray
-
-    def tail(self, r: int) -> list[int]:
-        """Row r as positions 0..m-1, in visiting order."""
-        m = len(self.codes) + 1
-        return [int(self.first[r]), *(int(c) % m for c in self.codes[:, r])]
-
-
-@functools.cache
-def _suffixes(m: int, rising: bool) -> _Suffixes:
-    """Permutation table for batches of m cities; with rising, only the rows
-    whose first value is below their last (one orientation of each tour)."""
     P = _permutations(m)
-    if rising:
-        P = P[P[:, 0] < P[:, -1]]
+    # column-major, so that each column a batch reads is contiguous
+    P = np.asfortranarray(P[P[:, 0] < P[:, -1]] if rising else P)
     codes = np.empty((m - 1, len(P)), dtype=np.int8)
     for k in range(m - 1):
         np.add(P[:, k] * np.int8(m), P[:, k + 1], out=codes[k])
-    table = _Suffixes(first=P[:, 0].copy(), last=P[:, -1].copy(), codes=codes)
-    for a in (table.first, table.last, table.codes):
-        a.flags.writeable = False
-    return table
+    P.flags.writeable = codes.flags.writeable = False
+    return P, codes
 
 
 def brute_force(D) -> Tour:
@@ -108,9 +91,10 @@ def brute_force(D) -> Tour:
     minimal length the lexicographically smallest order wins, which makes
     the result reproducible bit for bit.  Tours are measured in numpy
     batches: each batch fixes the leading cities and permutes the last
-    m = min(n - 1, 9), in lexicographic order, through a permutation table
-    built once per m.  Each length is summed in one order, the closing
-    pair A[0, t0] + A[t_last, 0] and then every edge from left to right.
+    m = min(n - 1, 9), in lexicographic order, read from the permutation
+    rows of _suffixes, built once per m.  Each length is summed in one
+    order, the closing pair A[0, t0] + A[t_last, 0] and then every edge
+    from left to right.
     """
     A = check_distance_matrix(D)
     n = A.shape[0]
@@ -121,41 +105,40 @@ def brute_force(D) -> Tour:
     lead = n - 1 - m
     # with no leading cities, keeping the tails whose first city is below
     # their last is keeping the rows whose first position is below their last
-    table = _suffixes(m, symmetric and not lead)
-    total, edge = np.empty(len(table.first)), np.empty(len(table.first))
+    P, codes = _suffixes(m, symmetric and not lead)
+    first, last = P[:, 0], P[:, -1]
+    total, edge = np.empty(len(P)), np.empty(len(P))
 
-    best_len = np.inf
-    best_tour: list[int] | None = None
+    best_len, best_tour = np.inf, None
     for head in itertools.permutations(range(1, n), lead):
         rest = np.setdiff1d(np.arange(1, n), head)
         block = A[np.ix_(rest, rest)].ravel()
         # every index is in range, so "clip" alters none; unlike "raise", it
         # lets take write into out without a buffer
-        np.take(A[rest, 0], table.last, out=total, mode="clip")
+        np.take(A[rest, 0], last, out=total, mode="clip")
         if head:
             total += A[0, head[0]]
             for u, v in itertools.pairwise(head):
                 total += A[u, v]
-        np.take(A[head[-1] if head else 0, rest], table.first, out=edge, mode="clip")
+        np.take(A[head[-1] if head else 0, rest], first, out=edge, mode="clip")
         total += edge
-        for codes in table.codes:
-            np.take(block, codes, out=edge, mode="clip")
+        for code in codes:
+            np.take(block, code, out=edge, mode="clip")
             total += edge
         lengths, rows = total, None
         if symmetric and head:
             # one orientation: head[0] < rest[last], that is, last at or past
             # the number of cities in rest below head[0]
-            rows = np.flatnonzero(table.last >= np.searchsorted(rest, head[0]))
+            rows = np.flatnonzero(last >= np.searchsorted(rest, head[0]))
             lengths = total[rows]
         if not len(lengths):
             continue
         # batches come in lexicographic order and argmin takes the first
-        # minimum, so exact ties resolve to the lexicographically smallest order;
-        # the first batch always counts, so lengths that overflow still give a tour
+        # minimum, so exact ties resolve to the lexicographically smallest order
         i = int(np.argmin(lengths))
-        if best_tour is None or lengths[i] < best_len:
+        if lengths[i] < best_len:
             r = i if rows is None else int(rows[i])
-            best_len, best_tour = lengths[i], [0, *head, *(int(c) for c in rest[table.tail(r)])]
+            best_len, best_tour = lengths[i], [0, *head, *(int(c) for c in rest[P[r]])]
 
     return Tour(order=best_tour, length=tour_length(A, best_tour))
 
@@ -230,48 +213,29 @@ def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
     return order
 
 
-def _first_improving_row(A: np.ndarray, order: np.ndarray, i: int, upper: np.ndarray) -> int:
-    """The first row from i on that holds an improving 2-opt move, or n - 1.
+def _first_move(A: np.ndarray, order: np.ndarray, i: int, j: int, upper: np.ndarray) -> tuple[int, int] | None:
+    """The first improving 2-opt move from (i, j) on, in row-major order, or None.
 
-    Row i holds the moves (i, j), j = i + 2 .. n, which reverse order[i:j]
-    and replace the edges (a, b) = (order[i - 1], order[i]) and
-    (c, d) = (order[j - 1], order[j % n]).  _ROW_BLOCK rows are measured in
-    one array step, every delta the same expression _improve_row evaluates;
-    upper[r, k] masks row r of a block to its own j = i + 2 + k >= i + r + 2.
+    Move (i, j), 1 <= i <= n - 2 and i + 2 <= j <= n, reverses order[i:j]
+    and replaces the edges (a, b) = (order[i - 1], order[i]) and
+    (c, d) = (order[j - 1], order[j % n]); it improves when it shortens the
+    tour by more than 1e-12.  A scan from the start of a row measures
+    _ROW_BLOCK rows in one array step, upper[r, k] masking row i + r to its
+    own j >= i + r + 2; a scan resuming inside row i measures that row alone.
     """
     n = len(order)
     while i < n - 1:
-        rows = np.arange(i, min(i + _ROW_BLOCK, n - 1))
+        rows = np.arange(i, min(i + _ROW_BLOCK, n - 1) if j == i + 2 else i + 1)
         a, b = order[rows - 1], order[rows]
-        c = order[i + 1 :]
-        d = np.append(order[i + 2 :], order[0])
+        c, d = order[j - 1 : n], order[np.arange(j, n + 1) % n]
         delta = A[a[:, None], c] + A[b[:, None], d] - A[a, b][:, None] - A[c, d]
-        hit = ((delta < -1e-12) & upper[: len(rows), : len(c)]).any(axis=1)
+        hit = (delta < -1e-12) & upper[: len(rows), : len(c)]
         if hit.any():
-            return i + int(np.argmax(hit))
+            r, k = divmod(int(np.argmax(hit)), len(c))  # the first hit in row-major order
+            return i + r, j + k
         i += len(rows)
-    return n - 1
-
-
-def _improve_row(A: np.ndarray, order: np.ndarray, i: int) -> None:
-    """Apply row i's moves in place: the first improving j, then the first
-    improving one after it, until none is left."""
-    a, b = order[i - 1], order[i]
-    # a reversal leaves every position from j on alone, so after one the
-    # scan resumes at j + 1 with only b changed
-    c = order[i + 1 :]
-    d = np.append(order[i + 2 :], order[0])
-    ac, cd = A[a, c], A[c, d]
-    start = 0
-    while start < len(d):
-        delta = ac[start:] + A[b, d[start:]] - A[a, b] - cd[start:]
-        hits = np.flatnonzero(delta < -1e-12)
-        if not len(hits):
-            break
-        j = i + 2 + start + int(hits[0])
-        order[i:j] = order[i:j][::-1].copy()
-        b = order[i]
-        start = j - i - 1
+        j = i + 2
+    return None
 
 
 def two_opt(D, seed: int = 0) -> Tour:
@@ -282,12 +246,13 @@ def two_opt(D, seed: int = 0) -> Tour:
     first-improvement segment reversals until no reversal shortens the tour
     by more than 1e-12.  The result is a local optimum: never longer than
     its greedy start, and of course never shorter than the true minimum.
-    Each sweep scans rows i = 1 .. n - 2 in blocks, jumps to the first row
-    with a move, applies that row's moves and resumes at the next row.
-    Raises NotSymmetric unless D is symmetric at the default tolerance.
+    Each sweep applies the first improving move from where the last one
+    was found on, until a sweep finds none.
+    Raises NotSymmetric unless D is symmetric at the default tolerance,
+    judged as bounds.Compression judges it, at any magnitude.
     """
     A = check_distance_matrix(D)
-    if not is_symmetric(_Checked(A)):
+    if not Compression(A).symmetric:
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
     order = _nearest_neighbour(A, SplitMix64(seed))
@@ -295,11 +260,12 @@ def two_opt(D, seed: int = 0) -> Tour:
     upper = np.triu(np.ones((_ROW_BLOCK, n), dtype=bool))
     improved = True
     while improved:
-        improved = False
-        i = _first_improving_row(A, order, 1, upper)
-        while i < n - 1:
-            _improve_row(A, order, i)
-            improved = True
-            i = _first_improving_row(A, order, i + 1, upper)
+        improved, i, j = False, 1, 3
+        # a reversal leaves every position from j on alone, so the scan
+        # resumes at (i, j + 1)
+        while move := _first_move(A, order, i, j, upper):
+            i, j = move
+            order[i:j] = order[i:j][::-1].copy()
+            improved, j = True, j + 1
     order = [int(x) for x in order]
     return Tour(order=order, length=tour_length(A, order))

@@ -386,7 +386,7 @@ _FAMILIES = [
 @settings(max_examples=80, deadline=None)
 @given(
     stn.integers(min_value=0, max_value=10**6),
-    stn.floats(min_value=-12.0, max_value=12.0),
+    stn.floats(min_value=-290.0, max_value=290.0),
     stn.sampled_from(range(len(_FAMILIES))),
 )
 def test_report_is_scale_free(seed, log_alpha, family):
@@ -405,11 +405,55 @@ def test_report_is_scale_free(seed, log_alpha, family):
 
 
 @settings(max_examples=30, deadline=None)
-@given(stn.integers(min_value=0, max_value=10**6), stn.floats(min_value=-12.0, max_value=12.0))
+@given(stn.integers(min_value=0, max_value=10**6), stn.floats(min_value=-290.0, max_value=290.0))
 def test_scaled_directed_phi_is_sound(seed, log_alpha):
     D = 10.0**log_alpha * random_asymmetric(7, seed=seed)
     opt = solvers.brute_force(D).length
     assert bounds.bound_report(D).phi <= opt + 1e-9 * opt
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    stn.integers(min_value=0, max_value=10**6),
+    stn.integers(min_value=-900, max_value=900),
+    stn.sampled_from(range(len(_FAMILIES))),
+)
+def test_report_scales_exactly_by_powers_of_two(seed, k, family):
+    # scaling by a power of two is exact, so D * 2^k has the flags of D and
+    # 2^k times its phi, bit for bit, far past where squares over- or underflow
+    D = _FAMILIES[family](4 + seed % 5, seed)
+    base = bounds.bound_report(D)
+    scaled = bounds.bound_report(np.ldexp(D, k))
+    assert (scaled.symmetric, scaled.normal, scaled.psd) == (base.symmetric, base.normal, base.psd)
+    assert scaled.phi == math.ldexp(base.phi, k)
+
+
+@pytest.mark.parametrize(
+    "family, n, seed, alpha",
+    [
+        # was judged symmetric and normal once its squared norms overflowed
+        (random_asymmetric, 6, 1, 1e160),
+        # the same, with the squares underflowing
+        (random_asymmetric, 6, 1, 1e-170),
+        # was judged symmetric and psd, with a euclidean_floor of 0.660 against an optimum of 0.394
+        (random_circulant, 7, 6, 1e155),
+        # K^T K underflowed, and phi_general was 0.447656 against an optimum of 0.446725
+        (random_circulant, 7, 8, 1e-160),
+    ],
+)
+def test_extreme_magnitudes_keep_their_flags_and_bounds(family, n, seed, alpha):
+    D = family(n, seed)
+    base = bounds.bound_report(D)
+    rep = _assert_report_is_sound(alpha * D, linalg.DEFAULT_TOL)
+    assert (rep.symmetric, rep.normal, rep.psd) == (base.symmetric, base.normal, base.psd)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1e150, 1e160, 1e-160])
+def test_nonzero_diagonal_is_rejected_at_every_magnitude(alpha):
+    D = alpha * random_symmetric(6, seed=1)
+    np.fill_diagonal(D, 1e-6 * alpha)
+    with pytest.raises(NonzeroDiagonal):
+        bounds.check_distance_matrix(D)
 
 
 def test_tiny_asymmetric_matrix_is_not_judged_symmetric():

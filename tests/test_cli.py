@@ -253,6 +253,43 @@ def test_non_finite_numbers_exit_2_and_batch_keeps_going(tmp_path, section):
     assert rows[1]["instance"]["name"] == "gr17" and "error" not in rows[1]
 
 
+def test_distances_whose_tour_lengths_overflow_exit_3_and_batch_keeps_going(tmp_path):
+    # every weight is finite, but four of them overflow a tour length
+    big = tmp_path / "big.tsp"
+    rows = "\n".join(" ".join("0" if i == j else "1e308" for j in range(4)) for i in range(4))
+    big.write_text(
+        "NAME: big\nTYPE: TSP\nDIMENSION: 4\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+        f"EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n{rows}\nEOF\n"
+    )
+    runs = [("bound", str(big))] + [("solve", str(big), "--method", m) for m in ("brute", "held-karp", "two-opt")]
+    for args in runs:
+        proc = run_cli(*args)
+        assert proc.returncode == 3 and proc.stdout == "", args
+        assert proc.stderr.startswith("error: ") and "overflow" in proc.stderr, args
+
+    (tmp_path / "run.manifest").write_text(f"big.tsp\n{FIXTURES / 'gr17.tsp'}\n")
+    proc = run_cli("batch", str(tmp_path / "run.manifest"))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    rows = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert rows[0]["error_kind"] == "numeric" and "overflow" in rows[0]["error"]
+    assert rows[1]["instance"]["name"] == "gr17" and "error" not in rows[1]
+
+
+def test_a_ratio_that_is_not_finite_exits_3_and_batch_keeps_going(tmp_path):
+    # phi / 1e-320 overflows; JSON has no Infinity to print it as
+    (tmp_path / "tiny.opt").write_text("optimum: 1e-320\n")
+    proc = run_cli("bound", str(FIXTURES / "att48.tsp"), "--sidecar", str(tmp_path / "tiny.opt"))
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and "not a finite number" in proc.stderr
+
+    (tmp_path / "run.manifest").write_text(f"{FIXTURES / 'att48.tsp'},tiny.opt\n{FIXTURES / 'gr17.tsp'}\n")
+    proc = run_cli("batch", str(tmp_path / "run.manifest"))
+    assert proc.returncode == 3 and "Traceback" not in proc.stderr
+    rows = [json.loads(l) for l in proc.stdout.splitlines()]
+    assert rows[0]["error_kind"] == "numeric" and "not a finite number" in rows[0]["error"]
+    assert rows[1]["instance"]["name"] == "gr17" and "error" not in rows[1]
+
+
 def test_check_graph_rejects_entries_outside_zero_one(tmp_path):
     f = tmp_path / "wide.adj"
     f.write_text("0 256 1\n256 0 1\n1 1 0\n")

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import oracles
-from spectral_tsp import solvers
-from spectral_tsp.errors import InvalidTour, NotSymmetric, TooLarge
+from spectral_tsp import bounds, solvers
+from spectral_tsp.errors import InvalidMatrix, InvalidTour, NotSymmetric, TooLarge
 from spectral_tsp.instances import (
     circle_instance,
     line_instance,
@@ -71,12 +71,13 @@ def test_brute_force_deterministic_tie_break():
     assert t.order == [0, 1, 2, 3, 4, 5]
 
 
-def test_brute_force_returns_a_tour_when_every_length_overflows():
+def test_distances_whose_tour_lengths_overflow_are_rejected():
+    # every entry is finite, but n * max|D| is not, and so is no tour length
     D = np.full((5, 5), 1e308)
     np.fill_diagonal(D, 0.0)
-    with np.errstate(over="ignore"):
-        t = solvers.brute_force(D)
-    assert t.order == [0, 1, 2, 3, 4] and t.length == np.inf
+    for method in (solvers.brute_force, solvers.held_karp, solvers.two_opt, bounds.bound_report):
+        with pytest.raises(InvalidMatrix, match="overflow"):
+            method(D)
 
 
 def test_permutations_in_lexicographic_order():
@@ -147,8 +148,11 @@ def test_two_opt_is_deterministic_per_seed():
 
 
 def test_two_opt_rejects_asymmetric():
-    with pytest.raises(NotSymmetric):
-        solvers.two_opt(random_asymmetric(6, seed=1))
+    # at 1e160 and 1e-170 squared norms that overflow or underflow judged
+    # this symmetric, and the reversals then cycled without end
+    for alpha in (1.0, 1e160, 1e-170):
+        with pytest.raises(NotSymmetric):
+            solvers.two_opt(alpha * random_asymmetric(6, seed=1))
 
 
 def test_two_opt_output_is_two_opt_minimal():
@@ -199,9 +203,9 @@ def test_brute_force_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
 
 def test_suffix_tables_are_read_only():
     for rising in (True, False):
-        table = solvers._suffixes(4, rising)
-        assert table is solvers._suffixes(4, rising)
-        for a in (table.first, table.last, table.codes):
+        P, codes = tables = solvers._suffixes(4, rising)
+        assert tables is solvers._suffixes(4, rising)
+        for a in (P, codes):
             with pytest.raises(ValueError):
                 a[0] = 0
 
