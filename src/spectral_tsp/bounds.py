@@ -36,8 +36,10 @@ from .linalg import (
     DEFAULT_TOL,
     _antisym_spectrum,
     _Checked,
+    _scale,
     as_square,
     center_restrict,
+    check_tol,
     commuting_spectrum,
     is_symmetric,
     parts_commute,
@@ -46,16 +48,6 @@ from .linalg import (
 _DIAG_TOL = 1e-12
 # a residual of roundoff size, whatever tol is: at most this times n * (its scale)
 _ROUNDOFF = 64.0 * np.finfo(float).eps
-
-
-def _scale(top: float) -> float:
-    """The exact divisor for a matrix whose largest |entry| is top: outside
-    2^-129 <= top < 2^128, the power of two math.frexp gives for top, else 1.
-    Inside that range no square or fourth power the bounds take of an entry
-    near top over- or underflows, and the matrix is not copied: a quotient
-    per report took bound_report at n = 400 from 17.5 to 22 ms on 2 cores."""
-    k = math.frexp(top)[1]
-    return 2.0**k if abs(k) > 128 else 1.0
 
 
 def check_distance_matrix(D) -> np.ndarray:
@@ -109,13 +101,18 @@ class Compression:
     def __init__(self, D, tol: float = DEFAULT_TOL):
         D = check_distance_matrix(D)
         self.n = D.shape[0]
-        self.tol = tol
+        self.tol = check_tol(tol)
         self.scale = _scale(float(max(D.max(), -D.min())))
         self.A = D if self.scale == 1.0 else D / self.scale
 
     @cached_property
+    def exactly_symmetric(self) -> bool:
+        """A == A^T entry for entry: then no difference A - A^T is formed."""
+        return np.array_equal(self.A, self.A.T)
+
+    @cached_property
     def symmetric(self) -> bool:
-        return is_symmetric(_Checked(self.A), self.tol)
+        return self.exactly_symmetric or is_symmetric(_Checked(self.A), self.tol)
 
     @cached_property
     def R(self) -> np.ndarray:
@@ -123,11 +120,13 @@ class Compression:
 
     @cached_property
     def S(self) -> np.ndarray:
-        return 0.5 * (self.R + self.R.T)
+        S = self.R + self.R.T
+        return np.multiply(S, 0.5, out=S)
 
     @cached_property
     def K(self) -> np.ndarray:
-        return 0.5 * (self.R - self.R.T)
+        K = self.R - self.R.T
+        return np.multiply(K, 0.5, out=K)
 
     @cached_property
     def skew(self) -> float:
@@ -135,7 +134,7 @@ class Compression:
 
         A tour takes one entry per row, so on A it is at least as long as on
         (A + A^T) / 2 less this, whatever tol judged A to be symmetric."""
-        return float(0.5 * np.abs(self.A - self.A.T).max(axis=1).sum())
+        return 0.0 if self.exactly_symmetric else float(0.5 * np.abs(self.A - self.A.T).max(axis=1).sum())
 
     @cached_property
     def normal(self) -> bool:
@@ -168,14 +167,18 @@ class Compression:
         return commuting_spectrum(*np.linalg.eigh(self.S), self.K, self.tol)
 
     @cached_property
+    def S_norm(self) -> float:
+        return float(np.linalg.norm(self.S))
+
+    @cached_property
     def psd(self) -> bool:
         """mu is non-negative, at tolerance tol * ||S||_F."""
-        return bool(self.spectrum[-1] >= -self.tol * float(np.linalg.norm(self.S)))
+        return bool(self.spectrum[-1] >= -self.tol * self.S_norm)
 
     @cached_property
     def floor_holds(self) -> bool:
         """psd at the tighter of tol and roundoff (64 n eps): what euclidean_floor needs."""
-        return bool(self.spectrum[-1] >= -min(self.tol, _ROUNDOFF * self.n) * float(np.linalg.norm(self.S)))
+        return bool(self.spectrum[-1] >= -min(self.tol, _ROUNDOFF * self.n) * self.S_norm)
 
 
 def _compression(D, tol: float, symmetric: bool = False) -> Compression:
@@ -247,8 +250,10 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
     the `skew` of D.
     """
     c = _compression(D, tol, symmetric=True)
-    off = 0.5 * (c.A + c.A.T) + np.diag(np.full(c.n, np.inf))
-    return c.scale * (float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - c.skew)
+    off = c.A.copy() if c.exactly_symmetric else 0.5 * (c.A + c.A.T)  # 0.5 (a + a) is a
+    np.fill_diagonal(off, np.inf)
+    off.partition(1, axis=1)
+    return c.scale * (float(0.5 * off[:, :2].sum()) - c.skew)
 
 
 def mean_distance(D) -> float:

@@ -39,7 +39,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds, graphs, instances, solvers, tsplib
-from .errors import InputFormatError, SpectralTspError, TooLarge
+from .errors import InputFormatError, InvalidTolerance, SpectralTspError, TooLarge
+from .linalg import check_tol
 
 _MATRIX_FAMILIES = {
     "uniform": lambda a: instances.uniform_instance(a.n),
@@ -71,12 +72,9 @@ def _tolerance(flag: str | None) -> float:
     env = os.environ.get("SPECTRAL_TSP_TOL") or "1e-8"
     source, raw = ("--tol", flag) if flag is not None else ("SPECTRAL_TSP_TOL", env)
     try:
-        tol = float(raw)
-    except ValueError:
-        tol = np.nan
-    if not 0.0 <= tol < np.inf:
-        raise InputFormatError(f"{source} must be a finite number >= 0, got {raw!r}")
-    return tol
+        return check_tol(float(raw))
+    except (ValueError, InvalidTolerance):
+        raise InputFormatError(f"{source} must be a finite number >= 0, got {raw!r}") from None
 
 
 def _load_matrix(args) -> tuple[np.ndarray, dict, float | None]:

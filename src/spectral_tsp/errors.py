@@ -43,6 +43,10 @@ class InvalidMatrix(SpectralTspError):
     invalid for the operation (e.g. an adjacency matrix with self-loops)."""
 
 
+class InvalidTolerance(SpectralTspError):
+    """A decision tolerance is not a finite number >= 0."""
+
+
 class NotSymmetric(SpectralTspError):
     """Operation requires a symmetric matrix and the argument is not one."""
 

@@ -31,7 +31,7 @@ from .errors import (
     NotInverseClosed,
     TooLarge,
 )
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, check_tol
 
 ORACLE_CAP = 12
 # largest edge-list vertex count and command-line size flag: orders, and a
@@ -293,6 +293,7 @@ def _screen(value: float, threshold: float, tol: float) -> ScreenResult:
 
 def hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the complement bound rises above 0."""
+    check_tol(tol)
     if g.n < 3:
         raise InvalidDimension("Hamiltonian cycles need at least 3 vertices")
     return _screen(complement_phi(g), 0.0, tol)
@@ -300,6 +301,7 @@ def hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
 
 def traceable_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonian paths when the complement bound rises above 1."""
+    check_tol(tol)
     if g.n < 3:
         raise InvalidDimension("screen needs at least 3 vertices")
     return _screen(complement_phi(g), 1.0, tol)
@@ -307,6 +309,7 @@ def traceable_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
 
 def distance_hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the hop-distance bound rises above n."""
+    check_tol(tol)
     if g.n < 3:
         raise InvalidDimension("Hamiltonian cycles need at least 3 vertices")
     return _screen(distance_phi(g), float(g.n), tol)

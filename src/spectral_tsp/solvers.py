@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,13 +214,15 @@ def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
     return order
 
 
-def _first_move(A: np.ndarray, order: np.ndarray, i: int, j: int, upper: np.ndarray) -> tuple[int, int] | None:
+def _first_move(
+    A: np.ndarray, order: np.ndarray, i: int, j: int, upper: np.ndarray, least: float
+) -> tuple[int, int] | None:
     """The first improving 2-opt move from (i, j) on, in row-major order, or None.
 
     Move (i, j), 1 <= i <= n - 2 and i + 2 <= j <= n, reverses order[i:j]
     and replaces the edges (a, b) = (order[i - 1], order[i]) and
     (c, d) = (order[j - 1], order[j % n]); it improves when it shortens the
-    tour by more than 1e-12.  A scan from the start of a row measures
+    tour by more than `least`.  A scan from the start of a row measures
     _ROW_BLOCK rows in one array step, upper[r, k] masking row i + r to its
     own j >= i + r + 2; a scan resuming inside row i measures that row alone.
     """
@@ -229,7 +232,7 @@ def _first_move(A: np.ndarray, order: np.ndarray, i: int, j: int, upper: np.ndar
         a, b = order[rows - 1], order[rows]
         c, d = order[j - 1 : n], order[np.arange(j, n + 1) % n]
         delta = A[a[:, None], c] + A[b[:, None], d] - A[a, b][:, None] - A[c, d]
-        hit = (delta < -1e-12) & upper[: len(rows), : len(c)]
+        hit = (delta < -least) & upper[: len(rows), : len(c)]
         if hit.any():
             r, k = divmod(int(np.argmax(hit)), len(c))  # the first hit in row-major order
             return i + r, j + k
@@ -244,8 +247,10 @@ def two_opt(D, seed: int = 0) -> Tour:
     Starts at city 0, greedily visits the nearest unvisited city (exact
     distance ties are broken by a SplitMix64 draw from `seed`), then applies
     first-improvement segment reversals until no reversal shortens the tour
-    by more than 1e-12.  The result is a local optimum: never longer than
-    its greedy start, and of course never shorter than the true minimum.
+    by more than 1e-12 times the power of two math.frexp gives for max|D|,
+    so that D and 2^k D take the same moves.  The result is a local optimum:
+    never longer than its greedy start, and of course never shorter than the
+    true minimum.
     Each sweep applies the first improving move from where the last one
     was found on, until a sweep finds none.
     Raises NotSymmetric unless D is symmetric at the default tolerance,
@@ -256,6 +261,7 @@ def two_opt(D, seed: int = 0) -> Tour:
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
     order = _nearest_neighbour(A, SplitMix64(seed))
+    least = math.ldexp(1e-12, math.frexp(float(max(A.max(), -A.min())))[1])
 
     upper = np.triu(np.ones((_ROW_BLOCK, n), dtype=bool))
     improved = True
@@ -263,7 +269,7 @@ def two_opt(D, seed: int = 0) -> Tour:
         improved, i, j = False, 1, 3
         # a reversal leaves every position from j on alone, so the scan
         # resumes at (i, j + 1)
-        while move := _first_move(A, order, i, j, upper):
+        while move := _first_move(A, order, i, j, upper, least):
             i, j = move
             order[i:j] = order[i:j][::-1].copy()
             improved, j = True, j + 1

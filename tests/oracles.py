@@ -8,7 +8,10 @@ The loop versions of the solvers, instance generators, TSPLIB distance
 rules and group and Cayley builders are the reference the library's array
 versions must match bit for bit; so are the whole-array routes of
 brute_force, squared distances and GEO distances for the library's cached
-tables and row blocks.
+tables and row blocks.  The dense passes of a symmetric report (the
+Householder basis as I minus an outer product, the compression negated out
+of place, A - A^T for the skew and (A + A^T) / 2 for n2) are the reference
+for the library's in-place and exactly-symmetric routes, bit for bit.
 """
 
 from __future__ import annotations
@@ -61,6 +64,41 @@ def schoenberg_projector(D, tol: float = 1e-8) -> bool:
     n = D.shape[0]
     P = np.eye(n) - np.ones((n, n)) / n
     return is_psd(-P @ D @ P, tol)
+
+
+def householder_basis(n: int) -> np.ndarray:
+    """Columns 2..n of I - 2 w w^T / (w^T w), w = e_1 - (1/sqrt(n)) 1, formed densely."""
+    w = -np.full(n, 1.0 / np.sqrt(n))
+    w[0] += 1.0
+    return (np.eye(n) - (2.0 / (w @ w)) * np.outer(w, w))[:, 1:]
+
+
+def dense_report_fields(A, scale: float, tol: float) -> dict:
+    """The BoundReport fields of a matrix judged symmetric, from A = D / scale by dense passes.
+
+    Every step is the one a report took before it worked in place: R is
+    -(Q^T A Q) for the dense basis above, S = (R + R^T) / 2, the skew reads
+    A - A^T, and n2 partitions (A + A^T) / 2 plus an infinite diagonal.
+    """
+    n = A.shape[0]
+    Q = householder_basis(n)
+    R = -(Q.T @ A @ Q)
+    S = 0.5 * (R + R.T)
+    spectrum = np.linalg.eigvalsh(S)[::-1]
+    skew = float(0.5 * np.abs(A - A.T).max(axis=1).sum())
+    off = 0.5 * (A + A.T) + np.diag(np.full(n, np.inf))
+    coeffs = np.sort(1.0 - np.cos(2.0 * np.pi * np.arange(1, n) / n))
+    return {
+        "symmetric": float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A)),
+        "psd": bool(spectrum[-1] >= -tol * float(np.linalg.norm(S))),
+        "phi_symmetric": scale * (float(coeffs @ spectrum) - skew),
+        "n2": scale * (float(0.5 * np.partition(off, 1, axis=1)[:, :2].sum()) - skew),
+        "mu": [float(x) for x in scale * spectrum],
+        "skew": skew,
+        "R": R,
+        "S": S,
+        "K": 0.5 * (R - R.T),
+    }
 
 
 def min_pairing(coeffs, values) -> float:
@@ -292,9 +330,11 @@ def held_karp(D) -> tuple[list[int], float]:
 
 def two_opt(D, seed: int = 0) -> tuple[list[int], float]:
     """Nearest neighbour from city 0 (ties by a SplitMix64 draw), then
-    first-improvement 2-opt, one pair (i, j) at a time."""
+    first-improvement 2-opt, one pair (i, j) at a time, taking a move that
+    gains more than 1e-12 times the power of two math.frexp gives for max|D|."""
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
+    least = math.ldexp(1e-12, math.frexp(float(np.abs(D).max()))[1])
     draws = _splitmix64(seed)
     order = [0]
     unvisited = set(range(1, n))
@@ -312,7 +352,7 @@ def two_opt(D, seed: int = 0) -> tuple[list[int], float]:
         for i in range(1, n - 1):
             for j in range(i + 2, n + 1):
                 a, b, c, d = order[i - 1], order[i], order[j - 1], order[j % n]
-                if D[a, c] + D[b, d] - D[a, b] - D[c, d] < -1e-12:
+                if D[a, c] + D[b, d] - D[a, b] - D[c, d] < -least:
                     order[i:j] = reversed(order[i:j])
                     improved = True
     return order, _closed_length(D, order)

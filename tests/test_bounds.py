@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -14,9 +15,11 @@ import oracles
 from spectral_tsp import bounds, linalg, solvers
 from spectral_tsp.errors import (
     InvalidDimension,
+    InvalidTolerance,
     NonzeroDiagonal,
     NotNormal,
     NotSymmetric,
+    SpectralTspError,
 )
 from spectral_tsp.instances import (
     SplitMix64,
@@ -351,6 +354,62 @@ def test_normal_report_solves_one_assignment(calls):
     assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 3, "lsap": 1}
 
 
+def _dense_pass_sweep():
+    """Exactly symmetric, nearly symmetric, asymmetric, Fortran-ordered and signed-zero matrices."""
+    for n in (3, 7, 40):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            E = random_euclidean(n, seed=seed)[0]
+            S = random_symmetric(n, seed=seed)
+            A = random_asymmetric(n, seed=seed)
+            rounded = np.round(3.0 * E)
+            upper = np.triu(np.ones((n, n), dtype=bool), 1)
+            signed = np.where(upper & (rounded == 0.0), -0.0, rounded)  # -0.0 above, +0.0 below
+            mixed = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+            yield from (E, rounded, S, 0.5 * (A + A.T), A, random_circulant(n, seed))
+            yield from (S + 1e-12 * np.triu(rng.random((n, n)), 1), np.asfortranarray(E))
+            yield from (signed, signed.T, mixed, np.full((n, n), -0.0), 1e160 * S, 1e-170 * E)
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-8, 1.0])
+def test_report_matches_the_dense_passes_bit_for_bit(tol):
+    """The in-place basis, compression and parts, and the exactly-symmetric
+    skew and n2, give the bytes of the dense passes they replaced."""
+    routes = Counter()
+    for D in _dense_pass_sweep():
+        rep = bounds.bound_report(D, tol)
+        c = bounds.Compression(D, tol)
+        ref = oracles.dense_report_fields(c.A, c.scale, tol)
+        for part in "RSK":
+            assert getattr(c, part).tobytes() == ref[part].tobytes(), part
+        assert (rep.symmetric, rep.psd, repr(rep.mu)) == (ref["symmetric"], ref["psd"], repr(ref["mu"]))
+        if rep.symmetric:
+            assert repr((rep.phi_symmetric, rep.n2)) == repr((ref["phi_symmetric"], ref["n2"]))
+            assert c.skew == ref["skew"] and math.copysign(1.0, c.skew) == 1.0
+            if rep.euclidean_floor is not None:
+                n = rep.n
+                floor = float((n - 1) * (1.0 - np.cos(2.0 * np.pi / n)) * rep.mean_distance) - c.scale * ref["skew"]
+                assert repr(rep.euclidean_floor) == repr(floor)
+        routes[(rep.symmetric, c.exactly_symmetric)] += 1
+    assert routes[(True, True)] and routes[(False, False)]
+    assert routes[(True, False)] or tol < 1e-12  # inexactly symmetric input keeps the dense route
+
+
+def test_symmetric_report_holds_at_most_four_matrices():
+    # R, S and K, and one n x n array at a time besides them: the dense
+    # passes peaked at five (tracemalloc, D allocated before tracing)
+    n = 400
+    D = random_euclidean(n, seed=1)[0]
+    bounds.bound_report(D)
+    tracemalloc.start()
+    try:
+        bounds.bound_report(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 8 * n * n
+
+
 def test_symmetric_report_does_not_import_scipy_optimize():
     src = str(Path(bounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -554,6 +613,16 @@ def test_psd_at_a_loose_tol_reports_no_euclidean_floor():
 
 
 # ---------------------------------------------------------------- validation
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf, -math.inf])
+def test_a_tol_outside_zero_to_infinity_is_rejected(tol):
+    # at -1 and nan an exactly symmetric matrix was reported not symmetric
+    D = [[0, 1, 2], [1, 0, 3], [2, 3, 0]]
+    for call in (bounds.Compression, bounds.bound_report, bounds.phi_symmetric, bounds.phi_general, bounds.n2_bound):
+        with pytest.raises(InvalidTolerance):
+            call(D, tol)
+    assert issubclass(InvalidTolerance, SpectralTspError)
 
 
 def test_check_distance_matrix_errors():

@@ -317,6 +317,14 @@ def test_bad_tolerance_exits_2(flags, env):
     assert "finite number >= 0" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("command", [["bound", "--family", "circle", "--n", "8"], ["batch", "missing.manifest"]])
+def test_bad_tolerance_exits_2_before_any_work(command):
+    # the library raises InvalidTolerance too; the command line names its flag first
+    proc = run_cli("--tol", "-1", *command)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--tol must be a finite number >= 0" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_zero_tolerance_is_accepted():
     doc = doc_of(run_cli("--tol", "0", "bound", "--family", "circle", "--n", "8"))
     assert doc["symmetric"] is True

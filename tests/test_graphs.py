@@ -13,6 +13,7 @@ from spectral_tsp.errors import (
     InvalidDimension,
     InvalidMatrix,
     NotInverseClosed,
+    InvalidTolerance,
     SpectralTspError,
     TooLarge,
 )
@@ -443,6 +444,13 @@ def test_dihedral_distance_screen_saturates():
 def test_distance_screen_rejects_disconnected():
     with pytest.raises(Disconnected):
         distance_hamiltonian_screen(disjoint_cliques(3))
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_screens_reject_a_tol_outside_zero_to_infinity(tol):
+    for screen in (hamiltonian_screen, traceable_screen, distance_hamiltonian_screen):
+        with pytest.raises(InvalidTolerance):
+            screen(cycle_graph(6), tol)
 
 
 def test_screens_sound_on_small_corpus():

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings, strategies as stn
 
 import oracles
 from spectral_tsp import bounds, linalg
-from spectral_tsp.errors import InvalidMatrix, NotNormal
+from spectral_tsp.errors import InvalidMatrix, InvalidTolerance, NotNormal
 from spectral_tsp.instances import (
     SplitMix64,
     random_asymmetric,
@@ -27,6 +28,11 @@ def test_householder_basis_is_deterministic():
     a = linalg.householder_basis(9)
     b = linalg.householder_basis(9)
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 40, 300])
+def test_householder_basis_in_place_is_the_dense_reflection(n):
+    assert linalg.householder_basis(n).tobytes() == oracles.householder_basis(n).tobytes()
 
 
 def test_center_restrict_spectrum_matches_projector_route():
@@ -130,6 +136,25 @@ def test_predicates_are_scale_free_and_pass_the_zero_matrix():
         assert not bounds.Compression(alpha * A).normal
 
 
+@pytest.mark.parametrize("alpha", [1e160, 1e-170, 1e300, 1e-300])
+def test_is_symmetric_is_scale_free(alpha):
+    # at 1e-170 the squares underflowed and this asymmetric matrix passed;
+    # at 1e160 they overflowed, with a numpy RuntimeWarning
+    assert not linalg.is_symmetric(alpha * random_asymmetric(6, seed=1))
+    assert linalg.is_symmetric(alpha * random_symmetric(6, seed=1))
+
+
+def test_is_symmetric_judges_d_and_2_to_the_k_d_alike():
+    S, A = random_symmetric(7, seed=2), random_asymmetric(7, seed=2)
+    for eps in np.logspace(-12, -6, 25):
+        M = S + eps * A
+        tol = float(np.linalg.norm(M - M.T)) / float(np.linalg.norm(M))
+        for t in (0.5 * tol, tol, 2.0 * tol):
+            expected = linalg.is_symmetric(M, t)
+            for k in (-1000, -600, -200, 200, 600, 1000):
+                assert linalg.is_symmetric(np.ldexp(M, k), t) == expected, (eps, t, k)
+
+
 def test_is_psd():
     X = random_symmetric(5, seed=6)
     G = X @ X.T
@@ -198,6 +223,24 @@ def test_vn_trace_range_brackets_trace():
         tr = float(np.trace(A @ B))
         assert lo <= tr + 1e-9
         assert tr <= hi + 1e-9
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_symmetry_tests_reject_a_tol_outside_zero_to_infinity(tol):
+    # vn_trace_range raised NotSymmetric on symmetric input at -1 and nan
+    S = random_symmetric(5, seed=1)
+    with pytest.raises(InvalidTolerance):
+        linalg.is_symmetric(S, tol)
+    with pytest.raises(InvalidTolerance):
+        linalg.vn_trace_range(S, S, tol)
+
+
+def test_vn_trace_range_validates_each_matrix_once(monkeypatch):
+    names = []
+    original = linalg.as_square
+    monkeypatch.setattr(linalg, "as_square", lambda M, name="matrix": names.append(name) or original(M, name))
+    linalg.vn_trace_range(random_symmetric(5, seed=1), random_symmetric(5, seed=2))
+    assert len(names) == 2
 
 
 def test_vn_trace_range_is_hull_of_all_pairings():

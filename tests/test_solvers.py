@@ -155,6 +155,20 @@ def test_two_opt_rejects_asymmetric():
             solvers.two_opt(alpha * random_asymmetric(6, seed=1))
 
 
+def test_two_opt_takes_the_same_moves_at_every_scale():
+    # with an absolute 1e-12 threshold, scales of 1e-13 and below took no
+    # move and returned the nearest-neighbour start, 7.42 against 6.64
+    D = random_euclidean(60, seed=1)[0]
+    base = solvers.two_opt(D)
+    for k in (-900, -66, -43, 40, 900):
+        t = solvers.two_opt(np.ldexp(D, k))
+        assert t.order == base.order and t.length == np.ldexp(base.length, k), k
+    for scale in (1e-10, 1e-13, 1e-20):
+        assert solvers.two_opt(scale * D).length == pytest.approx(scale * base.length, rel=1e-12)
+    small = np.ldexp(random_euclidean(25, seed=3)[0], -60)
+    assert solvers.two_opt(small, seed=2).order == oracles.two_opt(small, 2)[0]
+
+
 def test_two_opt_output_is_two_opt_minimal():
     """No single segment reversal may improve the returned tour; that is
     the defining property of the local optimum."""
