@@ -214,13 +214,17 @@ def _batch_row(job) -> dict:
 
 
 def _cmd_batch(args) -> int:
+    if args.jobs < 1:
+        raise InputFormatError(f"--jobs must be at least 1, got {args.jobs}")
     rows = _manifest_rows(Path(args.manifest))
     jobs = [(p, s, args.tol) for p, s in rows]
-    if args.jobs > 1:
+    # a fork-based pool starts all its workers up front, so never more than rows
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
         # only a pool needs this import, which is a noticeable share of start-up
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             docs = list(pool.map(_batch_row, jobs))
     else:
         docs = [_batch_row(j) for j in jobs]
@@ -286,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", parents=[common], help="bound reports for a manifest of problem files")
     p.add_argument("manifest", help="text file: one 'problem[,sidecar]' per line, paths relative to it")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers (output order is still manifest order)")
+    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one per row (output in manifest order)")
     p.set_defaults(func=_cmd_batch)
 
     return ap

@@ -1,11 +1,12 @@
 """Exact and heuristic tour solvers used to certify the bounds.
 
-Two independent exact routes (exhaustive enumeration and dynamic
-programming over subsets) plus a 2-opt local search for sizes where
-exactness is out of reach.  Everything is deterministic: enumeration
-breaks ties toward the lexicographically smallest city order, the DP by
-first index, and the heuristic draws any tie-breaking from an explicit
-seed.
+Two independent exact routes (enumeration over a prefix tree of tours,
+which sums each shared prefix once and each length in one fixed order, and
+dynamic programming over subsets) plus a 2-opt local search for sizes where
+exactness is out of reach.  Each validates its matrix once.  Everything is
+deterministic: enumeration breaks ties toward the lexicographically
+smallest city order, the DP by first index, and the heuristic draws any
+tie-breaking from an explicit seed.
 """
 
 from __future__ import annotations
@@ -17,9 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import Compression, check_distance_matrix
+from .bounds import check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import SplitMix64
+from .linalg import _Checked, is_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -45,7 +47,12 @@ def tour_length(D, order) -> float:
     p = np.asarray(order, dtype=int)
     if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
         raise InvalidTour(f"order must be a permutation of 0..{n - 1}")
-    return float(A[p, np.roll(p, -1)].sum())
+    return _length(A, p)
+
+
+def _length(A: np.ndarray, order) -> float:
+    """tour_length on a validated matrix, for tours a solver built itself."""
+    return float(A[order, np.roll(order, -1)].sum())
 
 
 def _permutations(m: int) -> np.ndarray:
@@ -63,23 +70,32 @@ def _permutations(m: int) -> np.ndarray:
 
 
 @functools.cache
-def _suffixes(m: int, rising: bool) -> tuple[np.ndarray, np.ndarray]:
-    """The permutations of range(m) as the arrays a batch of tours reads.
+def _tree(m: int, rising: bool) -> tuple:
+    """The prefix tree over which the tours of one batch of m cities are summed.
 
-    Returns P, the rows of _permutations(m) (with rising, only those whose
-    first value is below their last: one orientation of each tour), and
-    codes[k, r] = P[r, k] * m + P[r, k + 1], which index the flattened
-    m x m block of distances among the batch's cities (at most 80, so
-    int8).  Both are read-only and shared by every call with the same m.
+    Each row of _permutations(m) is read as (last, t0, ..., t_{m-2}), the
+    tail t0, ..., t_{m-2}, last of one tour; with rising, only the rows Q
+    with t0 < last are kept, one orientation of each tour.  Level k of the
+    tree is Q[::(m-k-2)!, :k+2]: `last` and `first` (t0) are read off its
+    roots, and codes holds the edges t_{k-1} -> t_k of levels 1..m-2, then
+    t_{m-2} -> last, as a * m + b into the flattened m x m block of the
+    batch's distances (at most 80, so int8).  Rows with last = c start at
+    starts[c]; a call starts new arrays at spans, every last or every few
+    under 2^15 rows (whole batches of 9! doubles page-faulted afresh on
+    every call).  All are read-only and shared by every call with the same
+    m and rising.
     """
-    P = _permutations(m)
-    # column-major, so that each column a batch reads is contiguous
-    P = np.asfortranarray(P[P[:, 0] < P[:, -1]] if rising else P)
-    codes = np.empty((m - 1, len(P)), dtype=np.int8)
-    for k in range(m - 1):
-        np.add(P[:, k] * np.int8(m), P[:, k + 1], out=codes[k])
-    P.flags.writeable = codes.flags.writeable = False
-    return P, codes
+    Q = _permutations(m)
+    Q = Q[Q[:, 1] < Q[:, 0]] if rising else Q
+    strides = (math.factorial(m - k - 2) for k in range(1, m - 1))
+    codes = [Q[::f, k] * np.int8(m) + Q[::f, k + 1] for k, f in enumerate(strides, 1)]
+    codes += [Q[:, -1] * np.int8(m) + Q[:, 0]] if m > 1 else []
+    for a in (Q, *codes):
+        a.flags.writeable = False
+    roots = Q[:: math.factorial(max(m - 2, 0))]
+    starts = np.searchsorted(Q[:, 0], np.arange(m + 1)).tolist()
+    spans = (*starts[: -1 : max(1, (1 << 15) // math.factorial(m - 1))], len(Q))
+    return Q, roots[:, 0], roots[:, min(m - 1, 1)], tuple(codes), tuple(starts), spans
 
 
 def brute_force(D) -> Tour:
@@ -91,11 +107,13 @@ def brute_force(D) -> Tour:
     asymmetry can make one direction the shorter.  Among tours of exactly
     minimal length the lexicographically smallest order wins, which makes
     the result reproducible bit for bit.  Tours are measured in numpy
-    batches: each batch fixes the leading cities and permutes the last
-    m = min(n - 1, 9), in lexicographic order, read from the permutation
-    rows of _suffixes, built once per m.  Each length is summed in one
-    order, the closing pair A[0, t0] + A[t_last, 0] and then every edge
-    from left to right.
+    batches: each batch fixes the leading cities and sums the last
+    m = min(n - 1, 9) over the prefix tree of _tree, built once per m.  The
+    roots hold A[t_last, 0] plus the path from 0 to t0; each level repeats
+    its parent's partial sums over its children and adds one edge, and the
+    leaves add t_{m-2} -> t_last.  So each prefix is summed once, and each
+    length in one order whatever the batch width: the closing pair, then
+    every edge from left to right.
     """
     A = check_distance_matrix(D)
     n = A.shape[0]
@@ -103,45 +121,37 @@ def brute_force(D) -> Tour:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
     symmetric = np.array_equal(A, A.T)
     m = min(n - 1, _BATCH_CITIES)
-    lead = n - 1 - m
-    # with no leading cities, keeping the tails whose first city is below
-    # their last is keeping the rows whose first position is below their last
-    P, codes = _suffixes(m, symmetric and not lead)
-    first, last = P[:, 0], P[:, -1]
-    total, edge = np.empty(len(P)), np.empty(len(P))
+    Q, last, first, codes, starts, spans = _tree(m, symmetric and m == n - 1)
+    edge = np.empty(max(b - a for a, b in itertools.pairwise(spans)))
 
     best_len, best_tour = np.inf, None
-    for head in itertools.permutations(range(1, n), lead):
+    for head in itertools.permutations(range(1, n), n - 1 - m):
         rest = np.setdiff1d(np.arange(1, n), head)
+        root = A[rest, 0][last]
+        for u, v in itertools.pairwise((0, *head)):
+            root += A[u, v]
+        root += A[head[-1] if head else 0, rest][first]
         block = A[np.ix_(rest, rest)].ravel()
-        # every index is in range, so "clip" alters none; unlike "raise", it
-        # lets take write into out without a buffer
-        np.take(A[rest, 0], last, out=total, mode="clip")
-        if head:
-            total += A[0, head[0]]
-            for u, v in itertools.pairwise(head):
-                total += A[u, v]
-        np.take(A[head[-1] if head else 0, rest], first, out=edge, mode="clip")
-        total += edge
-        for code in codes:
-            np.take(block, code, out=edge, mode="clip")
-            total += edge
-        lengths, rows = total, None
-        if symmetric and head:
-            # one orientation: head[0] < rest[last], that is, last at or past
-            # the number of cities in rest below head[0]
-            rows = np.flatnonzero(last >= np.searchsorted(rest, head[0]))
-            lengths = total[rows]
-        if not len(lengths):
-            continue
-        # batches come in lexicographic order and argmin takes the first
-        # minimum, so exact ties resolve to the lexicographically smallest order
-        i = int(np.argmin(lengths))
-        if lengths[i] < best_len:
-            r = i if rows is None else int(rows[i])
-            best_len, best_tour = lengths[i], [0, *head, *(int(c) for c in rest[P[r]])]
+        # one orientation, head[0] < rest[last]: last is the outermost key,
+        # so those are the rows from the first last that is past head[0]
+        s = starts[int(np.searchsorted(rest, head[0])) if symmetric and head else 0]
+        for a, b in itertools.pairwise([s, *(x for x in spans if x > s)]):
+            total = root[a * len(root) // len(Q) : b * len(root) // len(Q)]
+            for code in codes:
+                code = code[a * len(code) // len(Q) : b * len(code) // len(Q)]
+                if len(code) > len(total):
+                    total = np.repeat(total, len(code) // len(total))
+                # every index is in range, so "clip" alters none; unlike
+                # "raise", it lets take write into out without a buffer
+                total += np.take(block, code, out=edge[: len(code)], mode="clip")
+            # the rows of one last, u to v, are in tour order: the first
+            # minimum among them is their lexicographically smallest
+            for u, v in itertools.pairwise([a, *(x for x in starts if a < x < b), b]):
+                i = u + int(np.argmin(total[u - a : v - a]))
+                tour = [0, *head, *rest[Q[i, 1:]].tolist(), int(rest[Q[i, 0]])]
+                best_len, best_tour = min((best_len, best_tour), (total[i - a], tour))
 
-    return Tour(order=best_tour, length=tour_length(A, best_tour))
+    return Tour(order=best_tour, length=_length(A, best_tour))
 
 
 def held_karp(D) -> Tour:
@@ -197,7 +207,7 @@ def held_karp(D) -> Tour:
         mask ^= 1 << j
         j = j2
     order = [0, *reversed(tail)]
-    return Tour(order=order, length=tour_length(A, order))
+    return Tour(order=order, length=_length(A, order))
 
 
 def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
@@ -257,7 +267,7 @@ def two_opt(D, seed: int = 0) -> Tour:
     judged as bounds.Compression judges it, at any magnitude.
     """
     A = check_distance_matrix(D)
-    if not Compression(A).symmetric:
+    if not is_symmetric(_Checked(A)):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
     order = _nearest_neighbour(A, SplitMix64(seed))
@@ -274,4 +284,4 @@ def two_opt(D, seed: int = 0) -> Tour:
             order[i:j] = order[i:j][::-1].copy()
             improved, j = True, j + 1
     order = [int(x) for x in order]
-    return Tour(order=order, length=tour_length(A, order))
+    return Tour(order=order, length=_length(A, order))

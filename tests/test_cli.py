@@ -340,6 +340,51 @@ def test_bound_reads_a_short_display_section(tmp_path):
     assert doc["instance"]["n"] == 3 and doc["mean_distance"] == pytest.approx(20.0 / 3)
 
 
+def test_batch_starts_at_most_one_worker_per_row(tmp_path, monkeypatch, capsys):
+    # a fork-based pool forks all its workers when it starts, so --jobs
+    # 100000 on one row must not reach it; a fake pool records the request
+    import concurrent.futures
+
+    started = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    (tmp_path / "three.tsp").write_text(
+        "NAME: three\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
+        "EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2\n1 0 3\n2 3 0\nEOF\n"
+    )
+    outputs = []
+    for rows, jobs, pool in [(1, "100000", []), (4, "100000", [4]), (4, "2", [2]), (4, "1", []), (1, "1", [])]:
+        manifest = tmp_path / f"rows{rows}.manifest"
+        manifest.write_text("three.tsp\n" * rows)
+        started.clear()
+        assert cli.main(["batch", str(manifest), "--jobs", jobs]) == 0
+        assert started == pool, (rows, jobs)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[2] == outputs[3] != outputs[0] == outputs[4]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "-100000"])
+def test_batch_jobs_below_one_exits_2(tmp_path, capsys, jobs):
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("missing.tsp\n")
+    assert cli.main(["batch", str(manifest), "--jobs", jobs]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and f"--jobs must be at least 1, got {jobs}" in err
+
+
 def test_cli_import_leaves_the_process_pool_out_and_batch_jobs_2_works():
     # scipy.sparse.csgraph alone takes longer to import than the whole CLI
     probe = (

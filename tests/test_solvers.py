@@ -14,6 +14,7 @@ from spectral_tsp.instances import (
     random_asymmetric,
     random_euclidean,
     random_symmetric,
+    uniform_instance,
 )
 
 
@@ -63,12 +64,16 @@ def test_brute_force_tour_is_valid_and_starts_at_zero():
     assert t.length == pytest.approx(solvers.tour_length(D, t.order))
 
 
-def test_brute_force_deterministic_tie_break():
+def test_brute_force_deterministic_tie_break(monkeypatch):
     # every tour of the uniform instance has the same length, so the
-    # lexicographically smallest order must win
-    D = np.ones((6, 6)) - np.eye(6)
-    t = solvers.brute_force(D)
-    assert t.order == [0, 1, 2, 3, 4, 5]
+    # lexicographically smallest order must win, although the tours are
+    # summed grouped by their last city and it is not the first of the first
+    # group; n = 11 and 12 fix leading cities per batch, and so does n = 11
+    # in batches of 7
+    for n, cities in [(6, 9), (10, 9), (11, 9), (11, 7), (12, 9)]:
+        monkeypatch.setattr(solvers, "_BATCH_CITIES", cities)
+        t = solvers.brute_force(uniform_instance(n))
+        assert (t.order, t.length) == (list(range(n)), float(n)), (n, cities)
 
 
 def test_distances_whose_tour_lengths_overflow_are_rejected():
@@ -78,6 +83,38 @@ def test_distances_whose_tour_lengths_overflow_are_rejected():
     for method in (solvers.brute_force, solvers.held_karp, solvers.two_opt, bounds.bound_report):
         with pytest.raises(InvalidMatrix, match="overflow"):
             method(D)
+
+
+@pytest.mark.parametrize("solve", [solvers.brute_force, solvers.held_karp, solvers.two_opt])
+def test_each_solver_validates_its_matrix_once(monkeypatch, solve):
+    seen = []
+    check = bounds.check_distance_matrix
+
+    def counted(D):
+        seen.append(D)
+        return check(D)
+
+    for owner in (solvers, bounds):
+        monkeypatch.setattr(owner, "check_distance_matrix", counted)
+    t = solve(random_euclidean(9, seed=2)[0])
+    assert len(seen) == 1
+    assert solvers.tour_length(seen[0], t.order) == t.length and len(seen) == 2
+
+
+def test_two_opt_judges_symmetry_as_compression_does():
+    # skews around the default tolerance, at magnitudes where squares of raw
+    # entries would over- or underflow
+    W = random_symmetric(8, seed=4)
+    K = random_asymmetric(8, seed=5)
+    for rel in (0.0, 3e-9, 6e-9, 1e-8, 2e-8, 1e-6):
+        for scale in (1.0, 1e-170, 1e160, 2.0**-600, 2.0**600):
+            D = scale * (W + rel * (K - K.T))
+            try:
+                solvers.two_opt(D)
+                symmetric = True
+            except NotSymmetric:
+                symmetric = False
+            assert symmetric == bounds.Compression(D).symmetric, (rel, scale)
 
 
 def test_permutations_in_lexicographic_order():
@@ -201,6 +238,9 @@ def test_brute_force_is_the_batch_oracle():
             for D in _matrices(n, seed):
                 t = solvers.brute_force(D)
                 assert (t.order, t.length) == oracles.brute_force(D), (n, seed)
+    D = np.floor(3.0 * random_symmetric(12, SEEDS[-1]))  # two leading cities, many ties
+    t = solvers.brute_force(D)
+    assert (t.order, t.length) == oracles.brute_force(D)
 
 
 @pytest.mark.parametrize("cities", [1, 2, 4])
@@ -215,27 +255,32 @@ def test_brute_force_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
                 assert (t.order, t.length) == oracles.brute_force(D, cities), (n, seed)
 
 
-def test_suffix_tables_are_read_only():
+def test_prefix_tree_tables_are_read_only():
     for rising in (True, False):
-        P, codes = tables = solvers._suffixes(4, rising)
-        assert tables is solvers._suffixes(4, rising)
-        for a in (P, codes):
+        Q, last, first, codes, starts, spans = tables = solvers._tree(4, rising)
+        assert tables is solvers._tree(4, rising)
+        for a in (Q, last, first, *codes):
             with pytest.raises(ValueError):
                 a[0] = 0
 
 
 def test_brute_force_keeps_no_tour_table():
-    # the bound is the peak of the whole-tail route on this input, 9.99 MB:
-    # it builds the permutation table, the tails and their indexed edges
+    # building the tables for symmetric n = 10 peaks at 6.72 MB (the
+    # permutation rows, 3.3 MB, and the half kept, 1.6 MB); with them built a
+    # call peaks at 0.97 MB, summing one last city's tours (at most 40320) at
+    # a time.  The whole-tail route peaked at 9.99 MB.  Both bounds leave
+    # about 4 %.
     D = random_symmetric(10, seed=5)
-    tracemalloc.start()
-    try:
-        t = solvers.brute_force(D)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 9_985_000
-    assert (t.order, t.length) == oracles.brute_force(D)
+    solvers._tree.cache_clear()
+    for bound in (7_000_000, 1_010_000):
+        tracemalloc.start()
+        try:
+            t = solvers.brute_force(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
+        assert (t.order, t.length) == oracles.brute_force(D)
 
 
 def test_held_karp_is_the_loop_oracle():
