@@ -36,12 +36,13 @@ from .linalg import (
     DEFAULT_TOL,
     _antisym_spectrum,
     _Checked,
+    _near_symmetric,
     _scale,
+    _top,
     as_square,
     center_restrict,
     check_tol,
     commuting_spectrum,
-    is_symmetric,
     parts_commute,
 )
 
@@ -50,25 +51,27 @@ _DIAG_TOL = 1e-12
 _ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
-def check_distance_matrix(D) -> np.ndarray:
+def check_distance_matrix(D) -> _Checked:
     """Validate a distance matrix: square, finite, n >= 3, zero diagonal.
 
     n * max|D| must be finite, so that no tour length overflows.  The
     diagonal must vanish to within 1e-12 * ||D||_F, both taken on
-    D / _scale(max|D|); it is never silently zeroed.
+    D / _scale(max|D|); it is never silently zeroed.  Returns the float64
+    array and max|D| as a _Checked pair (A, top), so that no caller takes
+    max|D| again.
     """
     A = as_square(D, "distance matrix")
     n = A.shape[0]
     if n < 3:
         raise InvalidDimension("tours need at least 3 cities")
-    top = float(max(A.max(), -A.min()))
+    top = _top(A)
     if not math.isfinite(n * top):
         raise InvalidMatrix("distance matrix entries are so large that a tour length overflows")
     scale = _scale(top)
     diag = np.abs(np.diagonal(A)).max() / scale
     if diag and diag > _DIAG_TOL * float(np.linalg.norm(A / scale)):
         raise NonzeroDiagonal("distance matrix must have a zero diagonal")
-    return A
+    return _Checked(A, top)
 
 
 def tsp_coefficients(n: int) -> np.ndarray:
@@ -99,11 +102,13 @@ class Compression:
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
-        D = check_distance_matrix(D)
+        D, top = check_distance_matrix(D)
         self.n = D.shape[0]
         self.tol = check_tol(tol)
-        self.scale = _scale(float(max(D.max(), -D.min())))
+        self.scale = _scale(top)
         self.A = D if self.scale == 1.0 else D / self.scale
+        # a power of two divides max|D| exactly: this is max|A|
+        self._checked = _Checked(self.A, top / self.scale)
 
     @cached_property
     def exactly_symmetric(self) -> bool:
@@ -112,11 +117,11 @@ class Compression:
 
     @cached_property
     def symmetric(self) -> bool:
-        return self.exactly_symmetric or is_symmetric(_Checked(self.A), self.tol)
+        return self.exactly_symmetric or _near_symmetric(*self._checked, self.tol)
 
     @cached_property
     def R(self) -> np.ndarray:
-        return center_restrict(_Checked(self.A))
+        return center_restrict(self._checked)
 
     @cached_property
     def S(self) -> np.ndarray:

@@ -54,10 +54,17 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
+def _top(A: np.ndarray) -> float:
+    """max|A|, the one number _scale reads."""
+    return float(max(A.max(), -A.min()))
+
+
 class _Checked(NamedTuple):
-    """An array as_square has passed, handed on so that it is not checked again."""
+    """An array as_square has passed and its max|A|, handed on so that
+    neither is computed again."""
 
     A: np.ndarray
+    top: float
 
 
 def _square(M, name: str) -> np.ndarray:
@@ -70,13 +77,30 @@ _BLOCK_ENTRIES = 1 << 21  # differences squared_distances holds at once, 16 MB
 def squared_distances(points: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of an (n, dim) point array.
 
-    With two coordinates each entry is dx*dx + dy*dy, evaluated in that order.
-    Blocks of rows hold at most _BLOCK_ENTRIES differences (or one row), so
-    dim never multiplies the n x n memory; each sums as one array would.
+    Each entry sums the squared coordinate differences from the first
+    coordinate to the last, as numpy's sum over fewer than 8 terms does:
+    with two coordinates it is dx*dx + dy*dy.  Below 8 coordinates the sum
+    is built one coordinate at a time into blocks of rows of the output,
+    each difference block at most _BLOCK_ENTRIES; from 8 on numpy sums
+    pairwise, so blocks of rows of the (n, n, dim) differences, at most
+    _BLOCK_ENTRIES (or one row), are summed over their last axis.  Either
+    way dim never multiplies the n x n memory.
     """
-    n = len(points)
-    step = max(1, _BLOCK_ENTRIES // max(points.size, 1))
+    n, dim = points.shape
     out = np.empty((n, n))
+    if dim < 8:
+        step = max(1, _BLOCK_ENTRIES // max(n, 1))
+        diff = np.empty((min(step, n), n)) if dim > 1 else None
+        for i in range(0, n, step):
+            rows = out[i : i + step]
+            for k in range(dim):
+                d = rows if k == 0 else diff[: len(rows)]
+                np.subtract(points[i : i + step, k, None], points[:, k], out=d)
+                d *= d
+                if k:
+                    rows += d
+        return out
+    step = max(1, _BLOCK_ENTRIES // max(points.size, 1))
     for i in range(0, n, step):
         diff = points[i : i + step, None, :] - points[None, :, :]
         diff *= diff
@@ -85,14 +109,20 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
     return out
 
 
-def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
-    """||M - M^T||_F <= tol * ||M||_F, both taken on M / _scale(max|M|), so
-    that no square over- or underflows and the answer is the same for 2^k M."""
-    check_tol(tol)
-    A = _square(M, "matrix")
-    scale = _scale(float(max(A.max(), -A.min())))
+def _near_symmetric(A: np.ndarray, top: float, tol: float) -> bool:
+    """||A - A^T||_F <= tol * ||A||_F, both taken on A / _scale(top), top = max|A|."""
+    scale = _scale(top)
     A = A if scale == 1.0 else A / scale
     return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
+
+
+def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
+    """M == M^T, or ||M - M^T||_F <= tol * ||M||_F, both taken on
+    M / _scale(max|M|), so that no square over- or underflows and the answer
+    is the same for 2^k M.  A _Checked M brings its max|M| along."""
+    check_tol(tol)
+    A = _square(M, "matrix")
+    return np.array_equal(A, A.T) or _near_symmetric(A, M.top if isinstance(M, _Checked) else _top(A), tol)
 
 
 def parts_commute(S: np.ndarray, K: np.ndarray, scale: float, tol: float = DEFAULT_TOL) -> bool:
@@ -198,7 +228,7 @@ def vn_trace_range(A, B, tol: float = DEFAULT_TOL) -> tuple[float, float]:
     at the bottom, same-sorted at the top.  Returns (lo, hi).
     """
     A, B = as_square(A), as_square(B)
-    if not (is_symmetric(_Checked(A), tol) and is_symmetric(_Checked(B), tol)):
+    if not (is_symmetric(_Checked(A, _top(A)), tol) and is_symmetric(_Checked(B, _top(B)), tol)):
         raise NotSymmetric("vn_trace_range requires symmetric matrices")
     lam, mu = (np.linalg.eigvalsh(0.5 * (M + M.T))[::-1] for M in (A, B))
     if lam.shape != mu.shape:

@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import SplitMix64
-from .linalg import _Checked, is_symmetric
+from .linalg import is_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -29,7 +29,7 @@ HELD_KARP_CAP = 20
 # cities permuted inside one numpy batch of tours: 9! = 362880 rows, about 3 MB as int8
 _BATCH_CITIES = 9
 # rows of 2-opt moves measured in one array step
-_ROW_BLOCK = 16
+_ROW_BLOCK = 32
 
 
 @dataclass
@@ -41,12 +41,22 @@ class Tour:
 
 
 def tour_length(D, order) -> float:
-    """Length of the closed tour visiting `order` and returning to its start."""
-    A = check_distance_matrix(D)
+    """Length of the closed tour visiting `order` and returning to its start.
+
+    Raises InvalidTour unless order holds n integers, a permutation of
+    0..n-1: no float, bool or string entry is cast to one.
+    """
+    A = check_distance_matrix(D).A
     n = A.shape[0]
-    p = np.asarray(order, dtype=int)
-    if p.shape != (n,) or not np.array_equal(np.sort(p), np.arange(n)):
-        raise InvalidTour(f"order must be a permutation of 0..{n - 1}")
+    p = np.asarray(order)
+    if (
+        p.shape != (n,)
+        or p.dtype.kind not in "iu"
+        # a bool among ints leaves no trace in an int array
+        or (not isinstance(order, np.ndarray) and any(isinstance(x, (bool, np.bool_)) for x in order))
+        or not np.array_equal(np.sort(p), np.arange(n))
+    ):
+        raise InvalidTour(f"order must be a permutation of the integers 0..{n - 1}")
     return _length(A, p)
 
 
@@ -115,7 +125,7 @@ def brute_force(D) -> Tour:
     length in one order whatever the batch width: the closing pair, then
     every edge from left to right.
     """
-    A = check_distance_matrix(D)
+    A = check_distance_matrix(D).A
     n = A.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
@@ -167,7 +177,7 @@ def held_karp(D) -> Tour:
     so the order returned is deterministic (though not necessarily the same
     one brute_force picks among equals).
     """
-    A = check_distance_matrix(D)
+    A = check_distance_matrix(D).A
     n = A.shape[0]
     if n > HELD_KARP_CAP:
         raise TooLarge(f"held_karp is capped at {HELD_KARP_CAP} cities, got {n}")
@@ -211,43 +221,47 @@ def held_karp(D) -> Tour:
 
 
 def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
+    """The greedy start: each step reads the last city's row of one working
+    copy of A, in which every visited city's column is set to inf."""
     n = A.shape[0]
-    order = np.zeros(n, dtype=int)
-    free = np.ones(n, dtype=bool)
-    free[0] = False
-    for step in range(1, n):
-        row = np.where(free, A[order[step - 1]], np.inf)
-        near = np.flatnonzero(row == row.min())  # ascending city index
-        pick = near[0] if len(near) == 1 else near[rng.next_u64() % len(near)]
-        order[step] = pick
-        free[pick] = False
-    return order
+    order = [0]
+    W = A.copy()
+    W[:, 0] = np.inf
+    for _ in range(1, n):
+        row = W[order[-1]]
+        near = (row == np.minimum.reduce(row)).nonzero()[0]  # ascending city index
+        pick = int(near[0] if len(near) == 1 else near[rng.next_u64() % len(near)])
+        order.append(pick)
+        W[:, pick] = np.inf
+    return np.array(order)
 
 
-def _first_move(
-    A: np.ndarray, order: np.ndarray, i: int, j: int, upper: np.ndarray, least: float
-) -> tuple[int, int] | None:
+def _first_move(B: np.ndarray, i: int, j: int, upper: np.ndarray, least: float) -> tuple[int, int] | None:
     """The first improving 2-opt move from (i, j) on, in row-major order, or None.
 
-    Move (i, j), 1 <= i <= n - 2 and i + 2 <= j <= n, reverses order[i:j]
-    and replaces the edges (a, b) = (order[i - 1], order[i]) and
-    (c, d) = (order[j - 1], order[j % n]); it improves when it shortens the
-    tour by more than `least`.  A scan from the start of a row measures
-    _ROW_BLOCK rows in one array step, upper[r, k] masking row i + r to its
-    own j >= i + r + 2; a scan resuming inside row i measures that row alone.
+    B[p, q] is A[order[p], order[q % n]], the matrix in tour order plus the
+    closing column.  Move (i, j), 1 <= i <= n - 2 and i + 2 <= j <= n,
+    reverses order[i:j] and replaces the edges (a, b) = (order[i - 1],
+    order[i]) and (c, d) = (order[j - 1], order[j % n]); its delta
+    A[a, c] + A[b, d] - A[a, b] - A[c, d] is B[i - 1, j - 1] + B[i, j]
+    - B[i - 1, i] - B[j - 1, j], read from slices of B and its superdiagonal,
+    and it improves when it is below -least.  A scan from the start of a row
+    measures _ROW_BLOCK rows in one array step, upper[r, k] masking row i + r
+    to its own j >= i + r + 2; a scan resuming inside row i measures that row
+    alone.
     """
-    n = len(order)
+    n = B.shape[0]
+    sup = np.diagonal(B, 1)
     while i < n - 1:
-        rows = np.arange(i, min(i + _ROW_BLOCK, n - 1) if j == i + 2 else i + 1)
-        a, b = order[rows - 1], order[rows]
-        c, d = order[j - 1 : n], order[np.arange(j, n + 1) % n]
-        delta = A[a[:, None], c] + A[b[:, None], d] - A[a, b][:, None] - A[c, d]
-        hit = (delta < -least) & upper[: len(rows), : len(c)]
+        r = min(i + _ROW_BLOCK, n - 1) if j == i + 2 else i + 1
+        delta = B[i - 1 : r - 1, j - 1 : n] + B[i:r, j : n + 1]
+        delta -= sup[i - 1 : r - 1, None]
+        delta -= sup[j - 1 : n]
+        hit = (delta < -least) & upper[: r - i, : n + 1 - j]
         if hit.any():
-            r, k = divmod(int(np.argmax(hit)), len(c))  # the first hit in row-major order
-            return i + r, j + k
-        i += len(rows)
-        j = i + 2
+            k, m = divmod(int(np.argmax(hit)), n + 1 - j)  # the first hit in row-major order
+            return i + k, j + m
+        i, j = r, r + 2
     return None
 
 
@@ -262,26 +276,33 @@ def two_opt(D, seed: int = 0) -> Tour:
     never longer than its greedy start, and of course never shorter than the
     true minimum.
     Each sweep applies the first improving move from where the last one
-    was found on, until a sweep finds none.
+    was found on, until a sweep finds none.  Moves are measured on one copy
+    B of D in tour order plus the closing column, from contiguous slices
+    (see _first_move); reversing order[i:j] reverses rows and columns i:j
+    of B, so B keeps reading each D[p, q] in its own direction.
     Raises NotSymmetric unless D is symmetric at the default tolerance,
     judged as bounds.Compression judges it, at any magnitude.
     """
-    A = check_distance_matrix(D)
-    if not is_symmetric(_Checked(A)):
+    checked = check_distance_matrix(D)
+    if not is_symmetric(checked):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
+    A, top = checked
     n = A.shape[0]
     order = _nearest_neighbour(A, SplitMix64(seed))
-    least = math.ldexp(1e-12, math.frexp(float(max(A.max(), -A.min())))[1])
+    least = math.ldexp(1e-12, math.frexp(top)[1])
 
+    B = A[np.ix_(order, [*order, order[0]])]
     upper = np.triu(np.ones((_ROW_BLOCK, n), dtype=bool))
     improved = True
     while improved:
         improved, i, j = False, 1, 3
         # a reversal leaves every position from j on alone, so the scan
         # resumes at (i, j + 1)
-        while move := _first_move(A, order, i, j, upper, least):
+        while move := _first_move(B, i, j, upper, least):
             i, j = move
             order[i:j] = order[i:j][::-1].copy()
+            B[i:j] = B[i:j][::-1].copy()
+            B[:, i:j] = B[:, i:j][:, ::-1].copy()
             improved, j = True, j + 1
     order = [int(x) for x in order]
     return Tour(order=order, length=_length(A, order))

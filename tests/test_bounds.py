@@ -632,6 +632,6 @@ def test_check_distance_matrix_errors():
     with pytest.raises(NonzeroDiagonal):
         bounds.check_distance_matrix(bad_diag)
     asym = random_asymmetric(5, seed=1)
-    np.testing.assert_array_equal(bounds.check_distance_matrix(asym), asym)  # symmetry is for the bounds to demand
+    np.testing.assert_array_equal(bounds.check_distance_matrix(asym).A, asym)  # symmetry is for the bounds to demand
     with pytest.raises(NotSymmetric):
         bounds.phi_symmetric(asym)

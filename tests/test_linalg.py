@@ -270,8 +270,9 @@ def test_restricted_spectrum_invariant_under_constant_offdiagonal_shift(seed, n)
 
 
 def test_squared_distances_is_the_one_shot_sum(monkeypatch):
-    # numpy sums 8 or more coordinates pairwise, so only whole rows of the
-    # (n, n, dim) array may be split off, never single coordinates
+    # numpy sums fewer than 8 coordinates left to right, so below 8 the sum
+    # may be built one coordinate at a time; it sums 8 or more pairwise, so
+    # from 8 on only whole rows of the (n, n, dim) array may be split off
     rng = np.random.default_rng(5)
     cases = [(n, dim) for n in (3, 17, 60) for dim in (1, 2, 3, 7, 8, 9, 16, 31, 64, 300)]
     cases += [(257, dim) for dim in (1, 2, 7, 8, 9, 16)]
@@ -283,12 +284,15 @@ def test_squared_distances_is_the_one_shot_sum(monkeypatch):
 
 
 def test_squared_distances_memory_does_not_grow_with_dim():
-    n = dim = 200  # the one-shot (n, n, dim) difference array is 64 MB
-    P = np.random.default_rng(0).random((n, dim))
-    tracemalloc.start()
-    try:
-        linalg.squared_distances(P)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (linalg._BLOCK_ENTRIES + n * n) + 2**20
+    # n = dim = 200: the one-shot (n, n, dim) difference array is 64 MB;
+    # n = 2000, dim = 2: whole n x n differences per coordinate would add
+    # 32 MB to the 32 MB output, where a block of rows adds at most 16 MB
+    for n, dim in ((200, 200), (2000, 2)):
+        P = np.random.default_rng(0).random((n, dim))
+        tracemalloc.start()
+        try:
+            linalg.squared_distances(P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (linalg._BLOCK_ENTRIES + n * n) + 2**20, (n, dim)

@@ -26,9 +26,12 @@ def test_tour_length_closed_cycle():
 
 def test_tour_length_rejects_non_permutations():
     D = line_instance(4)
-    for bad in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4]):
+    # entries that are not integers were cast: [0, 1.7, 2.2, 3] measured [0, 1, 2, 3]
+    nonintegers = ([0, 1.7, 2.2, 3], [True, False, 2, 3], ["0", "1", "2", "3"], [0.0, 1.0, 2.0, 3.0])
+    for bad in ([0, 1, 2], [0, 1, 2, 2], [0, 1, 2, 4], *nonintegers, np.ones(4, dtype=bool)):
         with pytest.raises(InvalidTour):
             solvers.tour_length(D, bad)
+    assert solvers.tour_length(D, np.array([0, 1, 2, 3], dtype=np.uint8)) == 6.0
 
 
 def test_brute_force_line_and_circle_optima():
@@ -312,7 +315,7 @@ def test_held_karp_holds_two_layers_of_costs():
 
 
 def test_two_opt_is_the_loop_oracle():
-    for n in (5, 6, 7, 8, 9, 11, 14, 20, 33, 60, 120, 250):
+    for n in (3, 4, 5, 6, 7, 8, 9, 11, 14, 20, 33, 60, 120, 250):
         for seed in SEEDS if n <= 60 else SEEDS[::3]:
             for D in (random_symmetric(n, seed), np.floor(3.0 * random_symmetric(n, seed)), random_euclidean(n, seed)[0]):
                 t = solvers.two_opt(D, seed=seed)
@@ -326,12 +329,26 @@ def test_two_opt_moves_across_row_blocks_are_the_loop_oracle(monkeypatch):
             for D in (random_symmetric(n, seed), np.floor(3.0 * random_symmetric(n, seed)), random_euclidean(n, seed)[0]):
                 t = solvers.two_opt(D, seed=seed)
                 assert (t.order, t.length) == oracles.two_opt(D, seed), (n, seed)
-    for rows in (1, 2, 3):
+    # one block short of a whole scan at n - 1 rows
+    for rows, n in ((1, 20), (2, 20), (3, 20), (4, 5), (11, 12), (40, 41)):
         monkeypatch.setattr(solvers, "_ROW_BLOCK", rows)
         for seed in SEEDS:
-            D = random_euclidean(20, seed)[0]
+            for D in (random_euclidean(n, seed)[0], np.floor(3.0 * random_symmetric(n, seed))):
+                t = solvers.two_opt(D, seed=seed)
+                assert (t.order, t.length) == oracles.two_opt(D, seed), (rows, n, seed)
+
+
+def test_two_opt_reads_each_entry_in_its_own_direction():
+    # symmetric only within tol: on integer ties the 1e-10 noise decides
+    # each move, so the tour-ordered matrix must read A[p, q], never A[q, p].
+    # From about n = 70 such input makes the search cycle without end: a
+    # reversal also flips its inner edges, which no delta counts
+    for n in (9, 20, 40):
+        for seed in SEEDS:
+            D = np.floor(3.0 * random_symmetric(n, seed)) + 1e-10 * random_asymmetric(n, seed)
+            assert bounds.Compression(D).symmetric and not np.array_equal(D, D.T)
             t = solvers.two_opt(D, seed=seed)
-            assert (t.order, t.length) == oracles.two_opt(D, seed), (rows, seed)
+            assert (t.order, t.length) == oracles.two_opt(D, seed), (n, seed)
 
 
 def test_held_karp_at_its_cap_is_fast():
