@@ -18,6 +18,7 @@ the screens can be validated against ground truth.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -39,9 +40,9 @@ ORACLE_CAP = 12
 SIZE_CAP = 2048
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph stored as a dense 0/1 adjacency matrix."""
+    """Simple undirected graph, an immutable value: its 0/1 adjacency is a read-only int8 copy."""
 
     adjacency: np.ndarray
 
@@ -53,12 +54,13 @@ class Graph:
             raise InvalidDimension("graphs need at least one vertex")
         if not np.isin(A, (0, 1)).all():
             raise InvalidMatrix("adjacency entries must be 0 or 1")
-        A = A.astype(np.int8)
+        A = A.astype(np.int8)  # a copy even of int8 input, so no caller can change it
         if not np.array_equal(A, A.T):
             raise InvalidMatrix("adjacency must be symmetric")
         if np.any(np.diagonal(A)):
             raise InvalidMatrix("self-loops are not allowed")
-        self.adjacency = A
+        A.flags.writeable = False
+        object.__setattr__(self, "adjacency", A)
 
     @property
     def n(self) -> int:
@@ -72,13 +74,29 @@ class Graph:
     def edge_count(self) -> int:
         return int(self.adjacency.sum()) // 2
 
+    @cached_property
+    def _complement_phi(self) -> float:
+        """The complement bound, computed on first use and kept; complement_phi reads it."""
+        return phi_symmetric(1.0 - np.eye(self.n) - self.adjacency)
+
+
+def _is_index(x) -> bool:
+    """An int or numpy integer that is not a bool: no other entry is cast to one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
 
 def from_edges(n: int, edges) -> Graph:
     """Graph on vertices 0..n-1 with the given (u, v) edges."""
     if n < 1:
         raise InvalidDimension("graphs need at least one vertex")
     A = np.zeros((n, n), dtype=np.int8)
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InvalidMatrix(f"an edge is a pair (u, v), got {edge!r}") from None
+        if not (_is_index(u) and _is_index(v)):
+            raise InvalidDimension(f"edge {edge!r} needs integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidDimension(f"edge ({u}, {v}) out of range for {n} vertices")
         A[u, v] = A[v, u] = 1
@@ -89,39 +107,31 @@ def complement(g: Graph) -> Graph:
     return Graph(1 - np.eye(g.n, dtype=np.int8) - g.adjacency)
 
 
-def is_connected(g: Graph) -> bool:
-    n = g.n
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    frontier = [0]
+def _hops(g: Graph, s: int) -> np.ndarray:
+    """Hop distances from vertex s by breadth-first search, -1 where unreachable."""
+    hops = np.full(g.n, -1, dtype=np.int64)
+    hops[s] = 0
+    frontier = [s]
+    d = 0
     while frontier:
+        d += 1
         nxt = []
         for u in frontier:
             for v in np.flatnonzero(g.adjacency[u]):
-                if not seen[v]:
-                    seen[v] = True
-                    nxt.append(int(v))
+                if hops[v] < 0:
+                    hops[v] = d
+                    nxt.append(v)
         frontier = nxt
-    return bool(seen.all())
+    return hops
+
+
+def is_connected(g: Graph) -> bool:
+    return bool((_hops(g, 0) >= 0).all())
 
 
 def distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs hop distances by breadth-first search.  Raises Disconnected."""
-    n = g.n
-    D = np.full((n, n), -1, dtype=np.int64)
-    for s in range(n):
-        D[s, s] = 0
-        frontier = [s]
-        d = 0
-        while frontier:
-            d += 1
-            nxt = []
-            for u in frontier:
-                for v in np.flatnonzero(g.adjacency[u]):
-                    if D[s, v] < 0:
-                        D[s, v] = d
-                        nxt.append(int(v))
-            frontier = nxt
+    D = np.array([_hops(g, s) for s in range(g.n)])
     if (D < 0).any():
         raise Disconnected("hop distances are only defined for connected graphs")
     return D.astype(float)
@@ -189,9 +199,15 @@ class GroupTable:
     identity = 0
 
     def __post_init__(self):
-        M = np.asarray(self.mult, dtype=np.int64)
+        try:
+            M = np.asarray(self.mult)
+        except ValueError:  # a ragged nested list
+            raise InvalidMatrix("multiplication table must be square") from None
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidMatrix("multiplication table must be square")
+        if M.dtype.kind not in "iu" or (M.size and not 0 <= M.min() <= M.max() < len(M)):
+            raise InvalidMatrix(f"multiplication table entries must be integers in [0, {len(M)})")
+        M = M.astype(np.int64, copy=False)
         hits = M == self.identity
         bad = np.flatnonzero(hits.sum(axis=1) != 1)
         if bad.size:
@@ -231,11 +247,14 @@ def cayley_graph(table: GroupTable, connection) -> Graph:
     The connection set must exclude the identity (no self-loops) and be
     closed under inversion (so adjacency is symmetric).
     """
-    S = set(int(s) for s in connection)
+    elements = list(connection)
     n = table.order
-    for s in S:
+    for s in elements:
+        if not _is_index(s):
+            raise InvalidDimension(f"connection element {s!r} is not an integer")
         if not 0 <= s < n:
             raise InvalidDimension(f"connection element {s} out of range")
+    S = set(map(int, elements))
     if table.identity in S:
         raise IdentityInConnectionSet("connection set contains the identity")
     if any(int(table.inverse[s]) not in S for s in S):
@@ -257,8 +276,8 @@ def dihedral_reflection_cayley(m: int) -> Graph:
 
 
 def complement_phi(g: Graph) -> float:
-    """The tour bound applied to the complement's adjacency matrix."""
-    return phi_symmetric(1.0 - np.eye(g.n) - g.adjacency)
+    """The tour bound applied to the complement's adjacency matrix, computed once per graph."""
+    return g._complement_phi
 
 
 def distance_phi(g: Graph) -> float:
@@ -281,38 +300,34 @@ class ScreenResult:
     saturated: bool
 
 
-def _screen(value: float, threshold: float, tol: float) -> ScreenResult:
+def _screen(g: Graph, value, threshold: float, tol: float, need: str = "Hamiltonian cycles need") -> ScreenResult:
+    """Judge value(g) against threshold, once tol and n >= 3 are checked."""
+    check_tol(tol)
+    if g.n < 3:
+        raise InvalidDimension(f"{need} at least 3 vertices")
+    v = value(g)
     margin = tol * max(1.0, abs(threshold))
     return ScreenResult(
-        value=value,
+        value=v,
         threshold=threshold,
-        verdict="excluded" if value > threshold + margin else "not_excluded",
-        saturated=abs(value - threshold) <= margin,
+        verdict="excluded" if v > threshold + margin else "not_excluded",
+        saturated=abs(v - threshold) <= margin,
     )
 
 
 def hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the complement bound rises above 0."""
-    check_tol(tol)
-    if g.n < 3:
-        raise InvalidDimension("Hamiltonian cycles need at least 3 vertices")
-    return _screen(complement_phi(g), 0.0, tol)
+    return _screen(g, complement_phi, 0.0, tol)
 
 
 def traceable_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonian paths when the complement bound rises above 1."""
-    check_tol(tol)
-    if g.n < 3:
-        raise InvalidDimension("screen needs at least 3 vertices")
-    return _screen(complement_phi(g), 1.0, tol)
+    return _screen(g, complement_phi, 1.0, tol, "screen needs")
 
 
 def distance_hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the hop-distance bound rises above n."""
-    check_tol(tol)
-    if g.n < 3:
-        raise InvalidDimension("Hamiltonian cycles need at least 3 vertices")
-    return _screen(distance_phi(g), float(g.n), tol)
+    return _screen(g, distance_phi, float(g.n), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +349,15 @@ def _extend(adj: list[list[int]], u: int, visited: int, full: int, closed: bool)
     return any(not visited & (1 << v) and _extend(adj, v, visited | (1 << v), full, closed) for v in adj[u])
 
 
+def _oracle_size(g: Graph) -> int:
+    if g.n > ORACLE_CAP:
+        raise TooLarge(f"oracle is capped at {ORACLE_CAP} vertices, got {g.n}")
+    return g.n
+
+
 def is_hamiltonian(g: Graph) -> bool:
     """Exact Hamiltonian-cycle test by backtracking.  Capped at 12 vertices."""
-    n = g.n
-    if n > ORACLE_CAP:
-        raise TooLarge(f"oracle is capped at {ORACLE_CAP} vertices, got {n}")
+    n = _oracle_size(g)
     if n < 3 or (g.degrees < 2).any() or not is_connected(g):
         return False
     return _extend(_adjacency_lists(g), 0, 1, (1 << n) - 1, closed=True)
@@ -346,9 +365,7 @@ def is_hamiltonian(g: Graph) -> bool:
 
 def is_traceable(g: Graph) -> bool:
     """Exact Hamiltonian-path test by backtracking.  Capped at 12 vertices."""
-    n = g.n
-    if n > ORACLE_CAP:
-        raise TooLarge(f"oracle is capped at {ORACLE_CAP} vertices, got {n}")
+    n = _oracle_size(g)
     if n == 1:
         return True
     if not is_connected(g):

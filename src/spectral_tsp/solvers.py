@@ -268,18 +268,22 @@ def _first_move(B: np.ndarray, i: int, j: int, upper: np.ndarray, least: float) 
 def two_opt(D, seed: int = 0) -> Tour:
     """2-opt local search from a nearest-neighbour start (symmetric only).
 
+    The search runs on S = (D + D^T) / 2, which is D itself when D is
+    exactly symmetric; the returned length is measured on D.  On S a
+    reversal leaves the cost of its inner edges alone, so every move
+    shortens the tour and the search ends.
     Starts at city 0, greedily visits the nearest unvisited city (exact
     distance ties are broken by a SplitMix64 draw from `seed`), then applies
     first-improvement segment reversals until no reversal shortens the tour
     by more than 1e-12 times the power of two math.frexp gives for max|D|,
-    so that D and 2^k D take the same moves.  The result is a local optimum:
-    never longer than its greedy start, and of course never shorter than the
-    true minimum.
+    so that D and 2^k D take the same moves.  The result is a local optimum
+    on S: never longer there than its greedy start, and of course never
+    shorter than the true minimum.
     Each sweep applies the first improving move from where the last one
     was found on, until a sweep finds none.  Moves are measured on one copy
-    B of D in tour order plus the closing column, from contiguous slices
+    B of S in tour order plus the closing column, from contiguous slices
     (see _first_move); reversing order[i:j] reverses rows and columns i:j
-    of B, so B keeps reading each D[p, q] in its own direction.
+    of B.
     Raises NotSymmetric unless D is symmetric at the default tolerance,
     judged as bounds.Compression judges it, at any magnitude.
     """
@@ -288,10 +292,11 @@ def two_opt(D, seed: int = 0) -> Tour:
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     A, top = checked
     n = A.shape[0]
-    order = _nearest_neighbour(A, SplitMix64(seed))
+    S = A if np.array_equal(A, A.T) else 0.5 * (A + A.T)
+    order = _nearest_neighbour(S, SplitMix64(seed))
     least = math.ldexp(1e-12, math.frexp(top)[1])
 
-    B = A[np.ix_(order, [*order, order[0]])]
+    B = S[np.ix_(order, [*order, order[0]])]
     upper = np.triu(np.ones((_ROW_BLOCK, n), dtype=bool))
     improved = True
     while improved:

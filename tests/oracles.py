@@ -331,16 +331,19 @@ def held_karp(D) -> tuple[list[int], float]:
 def two_opt(D, seed: int = 0) -> tuple[list[int], float]:
     """Nearest neighbour from city 0 (ties by a SplitMix64 draw), then
     first-improvement 2-opt, one pair (i, j) at a time, taking a move that
-    gains more than 1e-12 times the power of two math.frexp gives for max|D|."""
+    gains more than 1e-12 times the power of two math.frexp gives for max|D|.
+    Both run on S = (D + D^T) / 2 (D itself when exactly symmetric); the
+    length is measured on D."""
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     least = math.ldexp(1e-12, math.frexp(float(np.abs(D).max()))[1])
+    S = D if np.array_equal(D, D.T) else (D + D.T) / 2
     draws = _splitmix64(seed)
     order = [0]
     unvisited = set(range(1, n))
     while unvisited:
         cand = sorted(unvisited)
-        dists = D[order[-1], cand]
+        dists = S[order[-1], cand]
         lo = dists.min()
         near = [c for c, d in zip(cand, dists) if d == lo]
         pick = near[0] if len(near) == 1 else near[next(draws) % len(near)]
@@ -352,7 +355,7 @@ def two_opt(D, seed: int = 0) -> tuple[list[int], float]:
         for i in range(1, n - 1):
             for j in range(i + 2, n + 1):
                 a, b, c, d = order[i - 1], order[i], order[j - 1], order[j % n]
-                if D[a, c] + D[b, d] - D[a, b] - D[c, d] < -least:
+                if S[a, c] + S[b, d] - S[a, b] - S[c, d] < -least:
                     order[i:j] = reversed(order[i:j])
                     improved = True
     return order, _closed_length(D, order)

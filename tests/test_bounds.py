@@ -309,32 +309,6 @@ def test_bound_report_of_the_zero_matrix():
 # ---------------------------------------------------------------- one spectral pass
 
 
-@pytest.fixture
-def calls(monkeypatch):
-    """Count the expensive steps a report takes, by kind."""
-    import scipy.optimize
-
-    counts = Counter()
-
-    def count(kind, owners, name):
-        original = getattr(owners[0], name)
-
-        def wrapper(*args, **kwargs):
-            counts[kind] += 1
-            return original(*args, **kwargs)
-
-        for owner in owners:
-            monkeypatch.setattr(owner, name, wrapper)
-
-    count("eigensolve", [np.linalg], "eigvalsh")
-    count("eigensolve", [np.linalg], "eigh")
-    count("compression", [linalg, bounds], "center_restrict")
-    count("validation", [bounds], "check_distance_matrix")
-    count("as_square", [linalg, bounds], "as_square")
-    count("lsap", [scipy.optimize], "linear_sum_assignment")
-    return counts
-
-
 def test_symmetric_report_is_one_pass(calls):
     D, _ = random_euclidean(40, seed=3)
     bounds.bound_report(D)
@@ -628,6 +602,8 @@ def test_a_tol_outside_zero_to_infinity_is_rejected(tol):
 def test_check_distance_matrix_errors():
     with pytest.raises(InvalidDimension):
         bounds.check_distance_matrix(np.zeros((2, 2)))
+    with pytest.raises(InvalidDimension, match="at least 3 cities"):
+        bounds.tsp_coefficients(2)
     bad_diag = np.ones((4, 4))
     with pytest.raises(NonzeroDiagonal):
         bounds.check_distance_matrix(bad_diag)

@@ -570,3 +570,17 @@ def test_cli_exits_0_2_or_3_and_never_raises(tmp_path, capsys, run):
     assert "Traceback" not in err
     if code != 0 and "batch" not in argv:  # a batch prints the rows it could run
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bound"], "give a problem file or --family"),
+        (["solve", "--family", "circle"], "--family needs --n"),
+        (["check-graph"], "give a graph file or --family"),
+        (["check-graph", "--family", "dihedral-reflection"], "--family dihedral-reflection needs --m"),
+    ],
+)
+def test_a_missing_instance_exits_2(capsys, argv, message):
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")

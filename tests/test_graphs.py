@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -78,6 +79,9 @@ def test_basic_generator_shapes():
         lambda: complete_bipartite(-1, 3),
         lambda: complete_bipartite(-2, -2),
         lambda: graphs.Graph(np.zeros((0, 0))),
+        lambda: cycle_graph(2),
+        lambda: cyclic_group(0),
+        lambda: dihedral_group(0),
     ],
 )
 def test_empty_and_negative_sizes_are_rejected(build):
@@ -132,6 +136,54 @@ def test_graph_accepts_zero_one_values_of_any_dtype():
     for dtype in (bool, np.int64, float):
         g = graphs.Graph(complete_graph(4).adjacency.astype(dtype))
         assert g.adjacency.dtype == np.int8 and g.edge_count == 6
+
+
+def test_graph_is_an_immutable_copy():
+    A = cycle_graph(5).adjacency.copy()
+    g = graphs.Graph(A)
+    A[0, 1] = A[1, 0] = 0  # the caller's array stays the caller's
+    assert g.edge_count == 5 and g.adjacency.dtype == np.int8
+    assert not g.adjacency.flags.writeable
+    with pytest.raises(ValueError):
+        g.adjacency[0, 2] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.adjacency = A
+
+
+@pytest.mark.parametrize(
+    "A, match",
+    [
+        (np.zeros((2, 3)), "square"),
+        (np.zeros(4), "square"),
+        (np.array([[0, 1, 0], [0, 0, 1], [0, 1, 0]]), "symmetric"),
+    ],
+)
+def test_graph_rejects_malformed_adjacency(A, match):
+    with pytest.raises(InvalidMatrix, match=match):
+        graphs.Graph(A)
+
+
+@pytest.mark.parametrize(
+    "edge, error, match",
+    [
+        ((0.5, 1), InvalidDimension, "integer endpoints"),
+        ((np.float64(1.0), 2), InvalidDimension, "integer endpoints"),
+        (("0", "1"), InvalidDimension, "integer endpoints"),
+        ((True, 2), InvalidDimension, "integer endpoints"),
+        ((np.bool_(True), 2), InvalidDimension, "integer endpoints"),
+        ((0, 1, 2), InvalidMatrix, "pair"),
+        (7, InvalidMatrix, "pair"),
+    ],
+)
+def test_from_edges_takes_only_integer_pairs(edge, error, match):
+    with pytest.raises(error, match=match):
+        from_edges(3, [edge])
+
+
+def test_from_edges_takes_numpy_integers():
+    edges = np.array([[0, 1], [1, 2]], dtype=np.int32)
+    assert np.array_equal(from_edges(3, edges).adjacency, path_graph(3).adjacency)
+    assert from_edges(3, [(np.uint8(0), np.int64(2))]).edge_count == 1
 
 
 def test_complement_is_involution():
@@ -233,6 +285,30 @@ def test_group_table_without_unique_inverse_names_the_first_element():
             assert GroupTable(mult=M).inverse.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize(
+    "M, match",
+    [
+        (np.zeros((2, 3), dtype=int), "square"),
+        ([[0, 1], [1]], "square"),
+        ([[0, 1.5], [1.5, 0]], "integers"),
+        ([[0, 5], [5, 0]], "integers"),
+        ([[0, -1], [-1, 0]], "integers"),
+        ([["0", "1"], ["1", "0"]], "integers"),
+        (np.array([[False, True], [True, False]]), "integers"),
+    ],
+)
+def test_group_table_takes_only_integer_entries_in_range(M, match):
+    with pytest.raises(InvalidMatrix, match=match):
+        GroupTable(mult=M)
+
+
+def test_group_table_keeps_int64_entries():
+    M = cyclic_group(5).mult
+    for dtype in (np.int8, np.uint16, np.int64):
+        t = GroupTable(mult=M.astype(dtype))
+        assert t.mult.dtype == np.int64 and t.mult.tobytes() == M.tobytes()
+
+
 def _inverse_closed_sets(table, rng, count):
     """Random connection sets: unions of {a, a^-1} over non-identity a."""
     others = np.flatnonzero(np.arange(table.order) != table.identity)
@@ -288,6 +364,17 @@ def test_cayley_connection_set_validation():
             cayley_graph(t, {1, 5, outside})
     with pytest.raises(InvalidDimension):
         dihedral_reflection_cayley(1)
+
+
+@pytest.mark.parametrize("connection", [[4.7, 5.2, 6, 7], ["4", "5"], [True, 7], [np.float64(4.0), 4]])
+def test_cayley_connection_set_takes_only_integers(connection):
+    with pytest.raises(InvalidDimension, match="not an integer"):
+        cayley_graph(dihedral_group(4), connection)
+
+
+def test_cayley_connection_set_takes_numpy_integers():
+    want = dihedral_reflection_cayley(4).adjacency
+    assert np.array_equal(cayley_graph(dihedral_group(4), np.arange(4, 8)).adjacency, want)
 
 
 def test_cayley_non_generating_set_gives_disconnected_graph():
@@ -360,6 +447,13 @@ def test_complement_phi_builds_no_graph(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__post_init__", lambda self: built.append(self))
     assert [complement_phi(g) for g in gs] == want
     assert built == []
+
+
+def test_complement_screens_share_one_spectral_pass(calls):
+    g = random_graph(10, seed=7, density=0.5)
+    ham, trace = hamiltonian_screen(g), traceable_screen(g)
+    assert ham.value == trace.value == complement_phi(g) and (ham.threshold, trace.threshold) == (0.0, 1.0)
+    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 1}
 
 
 def test_regular_fast_path_matches_generic():
@@ -453,6 +547,20 @@ def test_screens_reject_a_tol_outside_zero_to_infinity(tol):
             screen(cycle_graph(6), tol)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_screens_name_what_needs_three_vertices(n):
+    g = path_graph(n)
+    for screen, need in (
+        (hamiltonian_screen, "Hamiltonian cycles need"),
+        (traceable_screen, "screen needs"),
+        (distance_hamiltonian_screen, "Hamiltonian cycles need"),
+    ):
+        with pytest.raises(InvalidDimension, match=f"^{need} at least 3 vertices$"):
+            screen(g)
+        with pytest.raises(InvalidTolerance):  # tol is checked first
+            screen(g, -1.0)
+
+
 def test_screens_sound_on_small_corpus():
     # never exclude a graph that provably has the structure
     for seed in range(120):
@@ -476,11 +584,14 @@ def test_hamiltonicity_oracle_known_cases():
     assert not is_hamiltonian(bow_tie())
     assert is_traceable(path_graph(7))
     assert not is_traceable(disjoint_cliques(3))
+    assert is_traceable(complete_graph(1)) and not is_hamiltonian(complete_graph(1))
 
 
 def test_oracle_cap():
-    with pytest.raises(TooLarge):
-        is_hamiltonian(cycle_graph(13))
+    for oracle in (is_hamiltonian, is_traceable):
+        with pytest.raises(TooLarge, match="capped at 12 vertices, got 13"):
+            oracle(cycle_graph(13))
+        assert oracle(cycle_graph(12))
 
 
 # ---------------------------------------------------------------- text input
@@ -502,6 +613,8 @@ def test_graph_from_text_comments_and_errors():
     assert g.edge_count == 3
     with pytest.raises(InputFormatError):
         graph_from_text("3\n0 5\n")
+    with pytest.raises(InputFormatError, match="non-integer edge endpoint"):
+        graph_from_text("3\n0 1.0\n")
     with pytest.raises(InputFormatError):
         graph_from_text("0 1\n1 0 1\n")
     with pytest.raises(InputFormatError):

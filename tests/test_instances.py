@@ -126,6 +126,12 @@ def test_too_small_dimensions_rejected(factory):
         factory(2)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_random_euclidean_needs_a_dimension(dim):
+    with pytest.raises(InvalidDimension, match="dim must be at least 1"):
+        instances.random_euclidean(5, 0, dim=dim)
+
+
 # the top of the uint64 range exercises the counter's wraparound; negative
 # and oversized seeds reduce modulo 2**64 as SplitMix64 reduces them
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 1, 2**64 - 1, -1, 2**64 + 3])

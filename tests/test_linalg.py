@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as stn
 
 import oracles
 from spectral_tsp import bounds, linalg
-from spectral_tsp.errors import InvalidMatrix, InvalidTolerance, NotNormal
+from spectral_tsp.errors import InvalidDimension, InvalidMatrix, InvalidTolerance, NotNormal, NotSymmetric
 from spectral_tsp.instances import (
     SplitMix64,
     random_asymmetric,
@@ -66,6 +66,23 @@ def test_as_square_rejects_nonsquare_and_nan():
         linalg.as_square(np.zeros((3, 4)))
     with pytest.raises(InvalidMatrix):
         linalg.as_square(np.array([[0.0, np.nan], [1.0, 0.0]]))
+    with pytest.raises(InvalidDimension, match="at least 1 x 1"):
+        linalg.as_square(np.zeros((0, 0)))
+
+
+def test_householder_basis_needs_two_dimensions():
+    with pytest.raises(InvalidDimension, match="n >= 2"):
+        linalg.householder_basis(1)
+
+
+def test_vn_trace_range_needs_symmetric_matrices_of_one_size():
+    S = random_symmetric(5, seed=1)
+    with pytest.raises(NotSymmetric):
+        linalg.vn_trace_range(S, random_asymmetric(5, seed=2))
+    with pytest.raises(NotSymmetric):
+        linalg.vn_trace_range(random_asymmetric(5, seed=2), S)
+    with pytest.raises(InvalidDimension, match="equal size"):
+        linalg.vn_trace_range(S, random_symmetric(6, seed=3))
 
 
 def is_normal(M, tol=linalg.DEFAULT_TOL):

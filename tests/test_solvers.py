@@ -338,17 +338,28 @@ def test_two_opt_moves_across_row_blocks_are_the_loop_oracle(monkeypatch):
                 assert (t.order, t.length) == oracles.two_opt(D, seed), (rows, n, seed)
 
 
-def test_two_opt_reads_each_entry_in_its_own_direction():
-    # symmetric only within tol: on integer ties the 1e-10 noise decides
-    # each move, so the tour-ordered matrix must read A[p, q], never A[q, p].
-    # From about n = 70 such input makes the search cycle without end: a
-    # reversal also flips its inner edges, which no delta counts
-    for n in (9, 20, 40):
+def test_two_opt_searches_the_symmetric_part(monkeypatch):
+    # symmetric only within tol: on integer ties the 1e-10 noise decides each
+    # move.  A reversal flips the direction of its inner edges, so a search
+    # on D itself ran past 20000 move scans from n = 70 on; on
+    # S = (D + D^T) / 2 every move shortens the tour.  The length is D's
+    first_move, scans = solvers._first_move, []
+
+    def capped(*args):
+        scans.append(1)
+        assert len(scans) <= 200, "two_opt keeps scanning"
+        return first_move(*args)
+
+    monkeypatch.setattr(solvers, "_first_move", capped)
+    for n in (9, 20, 40, 70):
         for seed in SEEDS:
             D = np.floor(3.0 * random_symmetric(n, seed)) + 1e-10 * random_asymmetric(n, seed)
             assert bounds.Compression(D).symmetric and not np.array_equal(D, D.T)
+            scans.clear()
             t = solvers.two_opt(D, seed=seed)
             assert (t.order, t.length) == oracles.two_opt(D, seed), (n, seed)
+            assert t.order == solvers.two_opt((D + D.T) / 2, seed=seed).order, (n, seed)
+            assert t.length == solvers.tour_length(D, t.order)
 
 
 def test_held_karp_at_its_cap_is_fast():

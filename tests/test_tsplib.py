@@ -483,6 +483,34 @@ def test_display_data_section_does_not_hide_an_unsupported_section(section):
         tsplib.parse_tsplib(text)
 
 
+HEAD3 = "NAME: t3\nTYPE: TSP\nDIMENSION: 3\n"
+
+
+@pytest.mark.parametrize(
+    "text, error, message",
+    [
+        # the file ends inside the coordinate section
+        (HEAD3 + "EDGE_WEIGHT_TYPE: EUC_2D\nNODE_COORD_SECTION\n1 0 0\n2 3 4\n", TruncatedSection,
+         "line 7: coordinates end after 2 of 3 points"),
+        # the file ends inside the weight section
+        (HEAD3 + "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2\n1 0\n",
+         TruncatedSection, "line 6: section has 5 of 9 entries"),
+        (HEAD3 + "EDGE_WEIGHT_TYPE\n", InputFormatError, "line 4: expected 'EDGE_WEIGHT_TYPE: value'"),
+        (make("EXPLICIT", "0 1 2\n1 0 3\n2 3 0 7", fmt="FULL_MATRIX"), DimensionMismatch,
+         "line 9: section has more than the 9 entries implied by DIMENSION"),
+        (HEAD3 + "NODE_COORD_SECTION\n1 0 0\n2 3 4\n3 6 8\nEOF\n", UnsupportedKeyword,
+         ": EDGE_WEIGHT_TYPE None is not supported"),
+        (HEAD3 + "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEOF\n", InputFormatError,
+         ": EXPLICIT problem has no EDGE_WEIGHT_SECTION"),
+        (HEAD3 + "EDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", InputFormatError, ": EUC_2D problem has no NODE_COORD_SECTION"),
+    ],
+)
+def test_incomplete_or_overfull_files_are_typed_errors(text, error, message):
+    with pytest.raises(error) as info:
+        tsplib.parse_tsplib(text, "t3.tsp")
+    assert str(info.value) == "t3.tsp" + ("" if message.startswith(":") else ", ") + message
+
+
 # ---------------------------------------------------------------- sidecars
 
 
@@ -497,6 +525,18 @@ def test_read_optimum_malformed(tmp_path):
     f.write_text("best = 12\n")
     with pytest.raises(InputFormatError):
         tsplib.read_optimum(f)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [("optimum: twelve\n", "line 1: optimum is not a number"), ("# nothing here\n\n", ": no optimum line found")],
+)
+def test_read_optimum_names_what_is_missing(tmp_path, text, message):
+    f = tmp_path / "x.opt"
+    f.write_text(text)
+    with pytest.raises(InputFormatError) as info:
+        tsplib.read_optimum(f)
+    assert str(info.value) == str(f) + ("" if message.startswith(":") else ", ") + message
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "1e999"])
