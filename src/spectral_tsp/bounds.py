@@ -143,19 +143,22 @@ class Compression:
 
     @cached_property
     def normal(self) -> bool:
-        """R commutes with R^T at tol, and on asymmetric input w is certified.
-
-        The certificate is Schur's identity part by part, sum (Re w)^2 = ||S||_F^2
-        and sum (Im w)^2 = ||K||_F^2 to roundoff, whatever tol is: a commutator
+        """True at every tol on exactly symmetric A, whose compression is
+        symmetric: no K, norm or commutator is formed.  Else R must commute
+        with R^T at tol and, unless A is symmetric at tol, w is certified by
+        Schur's identity part by part, sum (Re w)^2 = ||S||_F^2 and
+        sum (Im w)^2 = ||K||_F^2 to roundoff, whatever tol is: a commutator
         small at tol can still split an eigenvalue of S wider than the cluster
         gap, losing the imaginary parts over it.  Symmetric input needs none:
         phi_normal is then phi_symmetric, which pays `skew` instead."""
+        if self.exactly_symmetric:
+            return True
         scale = float(np.linalg.norm(self.R)) ** 2
         if not parts_commute(self.S, self.K, scale, self.tol):
             return False
         return self.symmetric or all(
-            abs(float(x @ x) - float(np.linalg.norm(P)) ** 2) <= _ROUNDOFF * self.n * scale
-            for x, P in ((self.w.real, self.S), (self.w.imag, self.K))
+            abs(float(x @ x) - norm**2) <= _ROUNDOFF * self.n * scale
+            for x, norm in ((self.w.real, self.S_norm), (self.w.imag, float(np.linalg.norm(self.K))))
         )
 
     @cached_property
@@ -209,7 +212,8 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
     """Assignment-sharpened bound for distances with a normal compression.
 
     Requires center_restrict(D) to commute with its transpose (circulant
-    distance matrices are the model case; symmetric ones qualify trivially).
+    distance matrices are the model case; exactly symmetric ones qualify at
+    every tol, with no commutator formed).
     Minimizes sum_j Re((1 - omega^j) w_{sigma(j)}) over all bijections sigma
     between the tour-cycle frequencies j = 1..n-1 and the complex compressed
     spectrum w, via an exact linear assignment solve (Jonker-Volgenant).  On
@@ -306,8 +310,9 @@ class BoundReport:
     `phi` is the sharpest bound: phi_symmetric when symmetric, else
     phi_normal when defined, else phi_general.  On symmetric D the routes
     coincide, so phi_normal (when normal) and phi_general carry the
-    phi_symmetric value.  All fields come from one Compression: one
-    validation, one compression and, on symmetric input, one eigensolve.
+    phi_symmetric value; exactly symmetric D is normal at every tol.  All
+    fields come from one Compression: one validation, one compression and,
+    on symmetric input, one eigensolve.
     """
 
     n: int

@@ -32,7 +32,7 @@ from .errors import (
     NotInverseClosed,
     TooLarge,
 )
-from .linalg import DEFAULT_TOL, check_tol
+from .linalg import DEFAULT_TOL, _is_index, check_int, check_tol
 
 ORACLE_CAP = 12
 # largest edge-list vertex count and command-line size flag: orders, and a
@@ -80,15 +80,9 @@ class Graph:
         return phi_symmetric(1.0 - np.eye(self.n) - self.adjacency)
 
 
-def _is_index(x) -> bool:
-    """An int or numpy integer that is not a bool: no other entry is cast to one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-
-
 def from_edges(n: int, edges) -> Graph:
     """Graph on vertices 0..n-1 with the given (u, v) edges."""
-    if n < 1:
-        raise InvalidDimension("graphs need at least one vertex")
+    n = check_int(n, "vertex count", 1)
     A = np.zeros((n, n), dtype=np.int8)
     for edge in edges:
         try:
@@ -147,14 +141,12 @@ def is_regular(g: Graph) -> bool:
 
 
 def complete_graph(n: int) -> Graph:
-    if n < 1:
-        raise InvalidDimension("graphs need at least one vertex")
+    n = check_int(n, "vertex count", 1)
     return Graph(np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
-    if min(a, b) < 0:
-        raise InvalidDimension("part sizes must be non-negative")
+    a, b = (check_int(x, "part size", 0) for x in (a, b))
     n = a + b
     A = np.zeros((n, n), dtype=np.int8)
     A[:a, a:] = 1
@@ -163,12 +155,12 @@ def complete_bipartite(a: int, b: int) -> Graph:
 
 
 def path_graph(n: int) -> Graph:
+    n = check_int(n, "vertex count", 1)
     return from_edges(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise InvalidDimension("cycles need at least 3 vertices")
+    n = check_int(n, "vertex count", 3)
     return from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -221,8 +213,7 @@ class GroupTable:
 
 
 def cyclic_group(n: int) -> GroupTable:
-    if n < 1:
-        raise InvalidDimension("groups need at least one element")
+    n = check_int(n, "group order", 1)
     idx = np.arange(n)
     return GroupTable((idx[:, None] + idx[None, :]) % n)
 
@@ -233,8 +224,7 @@ def dihedral_group(m: int) -> GroupTable:
     Element epsilon * m + k encodes s^epsilon r^k (rotation by k, optionally
     composed with a fixed reflection s), with s r s = r^-1.
     """
-    if m < 1:
-        raise InvalidDimension("dihedral groups need m >= 1")
+    m = check_int(m, "m", 1)
     e, k = np.divmod(np.arange(2 * m), m)
     sign = 1 - 2 * e  # r^k s = s r^-k: a reflection on the right negates k1
     M = (e[:, None] ^ e[None, :]) * m + (sign[None, :] * k[:, None] + k[None, :]) % m
@@ -266,8 +256,7 @@ def cayley_graph(table: GroupTable, connection) -> Graph:
 
 def dihedral_reflection_cayley(m: int) -> Graph:
     """Cayley graph of the dihedral group generated by all its reflections."""
-    if m < 2:
-        raise InvalidDimension("need m >= 2 for a nontrivial reflection set")
+    m = check_int(m, "m", 2)  # a nontrivial reflection set
     return cayley_graph(dihedral_group(m), range(m, 2 * m))
 
 

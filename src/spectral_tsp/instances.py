@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-from .errors import InvalidDimension
-from .linalg import squared_distances
+from .linalg import check_int, squared_distances
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -33,7 +32,7 @@ class SplitMix64:
     """Tiny deterministic 64-bit generator, stable across platforms."""
 
     def __init__(self, seed: int):
-        self._state = seed & _MASK64
+        self._state = check_int(seed, "seed") & _MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK64
@@ -54,7 +53,7 @@ def _floats(seed: int, count: int) -> np.ndarray:
     """
     z = np.arange(1, count + 1, dtype=np.uint64)
     z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)
+    z += np.uint64(check_int(seed, "seed") & _MASK64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
@@ -63,14 +62,9 @@ def _floats(seed: int, count: int) -> np.ndarray:
     return (z >> np.uint64(11)).astype(float) * 2.0**-53
 
 
-def _require_n(n: int, least: int) -> None:
-    if n < least:
-        raise InvalidDimension(f"need at least {least} cities, got {n}")
-
-
 def uniform_instance(n: int) -> np.ndarray:
     """All distances equal to one: D = J - I.  Every tour has length n."""
-    _require_n(n, 3)
+    n = check_int(n, "n", 3)
     return np.ones((n, n)) - np.eye(n)
 
 
@@ -80,7 +74,7 @@ def circle_instance(n: int) -> np.ndarray:
     Chord distances: D[i, j] = sin(pi |i-j| / n) / sin(pi / n).  The shortest
     tour walks around the circle and has length exactly n.
     """
-    _require_n(n, 3)
+    n = check_int(n, "n", 3)
     idx = np.arange(n)
     steps = np.abs(idx[:, None] - idx[None, :])
     return np.sin(math.pi * steps / n) / math.sin(math.pi / n)
@@ -91,7 +85,7 @@ def line_instance(n: int) -> np.ndarray:
 
     The shortest tour sweeps out and back, so its length is 2 (n - 1).
     """
-    _require_n(n, 3)
+    n = check_int(n, "n", 3)
     idx = np.arange(n)
     return np.abs(idx[:, None] - idx[None, :]).astype(float)
 
@@ -102,7 +96,7 @@ def two_cluster_instance(n: int) -> np.ndarray:
     Distance 0 inside a group, 1 across.  A shortest tour crosses between
     the groups exactly twice, so its length is 2.
     """
-    _require_n(n, 2)
+    n = check_int(n, "n", 2)
     J = np.ones((n, n))
     Z = np.zeros((n, n))
     return np.block([[Z, J], [J, Z]])
@@ -115,9 +109,7 @@ def random_euclidean(n: int, seed: int, dim: int = 2) -> tuple[np.ndarray, np.nd
     point and coordinate by coordinate (point 0 coord 0, point 0 coord 1,
     ..., point 1 coord 0, ...).  D holds exact pairwise Euclidean norms.
     """
-    _require_n(n, 3)
-    if dim < 1:
-        raise InvalidDimension("dim must be at least 1")
+    n, dim = check_int(n, "n", 3), check_int(dim, "dim", 1)
     pts = _floats(seed, n * dim).reshape(n, dim)
     return np.sqrt(squared_distances(pts)), pts
 
@@ -129,7 +121,7 @@ def random_symmetric(n: int, seed: int) -> np.ndarray:
     (n-2,n-1)); each draw is mirrored below the diagonal.  Entries need not
     satisfy the triangle inequality.
     """
-    _require_n(n, 3)
+    n = check_int(n, "n", 3)
     i, j = np.triu_indices(n, 1)
     D = np.zeros((n, n))
     D[i, j] = D[j, i] = _floats(seed, len(i))
@@ -141,7 +133,7 @@ def random_asymmetric(n: int, seed: int) -> np.ndarray:
 
     Draw order: row-major over all ordered pairs i != j.
     """
-    _require_n(n, 3)
+    n = check_int(n, "n", 3)
     D = np.zeros((n, n))
     D[~np.eye(n, dtype=bool)] = _floats(seed, n * (n - 1))
     return D
@@ -155,7 +147,7 @@ def random_circulant(n: int, seed: int) -> np.ndarray:
     Circulant matrices commute with their transpose, which makes this the
     stock family for exercising the normal-matrix bound on asymmetric input.
     """
-    _require_n(n, 3)
+    n = check_int(n, "n", 3)
     r = np.concatenate([[0.0], _floats(seed, n - 1)])
     idx = np.arange(n)
     return r[(idx[None, :] - idx[:, None]) % n]

@@ -32,6 +32,21 @@ def check_tol(tol: float) -> float:
     return tol
 
 
+def _is_index(x) -> bool:
+    """An int or numpy integer that is not a bool: no other value is cast to one."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def check_int(x, name: str, least: int | None = None) -> int:
+    """x as an int if it is an int or numpy integer, not a bool, and at least
+    `least` when given, else InvalidDimension naming it: every size and seed."""
+    if not _is_index(x):
+        raise InvalidDimension(f"{name} must be an integer, got {x!r}")
+    if least is not None and x < least:
+        raise InvalidDimension(f"{name} must be at least {least}, got {x}")
+    return int(x)
+
+
 def _scale(top: float) -> float:
     """The exact divisor for a matrix whose largest |entry| is top: outside
     2^-129 <= top < 2^128, the power of two math.frexp gives for top, else 1.
@@ -129,13 +144,10 @@ def parts_commute(S: np.ndarray, K: np.ndarray, scale: float, tol: float = DEFAU
     """The normality test of M = S + K from its symmetric and antisymmetric parts.
 
     The commutator M M^T - M^T M equals 2 (K S + (K S)^T), and it passes when
-    its norm is at most tol * scale, with scale = ||M||_F^2.  Since
-    ||K S + (K S)^T||_F <= 2 ||K||_F ||S||_F, the O(n^2) test
-    4 ||K||_F ||S||_F <= tol * scale settles nearly symmetric and nearly
-    antisymmetric M without the one matmul the commutator costs.
+    its norm is at most tol * scale, with scale = ||M||_F^2.  Callers that
+    know M is exactly symmetric need no test: it is normal at every tol
+    (bounds.Compression.normal returns before calling this).
     """
-    if 4.0 * float(np.linalg.norm(K)) * float(np.linalg.norm(S)) <= tol * scale:
-        return True
     KS = K @ S
     return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * scale
 

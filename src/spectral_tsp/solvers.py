@@ -21,7 +21,7 @@ import numpy as np
 from .bounds import check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import SplitMix64
-from .linalg import is_symmetric
+from .linalg import DEFAULT_TOL, _near_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -287,12 +287,12 @@ def two_opt(D, seed: int = 0) -> Tour:
     Raises NotSymmetric unless D is symmetric at the default tolerance,
     judged as bounds.Compression judges it, at any magnitude.
     """
-    checked = check_distance_matrix(D)
-    if not is_symmetric(checked):
+    A, top = check_distance_matrix(D)
+    exact = np.array_equal(A, A.T)
+    if not (exact or _near_symmetric(A, top, DEFAULT_TOL)):
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
-    A, top = checked
     n = A.shape[0]
-    S = A if np.array_equal(A, A.T) else 0.5 * (A + A.T)
+    S = A if exact else 0.5 * (A + A.T)
     order = _nearest_neighbour(S, SplitMix64(seed))
     least = math.ldexp(1e-12, math.frexp(top)[1])
 

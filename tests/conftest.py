@@ -28,6 +28,7 @@ def calls(monkeypatch):
     count("eigensolve", [np.linalg], "eigvalsh")
     count("eigensolve", [np.linalg], "eigh")
     count("compression", [linalg, bounds], "center_restrict")
+    count("parts_commute", [linalg, bounds], "parts_commute")
     count("validation", [bounds], "check_distance_matrix")
     count("as_square", [linalg, bounds], "as_square")
     count("lsap", [scipy.optimize], "linear_sum_assignment")

@@ -11,7 +11,9 @@ brute_force, squared distances and GEO distances for the library's cached
 tables and row blocks.  The dense passes of a symmetric report (the
 Householder basis as I minus an outer product, the compression negated out
 of place, A - A^T for the skew and (A + A^T) / 2 for n2) are the reference
-for the library's in-place and exactly-symmetric routes, bit for bit.
+for the library's in-place and exactly-symmetric routes, bit for bit.  The
+two-step normality rule (an early accept before the commutator) is the
+reference the library's one commutator test must decide alike.
 """
 
 from __future__ import annotations
@@ -99,6 +101,21 @@ def dense_report_fields(A, scale: float, tol: float) -> dict:
         "S": S,
         "K": 0.5 * (R - R.T),
     }
+
+
+def parts_commute_two_step(S, K, scale: float, tol: float) -> bool:
+    """The normality test of S + K in two steps: the O(n^2) early accept
+    4 ||K||_F ||S||_F <= tol * scale, then the commutator test
+    2 ||K S + (K S)^T||_F <= tol * scale.
+
+    For antisymmetric K, ||K||_2 <= ||K||_F / sqrt(2), so the commutator
+    norm is at most 2 sqrt(2) ||K||_F ||S||_F: whenever the first step
+    accepts, the second would too, and the package keeps the second alone.
+    """
+    if 4.0 * float(np.linalg.norm(K)) * float(np.linalg.norm(S)) <= tol * scale:
+        return True
+    KS = K @ S
+    return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * scale
 
 
 def min_pairing(coeffs, values) -> float:

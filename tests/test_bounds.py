@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as stn
 
 import oracles
-from spectral_tsp import bounds, linalg, solvers
+from spectral_tsp import bounds, graphs, linalg, solvers
 from spectral_tsp.errors import (
     InvalidDimension,
     InvalidTolerance,
@@ -312,20 +312,61 @@ def test_bound_report_of_the_zero_matrix():
 def test_symmetric_report_is_one_pass(calls):
     D, _ = random_euclidean(40, seed=3)
     bounds.bound_report(D)
+    assert calls["parts_commute"] == 0
     assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 1}
 
 
 def test_non_normal_report_solves_two_eigenproblems(calls):
     rep = bounds.bound_report(random_asymmetric(40, seed=3))
     assert not rep.normal
-    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 2}
+    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 2}
 
 
 def test_normal_report_solves_one_assignment(calls):
     # eigvalsh(S) for mu, eigh(S) for the complex spectrum, eigvalsh(K^T K) for phi_general
     rep = bounds.bound_report(random_circulant(7, seed=2))
     assert rep.normal and not rep.symmetric
-    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 3, "lsap": 1}
+    assert calls == {
+        "validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 3, "lsap": 1,
+    }
+
+
+def _exactly_symmetric_families():
+    """Exactly symmetric distance matrices of every kind the package builds,
+    each also with its vertices relabelled by a random permutation."""
+    mats = [uniform_instance(9), two_cluster_instance(6), random_euclidean(12, seed=0, dim=3)[0]]
+    for n in (3, 7, 40):
+        mats += [circle_instance(n), line_instance(n), random_symmetric(n, seed=n), random_euclidean(n, seed=n)[0]]
+    for g in (graphs.cycle_graph(12), graphs.complete_bipartite(5, 6), graphs.dihedral_reflection_cayley(5)):
+        mats += [1.0 - np.eye(g.n) - g.adjacency, graphs.distance_matrix(g)]
+    mats.append(1.0 - np.eye(5) - graphs.bow_tie().adjacency)
+    rng = np.random.default_rng(15)
+    for D in mats:
+        p = rng.permutation(len(D))
+        yield D
+        yield D[np.ix_(p, p)]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-15, 1e-8, 1.0])
+def test_exactly_symmetric_input_is_normal_at_every_tol(tol, monkeypatch):
+    # at tol 0, roundoff in the compression's antisymmetric part K made
+    # circle_instance(40) not normal, and phi_normal raised NotNormal
+    made = []
+
+    class Recorded(bounds.Compression):
+        def __init__(self, D, tol):
+            super().__init__(D, tol)
+            made.append(self)
+
+    monkeypatch.setattr(bounds, "Compression", Recorded)
+    for D in _exactly_symmetric_families():
+        assert np.array_equal(D, D.T)
+        rep = bounds.bound_report(D, tol)
+        c = made.pop()
+        assert rep.symmetric and rep.normal and c.normal
+        assert rep.phi_normal == rep.phi_symmetric == rep.phi_general == rep.phi
+        assert "K" not in vars(c)
+        assert bounds.phi_normal(D, tol) == rep.phi
 
 
 def _dense_pass_sweep():

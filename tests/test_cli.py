@@ -330,6 +330,13 @@ def test_zero_tolerance_is_accepted():
     assert doc["symmetric"] is True
 
 
+def test_zero_tolerance_reports_exactly_symmetric_input_normal():
+    # roundoff in the compression made this report "normal": false, "phi_normal": null
+    doc = doc_of(run_cli("--tol", "0", "bound", "--family", "circle", "--n", "40"))
+    assert doc["symmetric"] is True and doc["normal"] is True
+    assert doc["phi_normal"] == doc["phi_symmetric"] == doc["phi_general"] == doc["phi"]
+
+
 def test_bound_reads_a_short_display_section(tmp_path):
     f = tmp_path / "display.tsp"
     f.write_text(

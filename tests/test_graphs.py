@@ -89,6 +89,36 @@ def test_empty_and_negative_sizes_are_rejected(build):
         build()
 
 
+BUILDERS = {
+    "from_edges": lambda n: from_edges(n, []),
+    "complete_graph": complete_graph,
+    "complete_bipartite_a": lambda n: complete_bipartite(n, 2),
+    "complete_bipartite_b": lambda n: complete_bipartite(2, n),
+    "path_graph": path_graph,
+    "cycle_graph": cycle_graph,
+    "disjoint_cliques": disjoint_cliques,
+    "cyclic_group": cyclic_group,
+    "dihedral_group": dihedral_group,
+    "dihedral_reflection_cayley": graphs.dihedral_reflection_cayley,
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+@pytest.mark.parametrize("size", [2.5, 3.5, np.float64(3.0), True, np.bool_(True), "3", None])
+def test_builders_take_only_integer_sizes(name, size):
+    # 2.5 raised numpy's TypeError, and cyclic_group(2.5) an InvalidMatrix about its table
+    with pytest.raises(InvalidDimension, match="must be an integer"):
+        BUILDERS[name](size)
+
+
+@pytest.mark.parametrize("name", BUILDERS)
+def test_builders_take_numpy_integer_sizes(name):
+    for size in (np.int64(4), np.uint8(4), np.int32(4)):
+        built, expected = BUILDERS[name](size), BUILDERS[name](4)
+        table = "mult" if isinstance(expected, graphs.GroupTable) else "adjacency"
+        assert np.array_equal(getattr(built, table), getattr(expected, table))
+
+
 def test_disjoint_cliques_is_the_block_construction():
     for n in range(1, 41):
         g = disjoint_cliques(n)

@@ -126,6 +126,49 @@ def test_too_small_dimensions_rejected(factory):
         factory(2)
 
 
+GENERATORS = {
+    "uniform": instances.uniform_instance,
+    "circle": instances.circle_instance,
+    "line": instances.line_instance,
+    "two_cluster": instances.two_cluster_instance,
+    "random_euclidean": lambda n: instances.random_euclidean(n, 0)[0],
+    "random_euclidean_dim": lambda dim: instances.random_euclidean(4, 0, dim=dim)[0],
+    "random_symmetric": lambda n: instances.random_symmetric(n, 0),
+    "random_asymmetric": lambda n: instances.random_asymmetric(n, 0),
+    "random_circulant": lambda n: instances.random_circulant(n, 0),
+    "seed_euclidean": lambda seed: instances.random_euclidean(4, seed)[0],
+    "seed_symmetric": lambda seed: instances.random_symmetric(4, seed),
+    "seed_asymmetric": lambda seed: instances.random_asymmetric(4, seed),
+    "seed_circulant": lambda seed: instances.random_circulant(4, seed),
+    "seed_splitmix": lambda seed: SplitMix64(seed).next_u64(),
+}
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+@pytest.mark.parametrize("value", [2.5, 3.5, 4.5, np.float64(4.0), True, np.bool_(True), "4", None])
+def test_sizes_and_seeds_must_be_integers(name, value):
+    # circle_instance(3.5) and line_instance(4.5) returned 4 x 4 and 5 x 5
+    # matrices, random_circulant(4.5, 1) raised IndexError
+    with pytest.raises(InvalidDimension, match="must be an integer"):
+        GENERATORS[name](value)
+
+
+@pytest.mark.parametrize("name", GENERATORS)
+def test_sizes_and_seeds_may_be_numpy_integers(name):
+    # random_symmetric(4, np.int64(5)) raised OverflowError
+    expected = GENERATORS[name](4)
+    for value in (np.int64(4), np.uint64(4), np.int16(4)):
+        assert np.array_equal(GENERATORS[name](value), expected), value
+
+
+def test_numpy_integer_seeds_wrap_as_python_integers_do():
+    for seed in (-1, 2**63 + 1, 2**64 - 1):
+        expected = instances.random_symmetric(5, seed)
+        np_seed = np.int64(seed) if seed < 0 else np.uint64(seed)
+        assert np.array_equal(instances.random_symmetric(5, np_seed), expected)
+        assert SplitMix64(np_seed).next_u64() == SplitMix64(seed).next_u64()
+
+
 @pytest.mark.parametrize("dim", [0, -1])
 def test_random_euclidean_needs_a_dimension(dim):
     with pytest.raises(InvalidDimension, match="dim must be at least 1"):

@@ -117,30 +117,31 @@ def test_is_normal_scale_invariance():
 
 
 def test_normality_shortcut_agrees_with_the_commutator():
-    """4 ||K|| ||S|| <= tol ||M||^2 bounds the commutator test, so taking it
-    first must not change the verdict, whichever of the two decides."""
-
-    def commutator_test(M, tol=linalg.DEFAULT_TOL):
-        KS = 0.5 * (M - M.T) @ (0.5 * (M + M.T))
-        return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * float(np.linalg.norm(M)) ** 2
-
+    """The early accept 4 ||K|| ||S|| <= tol ||M||^2 implies the commutator
+    test, so parts_commute, the commutator alone, decides as the two-step rule
+    of oracles.parts_commute_two_step does, whichever step decides there."""
     rng = np.random.default_rng(3)
-    shortcut = 0
+    early = {tol: 0 for tol in (0.0, 1e-12, 1e-8, 1.0)}
     for n in (3, 6, 17, 60):
         W = rng.standard_normal((n, n))
-        for M in (W, W + W.T, W - W.T, W + W.T + 1e-9 * W, linalg.center_restrict(random_circulant(n + 1, seed=n))):
+        circulant = linalg.center_restrict(random_circulant(n + 1, seed=n))
+        for M in (W, W + W.T, W - W.T, W + W.T + 1e-9 * W, W - W.T + 1e-9 * W, W - W.T + 1e-13 * W, circulant):
             for alpha in (1e-12, 1.0, 1e12):
                 X = alpha * M
                 S, K = 0.5 * (X + X.T), 0.5 * (X - X.T)
-                shortcut += 4.0 * np.linalg.norm(K) * np.linalg.norm(S) <= 1e-8 * np.linalg.norm(X) ** 2
-                assert is_normal(X) == commutator_test(X)
-    assert 0 < shortcut < 60  # both paths were taken
+                scale = float(np.linalg.norm(X)) ** 2
+                for tol in early:
+                    early[tol] += 4.0 * np.linalg.norm(K) * np.linalg.norm(S) <= tol * scale
+                    expected = oracles.parts_commute_two_step(S, K, scale, tol)
+                    assert linalg.parts_commute(S, K, scale, tol) == expected, (n, tol)
+    assert all(0 < hits < 84 for hits in early.values())  # both steps decided at every tol
     # across the threshold: S + eps K for generic S and K, eps on a fine grid
     for n in (3, 4, 6):
         W, V = rng.standard_normal((n, n)), rng.standard_normal((n, n))
         for eps in np.logspace(-11, -7, 201):
             X = W + W.T + eps * (V - V.T)
-            assert is_normal(X) == commutator_test(X), (n, eps)
+            S, K, scale = 0.5 * (X + X.T), 0.5 * (X - X.T), float(np.linalg.norm(X)) ** 2
+            assert is_normal(X) == oracles.parts_commute_two_step(S, K, scale, linalg.DEFAULT_TOL), (n, eps)
 
 
 def test_predicates_are_scale_free_and_pass_the_zero_matrix():

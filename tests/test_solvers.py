@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from spectral_tsp import bounds, solvers
-from spectral_tsp.errors import InvalidMatrix, InvalidTour, NotSymmetric, TooLarge
+from spectral_tsp.errors import InvalidDimension, InvalidMatrix, InvalidTour, NotSymmetric, TooLarge
 from spectral_tsp.instances import (
     circle_instance,
     line_instance,
@@ -185,6 +185,32 @@ def test_two_opt_is_deterministic_per_seed():
     a = solvers.two_opt(D, seed=1)
     b = solvers.two_opt(D, seed=1)
     assert a.order == b.order and a.length == b.length
+
+
+def test_two_opt_compares_d_with_its_transpose_once(monkeypatch):
+    # is_symmetric compared D with D^T, then two_opt compared them again to choose S
+    compared = []
+    array_equal = np.array_equal
+
+    def counted(a, b, *args, **kwargs):
+        compared.append(a.shape)
+        return array_equal(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "array_equal", counted)
+    D = random_symmetric(12, seed=3)
+    for M in (D, D + 1e-12 * random_asymmetric(12, seed=3)):
+        compared.clear()
+        tour = solvers.two_opt(M)
+        assert compared == [(12, 12)]
+        assert tour.order == oracles.two_opt(M)[0]
+
+
+def test_two_opt_seeds_are_integers():
+    D = uniform_instance(8)  # every nearest-neighbour step is a tie, so the seed picks the tour
+    assert solvers.two_opt(D, seed=np.int64(3)) == solvers.two_opt(D, seed=3)
+    for seed in (2.5, np.float64(3.0), True, "3"):
+        with pytest.raises(InvalidDimension, match="seed must be an integer"):
+            solvers.two_opt(D, seed=seed)
 
 
 def test_two_opt_rejects_asymmetric():
