@@ -41,6 +41,7 @@ from .linalg import (
     _top,
     as_square,
     center_restrict,
+    check_int,
     check_tol,
     commuting_spectrum,
     parts_commute,
@@ -80,6 +81,7 @@ def tsp_coefficients(n: int) -> np.ndarray:
     These are the nontrivial eigenvalues of I - (C + C^T)/2 for the cyclic
     shift C: the spectrum every tour's adjacency structure contributes.
     """
+    n = check_int(n, "n")
     if n < 3:
         raise InvalidDimension("tours need at least 3 cities")
     return np.sort(1.0 - np.cos(2.0 * np.pi * np.arange(1, n) / n))

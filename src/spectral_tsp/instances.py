@@ -122,10 +122,10 @@ def random_symmetric(n: int, seed: int) -> np.ndarray:
     satisfy the triangle inequality.
     """
     n = check_int(n, "n", 3)
-    i, j = np.triu_indices(n, 1)
+    i = np.arange(n)
     D = np.zeros((n, n))
-    D[i, j] = D[j, i] = _floats(seed, len(i))
-    return D
+    D[i[:, None] < i] = _floats(seed, n * (n - 1) // 2)
+    return D + D.T  # x + 0 is x: each draw lands unchanged on both sides
 
 
 def random_asymmetric(n: int, seed: int) -> np.ndarray:

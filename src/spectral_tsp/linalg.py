@@ -161,6 +161,7 @@ def householder_basis(n: int) -> np.ndarray:
     are an orthonormal basis of its orthogonal complement.  The basis is a
     fixed function of n: no eigensolver, no sign ambiguity.
     """
+    n = check_int(n, "n")
     if n < 2:
         raise InvalidDimension("need n >= 2 for a nontrivial centered subspace")
     w = -np.full(n, 1.0 / np.sqrt(n))

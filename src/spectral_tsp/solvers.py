@@ -7,6 +7,12 @@ exactness is out of reach.  Each validates its matrix once.  Everything is
 deterministic: enumeration breaks ties toward the lexicographically
 smallest city order, the DP by first index, and the heuristic draws any
 tie-breaking from an explicit seed.
+
+Enumeration skips the subtrees of prefixes already longer than a tour it
+has summed, on input with no negative entry only.  Prefixes as long as that
+tour are kept, so every tour tied at the minimum is still compared, and the
+result is the tour, and the length, that summing every tour gives, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -28,6 +34,12 @@ HELD_KARP_CAP = 20
 
 # cities permuted inside one numpy batch of tours: 9! = 362880 rows, about 3 MB as int8
 _BATCH_CITIES = 9
+# brute_force cuts trees of at least this many rows: below 2^15 tours
+# (symmetric n = 9 has 20160, n = 8 at most 5040) summing them all costs
+# less than cutting
+_CUT_ROWS = 1 << 15
+# nodes per level of the beam that finds brute_force's first limit
+_BEAM = 64
 # rows of 2-opt moves measured in one array step
 _ROW_BLOCK = 32
 
@@ -108,6 +120,11 @@ def _tree(m: int, rising: bool) -> tuple:
     return Q, roots[:, 0], roots[:, min(m - 1, 1)], tuple(codes), tuple(starts), spans
 
 
+def _cheapest(total: np.ndarray, k: int) -> np.ndarray:
+    """The positions of the k smallest entries of total, ascending (all if there are no more)."""
+    return np.sort(np.argpartition(total, k)[:k]) if len(total) > k else np.arange(len(total))
+
+
 def brute_force(D) -> Tour:
     """Exact minimum by enumerating every tour.  Hard cap at 12 cities.
 
@@ -124,8 +141,24 @@ def brute_force(D) -> Tour:
     leaves add t_{m-2} -> t_last.  So each prefix is summed once, and each
     length in one order whatever the batch width: the closing pair, then
     every edge from left to right.
+
+    The tree is cut (Little, Murty, Sweeney and Karel, 1963) unless an
+    entry is negative: a node whose partial sum exceeds `limit` is dropped
+    with its subtree.  `limit` is the tree's own total of the best tour
+    found so far, so it is the length of a real tour summed in the order
+    every tour is.  A float sum of non-negative terms never decreases, so
+    each prefix of a tour no longer than `limit` is kept, and nodes equal to
+    `limit` are kept too: every tour tied at the minimum reaches the leaves,
+    and the cut returns the tour full enumeration picks, bit for bit.  The
+    first limit comes from a beam through the tree, which keeps the _BEAM
+    cheapest nodes of each level down to the leaves; it falls after every
+    part of the tree is summed.  A part is summed densely until a level
+    loses at least half its nodes to the cut, and then carries the indices
+    of its survivors, so input where nothing can be cut (every tour tied)
+    costs what full enumeration does.  Batches of fewer than _CUT_ROWS
+    tours are summed whole.
     """
-    A = check_distance_matrix(D).A
+    A, top = check_distance_matrix(D)
     n = A.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
@@ -133,8 +166,16 @@ def brute_force(D) -> Tour:
     m = min(n - 1, _BATCH_CITIES)
     Q, last, first, codes, starts, spans = _tree(m, symmetric and m == n - 1)
     edge = np.empty(max(b - a for a, b in itertools.pairwise(spans)))
+    # rows of Q per node at each level: the roots, then after each code
+    strides = [len(Q) // len(last), *(len(Q) // len(code) for code in codes)]
+    # a tour is about floor, n times the least entry, or longer: a level
+    # whose sums stay under it is not read for a cut (a cut skipped only
+    # costs time), and inf turns the cut off
+    floor = math.inf
+    if len(Q) >= _CUT_ROWS and (low := np.where(np.eye(n, dtype=bool), np.inf, A).min()) >= 0:
+        floor = n * float(low)
 
-    best_len, best_tour = np.inf, None
+    best_len, best_tour, limit = math.inf, None, math.inf
     for head in itertools.permutations(range(1, n), n - 1 - m):
         rest = np.setdiff1d(np.arange(1, n), head)
         root = A[rest, 0][last]
@@ -145,21 +186,69 @@ def brute_force(D) -> Tour:
         # one orientation, head[0] < rest[last]: last is the outermost key,
         # so those are the rows from the first last that is past head[0]
         s = starts[int(np.searchsorted(rest, head[0])) if symmetric and head else 0]
-        for a, b in itertools.pairwise([s, *(x for x in spans if x > s)]):
-            total = root[a * len(root) // len(Q) : b * len(root) // len(Q)]
-            for code in codes:
-                code = code[a * len(code) // len(Q) : b * len(code) // len(Q)]
-                if len(code) > len(total):
-                    total = np.repeat(total, len(code) // len(total))
-                # every index is in range, so "clip" alters none; unlike
-                # "raise", it lets take write into out without a buffer
-                total += np.take(block, code, out=edge[: len(code)], mode="clip")
-            # the rows of one last, u to v, are in tour order: the first
-            # minimum among them is their lexicographically smallest
-            for u, v in itertools.pairwise([a, *(x for x in starts if a < x < b), b]):
-                i = u + int(np.argmin(total[u - a : v - a]))
-                tour = [0, *head, *rest[Q[i, 1:]].tolist(), int(rest[Q[i, 0]])]
-                best_len, best_tour = min((best_len, best_tour), (total[i - a], tour))
+        root = root[s // strides[0] :]
+        # parts of the tree still to sum: rows a to b of Q at one level, the
+        # partial sums of its nodes, the survivors' indices in the level once
+        # it is cut (None while it is dense), hi, which no partial sum of a
+        # dense part exceeds, and whether the part is the beam
+        todo = [(s, len(Q), 0, root, None, float(root.max()), False)] if s < len(Q) else []
+        while todo:
+            a, b, level, total, kept, hi, beam = todo.pop()
+            inner = [x for x in spans if a < x < b]
+            while level < len(codes):
+                f, g = strides[level], strides[level + 1]
+                if kept is None and hi > floor:
+                    if limit == math.inf and len(total) > _BEAM:
+                        # the beam goes first: the best tour it reaches is the first limit
+                        at = _cheapest(total, _BEAM)
+                        todo.append((a, b, level, total, None, hi, False))
+                        todo.append((a, b, level, total.take(at), a // f + at, hi, True))
+                        break
+                    # the level is read only when it may be cut
+                    if hi > limit and (hi := float(total.max())) > limit:
+                        keep = total <= limit
+                        if 2 * np.count_nonzero(keep) <= len(total):
+                            at = np.flatnonzero(keep)
+                            kept, total = a // f + at, total.take(at)
+                if not len(total):
+                    break
+                width = (b - a if kept is None else len(kept) * f) // g  # of the next level
+                if inner and (kept is None and hi <= floor or width > len(edge)):
+                    # nothing to cut yet, or too wide for one step: the spans go on one by one
+                    ends = [a, *inner, b]
+                    if kept is None:
+                        at = [(x - a) // f for x in ends]
+                    else:
+                        at = np.searchsorted(kept, [x // f for x in ends])
+                    for u, v, p, q in reversed([*zip(ends, ends[1:], at, at[1:])]):
+                        todo.append((u, v, level, total[p:q], None if kept is None else kept[p:q], hi, beam))
+                    break
+                code, r = codes[level], f // g
+                if kept is None:
+                    total = np.repeat(total, r) if r > 1 else total
+                    # every index is in range, so "clip" alters none; unlike
+                    # "raise", it lets take write into out without a buffer
+                    total += np.take(block, code[a // g : b // g], out=edge[: len(total)], mode="clip")
+                    hi += top
+                else:
+                    # the r children of each survivor, then the survivors among them
+                    step = code.reshape(-1, r).take(kept, axis=0)
+                    total = (total[:, None] + block.take(step, mode="clip")).ravel()
+                    at = _cheapest(total, _BEAM) if beam else np.flatnonzero(total <= limit)
+                    kept, total = kept.take(at // r) * r + at % r, total.take(at)
+                level += 1
+            else:
+                # the rows of one last are in tour order: the first minimum
+                # among them is their lexicographically smallest
+                ends = [a, *(x for x in starts if a < x < b), b]
+                at = [x - a for x in ends] if kept is None else np.searchsorted(kept, ends).tolist()
+                for u, v in itertools.pairwise(at):
+                    if u < v:
+                        j = u + int(np.argmin(total[u:v]))
+                        i = a + j if kept is None else int(kept[j])
+                        tour = [0, *head, *rest[Q[i, 1:]].tolist(), int(rest[Q[i, 0]])]
+                        best_len, best_tour = min((best_len, best_tour), (total[j], tour))
+                limit = min(limit, float(best_len))
 
     return Tour(order=best_tour, length=_length(A, best_tour))
 

@@ -645,6 +645,11 @@ def test_check_distance_matrix_errors():
         bounds.check_distance_matrix(np.zeros((2, 2)))
     with pytest.raises(InvalidDimension, match="at least 3 cities"):
         bounds.tsp_coefficients(2)
+    # 3.5 returned the 3 coefficients [0.377, 1.223, 1.901]
+    for n in (3.5, 2.5, True):
+        with pytest.raises(InvalidDimension, match="must be an integer"):
+            bounds.tsp_coefficients(n)
+    assert bounds.tsp_coefficients(np.int64(5)).tobytes() == bounds.tsp_coefficients(5).tobytes()
     bad_diag = np.ones((4, 4))
     with pytest.raises(NonzeroDiagonal):
         bounds.check_distance_matrix(bad_diag)

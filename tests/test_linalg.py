@@ -73,6 +73,11 @@ def test_as_square_rejects_nonsquare_and_nan():
 def test_householder_basis_needs_two_dimensions():
     with pytest.raises(InvalidDimension, match="n >= 2"):
         linalg.householder_basis(1)
+    # 2.5 raised numpy's untyped TypeError
+    for n in (3.5, 2.5, True):
+        with pytest.raises(InvalidDimension, match="must be an integer"):
+            linalg.householder_basis(n)
+    assert linalg.householder_basis(np.int64(5)).tobytes() == linalg.householder_basis(5).tobytes()
 
 
 def test_vn_trace_range_needs_symmetric_matrices_of_one_size():

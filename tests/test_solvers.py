@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 import tracemalloc
 
@@ -310,6 +311,173 @@ def test_brute_force_keeps_no_tour_table():
             tracemalloc.stop()
         assert peak <= bound
         assert (t.order, t.length) == oracles.brute_force(D)
+
+
+def _negative(n, seed):
+    D = random_symmetric(n, seed)
+    D[0, 1] = -0.25  # asymmetric too, so both directions are enumerated
+    return D
+
+
+# families the cut meets: random, integer ties, every tour tied (uniform),
+# one optimum up to direction (line, circle), and a negative entry (no cut)
+CUT_FAMILIES = {
+    "symmetric": random_symmetric,
+    "asymmetric": random_asymmetric,
+    "euclidean": lambda n, seed: random_euclidean(n, seed)[0],
+    "symmetric ties": lambda n, seed: np.floor(3.0 * random_symmetric(n, seed)),
+    "asymmetric ties": lambda n, seed: np.floor(3.0 * random_asymmetric(n, seed)),
+    "uniform": lambda n, seed: uniform_instance(n),
+    "line": lambda n, seed: line_instance(n),
+    "circle": lambda n, seed: circle_instance(n),
+    "negative": _negative,
+}
+
+
+def _same_as_the_oracle(sizes, seeds, cities=9):
+    for n in sizes:
+        for name, family in CUT_FAMILIES.items():
+            for seed in seeds:
+                D = family(n, seed)
+                t = solvers.brute_force(D)
+                order, length = oracles.brute_force(D, cities)
+                assert (t.order, t.length.hex()) == (order, length.hex()), (name, n, seed, cities)
+
+
+@pytest.mark.parametrize("cut_rows", [0, solvers._CUT_ROWS])
+def test_cut_tree_is_the_batch_oracle(monkeypatch, cut_rows):
+    # cut_rows 0 cuts every tree, down to n = 3
+    monkeypatch.setattr(solvers, "_CUT_ROWS", cut_rows)
+    _same_as_the_oracle(range(3, 10), SEEDS[::3])
+    _same_as_the_oracle([10], SEEDS[:1])
+
+
+@pytest.mark.parametrize("cities", range(1, 9))
+def test_cut_tree_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
+    # the cut meets leading cities fixed per batch, spans of several lasts,
+    # and, below 5 cities, where no level is wider than the beam, a limit
+    # that is first set at the end of a batch
+    monkeypatch.setattr(solvers, "_BATCH_CITIES", cities)
+    monkeypatch.setattr(solvers, "_CUT_ROWS", 0)
+    largest = max(n for n in range(3, 13) if math.perm(n - 1, n - 1 - min(n - 1, cities)) <= 60)
+    _same_as_the_oracle(range(3, largest + 1), SEEDS[::3], cities)
+
+
+@pytest.mark.parametrize("beam", [1, 2, 7])
+def test_any_beam_gives_the_same_tour(monkeypatch, beam):
+    # a narrow beam starts from a poor limit, which the cut must survive
+    monkeypatch.setattr(solvers, "_BEAM", beam)
+    monkeypatch.setattr(solvers, "_CUT_ROWS", 0)
+    _same_as_the_oracle([6, 9], SEEDS[:1])
+
+
+def _tree_order_sum(D, order):
+    """A tour's length summed as brute_force's tree sums it: the closing
+    edge, then every edge from city 0 on."""
+    total = D[order[-1], 0]
+    for u, v in itertools.pairwise(order):
+        total += D[u, v]
+    return total
+
+
+def test_limit_is_a_tour_summed_in_tree_order(monkeypatch):
+    # held_karp's length of this optimum is one ulp below the tree's total
+    # of the same tour: as a limit it would cut every leaf of the optimum
+    D = random_euclidean(10, 3)[0]
+    hk = solvers.held_karp(D)
+    turned = [0, *hk.order[:0:-1]] if hk.order[1] > hk.order[-1] else hk.order
+    assert (hk.length.hex(), _tree_order_sum(D, turned).hex()) == ("0x1.4d55914a73601p+1", "0x1.4d55914a73602p+1")
+    for beam in (1, 64):
+        monkeypatch.setattr(solvers, "_BEAM", beam)
+        t = solvers.brute_force(D)
+        assert (t.order, t.length) == oracles.brute_force(D) and t.order == turned
+    # a beam of one finds [0, 3, 4, 1, 2, 5] first; the smaller [0, 1, 4, 3,
+    # 2, 5] ties with it in the tree's order, while tour_length of the first
+    # is one ulp lower: a limit taken from it drops the tie
+    D = np.array([
+        [0.0, 0.7, 1.1, 0.3, 1.1, 0.3],
+        [0.7, 0.0, 0.7, 1.1, 0.1, 0.3],
+        [1.1, 0.7, 0.0, 0.3, 1.1, 0.2],
+        [0.3, 1.1, 0.3, 0.0, 0.2, 1.1],
+        [1.1, 0.1, 1.1, 0.2, 0.0, 1.1],
+        [0.3, 0.3, 0.2, 1.1, 1.1, 0.0],
+    ])
+    first, smaller = [0, 3, 4, 1, 2, 5], [0, 1, 4, 3, 2, 5]
+    assert _tree_order_sum(D, first) == _tree_order_sum(D, smaller) > solvers.tour_length(D, first)
+    monkeypatch.setattr(solvers, "_CUT_ROWS", 0)
+    monkeypatch.setattr(solvers, "_BEAM", 1)
+    t = solvers.brute_force(D)
+    assert (t.order, t.length) == oracles.brute_force(D) and t.order == smaller
+
+
+class _CountedCodes(np.ndarray):
+    """Edge codes that count the entries read from them through slices and take."""
+
+    read = 0
+
+    def __getitem__(self, key):
+        out = super().__getitem__(key)
+        _CountedCodes.read += np.size(out)
+        return out
+
+    def take(self, *args, **kwargs):
+        out = super().take(*args, **kwargs)
+        _CountedCodes.read += np.size(out)
+        return out
+
+
+@pytest.fixture
+def leaves_summed(monkeypatch):
+    """Reset to 0, then the number of tours brute_force gives a full sum.
+
+    The closing edge is added only at the leaves, so the entries read from
+    its codes count them."""
+    tree = solvers._tree
+
+    def counted(m, rising):
+        Q, last, first, codes, starts, spans = tree(m, rising)
+        return Q, last, first, (*codes[:-1], codes[-1].view(_CountedCodes)), starts, spans
+
+    monkeypatch.setattr(solvers, "_tree", counted)
+
+    def read():
+        out, _CountedCodes.read = _CountedCodes.read, 0
+        return out
+
+    return read
+
+
+def test_cut_sums_few_leaves(leaves_summed):
+    # full enumeration gives all 10!/2 tours of symmetric n = 11 a full sum
+    tours = math.factorial(10) // 2
+    for seed in SEEDS:
+        leaves_summed()
+        D = random_symmetric(11, seed)
+        t = solvers.brute_force(D)
+        assert leaves_summed() < tours / 4, seed
+    assert (t.order, t.length) == oracles.brute_force(D)
+
+
+def test_negative_entries_turn_the_cut_off(leaves_summed):
+    # a float sum with a negative term can fall, so a prefix above a tour's
+    # length may still lead to a shorter one: every tour gets its full sum
+    for n in (9, 10):
+        leaves_summed()
+        D = _negative(n, 3)
+        t = solvers.brute_force(D)
+        assert leaves_summed() == math.factorial(n - 1), n
+        assert (t.order, t.length) == oracles.brute_force(D), n
+
+
+def test_ties_everywhere_are_summed_densely(leaves_summed, monkeypatch):
+    # no partial sum of the uniform instance exceeds n - 1 < n = every tour's
+    # length: nothing is cut, and no beam is sent down the tree
+    monkeypatch.setattr(solvers, "_cheapest", None)
+    for n in (10, 11):
+        leaves_summed()
+        t = solvers.brute_force(uniform_instance(n))
+        assert leaves_summed() == math.factorial(n - 1) // 2
+        assert (t.order, t.length) == (list(range(n)), float(n))
 
 
 def test_held_karp_is_the_loop_oracle():
