@@ -84,6 +84,10 @@ def from_edges(n: int, edges) -> Graph:
     """Graph on vertices 0..n-1 with the given (u, v) edges."""
     n = check_int(n, "vertex count", 1)
     A = np.zeros((n, n), dtype=np.int8)
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
     for edge in edges:
         try:
             u, v = edge

@@ -26,10 +26,11 @@ DEFAULT_TOL = 1e-8
 
 
 def check_tol(tol: float) -> float:
-    """Return tol if it is a finite number >= 0, else raise InvalidTolerance."""
-    if not 0.0 <= tol < math.inf:
+    """float(tol) if tol is an int, float or numpy real scalar, not a bool,
+    finite and >= 0, else raise InvalidTolerance."""
+    if not ((_is_index(tol) or isinstance(tol, (float, np.floating))) and 0.0 <= tol < math.inf):
         raise InvalidTolerance(f"tol must be a finite number >= 0, got {tol!r}")
-    return tol
+    return float(tol)
 
 
 def _is_index(x) -> bool:
@@ -51,15 +52,20 @@ def _scale(top: float) -> float:
     """The exact divisor for a matrix whose largest |entry| is top: outside
     2^-129 <= top < 2^128, the power of two math.frexp gives for top, else 1.
     Inside that range no square or fourth power the bounds take of an entry
-    near top over- or underflows, and the matrix is not copied: a quotient
-    per report took bound_report at n = 400 from 17.5 to 22 ms on 2 cores."""
+    near top over- or underflows, and the matrix is not copied."""
     k = math.frexp(top)[1]
     return 2.0**k if abs(k) > 128 else 1.0
 
 
 def as_square(M, name: str = "matrix") -> np.ndarray:
     """Validate `M` and return it as a float64 square 2-d array (a copy only if it is not one)."""
-    A = np.asarray(M, dtype=float)
+    try:
+        A = np.asarray(M)
+        if A.dtype.kind == "c":
+            raise InvalidMatrix(f"{name} must be real, got complex entries")
+        A = A.astype(float, copy=False)
+    except (TypeError, ValueError) as e:  # ragged rows, or entries that are not numbers
+        raise InvalidMatrix(f"{name} must be an array of real numbers: {e}") from None
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise InvalidMatrix(f"{name} must be square, got shape {A.shape}")
     if A.shape[0] < 1:

@@ -1,18 +1,13 @@
 """Exact and heuristic tour solvers used to certify the bounds.
 
-Two independent exact routes (enumeration over a prefix tree of tours,
+Two independent exact routes (branch and bound over a prefix tree of tours,
 which sums each shared prefix once and each length in one fixed order, and
 dynamic programming over subsets) plus a 2-opt local search for sizes where
 exactness is out of reach.  Each validates its matrix once.  Everything is
 deterministic: enumeration breaks ties toward the lexicographically
 smallest city order, the DP by first index, and the heuristic draws any
-tie-breaking from an explicit seed.
-
-Enumeration skips the subtrees of prefixes already longer than a tour it
-has summed, on input with no negative entry only.  Prefixes as long as that
-tour are kept, so every tour tied at the minimum is still compared, and the
-result is the tour, and the length, that summing every tour gives, bit for
-bit.
+tie-breaking from an explicit seed.  Enumeration cuts a prefix longer than
+a tour it has summed only when no entry is negative.
 """
 
 from __future__ import annotations
@@ -34,10 +29,9 @@ HELD_KARP_CAP = 20
 
 # cities permuted inside one numpy batch of tours: 9! = 362880 rows, about 3 MB as int8
 _BATCH_CITIES = 9
-# brute_force cuts trees of at least this many rows: below 2^15 tours
-# (symmetric n = 9 has 20160, n = 8 at most 5040) summing them all costs
-# less than cutting
-_CUT_ROWS = 1 << 15
+# brute_force grows a part of its tree to at most this many children per array
+# step, else in chunks (a single node's children always go in one step)
+_PART_ROWS = 1 << 15
 # nodes per level of the beam that finds brute_force's first limit
 _BEAM = 64
 # rows of 2-opt moves measured in one array step
@@ -74,7 +68,7 @@ def tour_length(D, order) -> float:
 
 def _length(A: np.ndarray, order) -> float:
     """tour_length on a validated matrix, for tours a solver built itself."""
-    return float(A[order, np.roll(order, -1)].sum())
+    return float(A[order, np.concatenate((order[1:], order[:1]))].sum())
 
 
 def _permutations(m: int) -> np.ndarray:
@@ -102,10 +96,8 @@ def _tree(m: int, rising: bool) -> tuple:
     roots, and codes holds the edges t_{k-1} -> t_k of levels 1..m-2, then
     t_{m-2} -> last, as a * m + b into the flattened m x m block of the
     batch's distances (at most 80, so int8).  Rows with last = c start at
-    starts[c]; a call starts new arrays at spans, every last or every few
-    under 2^15 rows (whole batches of 9! doubles page-faulted afresh on
-    every call).  All are read-only and shared by every call with the same
-    m and rising.
+    starts[c].  All are read-only and shared by every call with the same m
+    and rising.
     """
     Q = _permutations(m)
     Q = Q[Q[:, 1] < Q[:, 0]] if rising else Q
@@ -116,8 +108,7 @@ def _tree(m: int, rising: bool) -> tuple:
         a.flags.writeable = False
     roots = Q[:: math.factorial(max(m - 2, 0))]
     starts = np.searchsorted(Q[:, 0], np.arange(m + 1)).tolist()
-    spans = (*starts[: -1 : max(1, (1 << 15) // math.factorial(m - 1))], len(Q))
-    return Q, roots[:, 0], roots[:, min(m - 1, 1)], tuple(codes), tuple(starts), spans
+    return Q, roots[:, 0], roots[:, min(m - 1, 1)], tuple(codes), tuple(starts)
 
 
 def _cheapest(total: np.ndarray, k: int) -> np.ndarray:
@@ -126,129 +117,88 @@ def _cheapest(total: np.ndarray, k: int) -> np.ndarray:
 
 
 def brute_force(D) -> Tour:
-    """Exact minimum by enumerating every tour.  Hard cap at 12 cities.
+    """Exact minimum over every tour, by branch and bound.  Hard cap at 12 cities.
 
-    City 0 is pinned first so each cyclic order appears once; for exactly
-    symmetric distances each direction of traversal is enumerated once as
-    well (the orientation with the smaller second city is kept), since any
-    asymmetry can make one direction the shorter.  Among tours of exactly
-    minimal length the lexicographically smallest order wins, which makes
-    the result reproducible bit for bit.  Tours are measured in numpy
-    batches: each batch fixes the leading cities and sums the last
-    m = min(n - 1, 9) over the prefix tree of _tree, built once per m.  The
-    roots hold A[t_last, 0] plus the path from 0 to t0; each level repeats
-    its parent's partial sums over its children and adds one edge, and the
-    leaves add t_{m-2} -> t_last.  So each prefix is summed once, and each
-    length in one order whatever the batch width: the closing pair, then
-    every edge from left to right.
-
-    The tree is cut (Little, Murty, Sweeney and Karel, 1963) unless an
-    entry is negative: a node whose partial sum exceeds `limit` is dropped
-    with its subtree.  `limit` is the tree's own total of the best tour
-    found so far, so it is the length of a real tour summed in the order
-    every tour is.  A float sum of non-negative terms never decreases, so
-    each prefix of a tour no longer than `limit` is kept, and nodes equal to
-    `limit` are kept too: every tour tied at the minimum reaches the leaves,
-    and the cut returns the tour full enumeration picks, bit for bit.  The
-    first limit comes from a beam through the tree, which keeps the _BEAM
-    cheapest nodes of each level down to the leaves; it falls after every
-    part of the tree is summed.  A part is summed densely until a level
-    loses at least half its nodes to the cut, and then carries the indices
-    of its survivors, so input where nothing can be cut (every tour tied)
-    costs what full enumeration does.  Batches of fewer than _CUT_ROWS
-    tours are summed whole.
+    City 0 is pinned first; on exactly symmetric input each tour is taken
+    in one direction only, the one with the smaller second city.  Among
+    tours of exactly minimal length the lexicographically smallest order
+    wins.  Each batch fixes the leading cities and grows the last
+    m = min(n - 1, 9) over _tree's prefix tree, a node's sum its parent's
+    plus one edge, so every length is summed in one order: the closing
+    pair, then left to right.  Unless an entry is negative, a node whose
+    sum exceeds `limit`, the best tour's sum so far, is cut with its
+    subtree (Little, Murty, Sweeney and Karel, 1963): float sums of
+    non-negative terms never decrease, and ties with `limit` are kept.  A
+    beam, the _BEAM cheapest nodes of each level, sets the first limit.
     """
-    A, top = check_distance_matrix(D)
+    A = check_distance_matrix(D).A
     n = A.shape[0]
     if n > BRUTE_FORCE_CAP:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
     symmetric = np.array_equal(A, A.T)
     m = min(n - 1, _BATCH_CITIES)
-    Q, last, first, codes, starts, spans = _tree(m, symmetric and m == n - 1)
-    edge = np.empty(max(b - a for a, b in itertools.pairwise(spans)))
-    # rows of Q per node at each level: the roots, then after each code
-    strides = [len(Q) // len(last), *(len(Q) // len(code) for code in codes)]
-    # a tour is about floor, n times the least entry, or longer: a level
-    # whose sums stay under it is not read for a cut (a cut skipped only
-    # costs time), and inf turns the cut off
-    floor = math.inf
-    if len(Q) >= _CUT_ROWS and (low := np.where(np.eye(n, dtype=bool), np.inf, A).min()) >= 0:
-        floor = n * float(low)
+    Q, last, first, codes, starts = _tree(m, symmetric and m == n - 1)
+    # children per node at each level: the roots, then after each code
+    fan = [len(b) // len(a) for a, b in itertools.pairwise((last, *codes))]
+    cut = A.min() >= 0  # the diagonal is zero: no entry is negative
+
+    def grow(level, nodes, total, select):
+        # the children of nodes that select keeps (their positions, None for all), ascending;
+        # every code is in range, so "clip" alters none and skips the bounds check
+        r = fan[level]
+        sums = block.take(codes[level].reshape(-1, r).take(nodes, axis=0), mode="clip")
+        at = select(total := (total[:, None] + sums).ravel())
+        if at is None:
+            kids, base = np.empty(sums.shape, dtype=nodes.dtype), nodes * r
+            for j in range(r):  # a column at a time: numpy broadcasts slowly over a few columns
+                np.add(base, j, out=kids[:, j])
+            return kids.ravel(), total
+        parent = at // r  # at = parent * r + child
+        return (nodes.take(parent) - parent) * r + at, total.take(at)
+
+    def bound(total):  # the cut: every child but those above limit
+        keep = total <= limit
+        return None if keep.all() else np.flatnonzero(keep)
 
     best_len, best_tour, limit = math.inf, None, math.inf
     for head in itertools.permutations(range(1, n), n - 1 - m):
-        rest = np.setdiff1d(np.arange(1, n), head)
+        rest = np.array([c for c in range(1, n) if c not in head])
         root = A[rest, 0][last]
         for u, v in itertools.pairwise((0, *head)):
             root += A[u, v]
         root += A[head[-1] if head else 0, rest][first]
         block = A[np.ix_(rest, rest)].ravel()
-        # one orientation, head[0] < rest[last]: last is the outermost key,
-        # so those are the rows from the first last that is past head[0]
-        s = starts[int(np.searchsorted(rest, head[0])) if symmetric and head else 0]
-        root = root[s // strides[0] :]
-        # parts of the tree still to sum: rows a to b of Q at one level, the
-        # partial sums of its nodes, the survivors' indices in the level once
-        # it is cut (None while it is dense), hi, which no partial sum of a
-        # dense part exceeds, and whether the part is the beam
-        todo = [(s, len(Q), 0, root, None, float(root.max()), False)] if s < len(Q) else []
-        while todo:
-            a, b, level, total, kept, hi, beam = todo.pop()
-            inner = [x for x in spans if a < x < b]
-            while level < len(codes):
-                f, g = strides[level], strides[level + 1]
-                if kept is None and hi > floor:
-                    if limit == math.inf and len(total) > _BEAM:
-                        # the beam goes first: the best tour it reaches is the first limit
-                        at = _cheapest(total, _BEAM)
-                        todo.append((a, b, level, total, None, hi, False))
-                        todo.append((a, b, level, total.take(at), a // f + at, hi, True))
-                        break
-                    # the level is read only when it may be cut
-                    if hi > limit and (hi := float(total.max())) > limit:
-                        keep = total <= limit
-                        if 2 * np.count_nonzero(keep) <= len(total):
-                            at = np.flatnonzero(keep)
-                            kept, total = a // f + at, total.take(at)
-                if not len(total):
+        # one orientation, head[0] < rest[last]: the rows from the first last past head[0]
+        lo = starts[int(np.searchsorted(rest, head[0])) if symmetric and head else 0] // (len(Q) // len(last))
+        # parts of the tree still to sum: a level, some of its nodes (ascending) and their sums
+        parts = [(0, np.arange(lo, len(last)), root[lo:])]
+        if cut and limit == math.inf:
+            # the first batch sends a beam to the leaves first: its best tour is the first limit
+            nodes, total = parts[0][1:]
+            for level in range(len(codes)):
+                nodes, total = grow(level, nodes, total, lambda t: _cheapest(t, _BEAM))
+            parts.append((len(codes), nodes, total))
+        while parts:
+            level, nodes, total = parts.pop()
+            while level < len(codes) and len(nodes):
+                if len(nodes) > 1 and len(nodes) * fan[level] > _PART_ROWS:
+                    # too many children for one step: the part goes on in chunks, in order
+                    k = max(1, _PART_ROWS // fan[level])
+                    parts += [(level, nodes[i : i + k], total[i : i + k]) for i in reversed(range(0, len(nodes), k))]
                     break
-                width = (b - a if kept is None else len(kept) * f) // g  # of the next level
-                if inner and (kept is None and hi <= floor or width > len(edge)):
-                    # nothing to cut yet, or too wide for one step: the spans go on one by one
-                    ends = [a, *inner, b]
-                    if kept is None:
-                        at = [(x - a) // f for x in ends]
-                    else:
-                        at = np.searchsorted(kept, [x // f for x in ends])
-                    for u, v, p, q in reversed([*zip(ends, ends[1:], at, at[1:])]):
-                        todo.append((u, v, level, total[p:q], None if kept is None else kept[p:q], hi, beam))
-                    break
-                code, r = codes[level], f // g
-                if kept is None:
-                    total = np.repeat(total, r) if r > 1 else total
-                    # every index is in range, so "clip" alters none; unlike
-                    # "raise", it lets take write into out without a buffer
-                    total += np.take(block, code[a // g : b // g], out=edge[: len(total)], mode="clip")
-                    hi += top
-                else:
-                    # the r children of each survivor, then the survivors among them
-                    step = code.reshape(-1, r).take(kept, axis=0)
-                    total = (total[:, None] + block.take(step, mode="clip")).ravel()
-                    at = _cheapest(total, _BEAM) if beam else np.flatnonzero(total <= limit)
-                    kept, total = kept.take(at // r) * r + at % r, total.take(at)
+                nodes, total = grow(level, nodes, total, bound)
                 level += 1
             else:
-                # the rows of one last are in tour order: the first minimum
-                # among them is their lexicographically smallest
-                ends = [a, *(x for x in starts if a < x < b), b]
-                at = [x - a for x in ends] if kept is None else np.searchsorted(kept, ends).tolist()
-                for u, v in itertools.pairwise(at):
-                    if u < v:
-                        j = u + int(np.argmin(total[u:v]))
-                        i = a + j if kept is None else int(kept[j])
-                        tour = [0, *head, *rest[Q[i, 1:]].tolist(), int(rest[Q[i, 0]])]
-                        best_len, best_tour = min((best_len, best_tour), (total[j], tour))
-                limit = min(limit, float(best_len))
+                # the rows of one last are in tour order: the first of its
+                # shortest is the lexicographically smallest
+                if len(total) and (low := total.min()) <= best_len:
+                    rows = nodes[total == low]
+                    for u, v in itertools.pairwise(np.searchsorted(rows, starts).tolist()):
+                        if u < v:  # rows[u] is the first of its last
+                            tour = [0, *head, *rest[Q[rows[u], 1:]].tolist(), int(rest[Q[rows[u], 0]])]
+                            best_len, best_tour = min((best_len, best_tour), (low, tour))
+                if cut:
+                    limit = float(best_len)
 
     return Tour(order=best_tour, length=_length(A, best_tour))
 
@@ -357,24 +307,15 @@ def _first_move(B: np.ndarray, i: int, j: int, upper: np.ndarray, least: float) 
 def two_opt(D, seed: int = 0) -> Tour:
     """2-opt local search from a nearest-neighbour start (symmetric only).
 
-    The search runs on S = (D + D^T) / 2, which is D itself when D is
-    exactly symmetric; the returned length is measured on D.  On S a
-    reversal leaves the cost of its inner edges alone, so every move
-    shortens the tour and the search ends.
-    Starts at city 0, greedily visits the nearest unvisited city (exact
-    distance ties are broken by a SplitMix64 draw from `seed`), then applies
-    first-improvement segment reversals until no reversal shortens the tour
-    by more than 1e-12 times the power of two math.frexp gives for max|D|,
-    so that D and 2^k D take the same moves.  The result is a local optimum
-    on S: never longer there than its greedy start, and of course never
-    shorter than the true minimum.
-    Each sweep applies the first improving move from where the last one
-    was found on, until a sweep finds none.  Moves are measured on one copy
-    B of S in tour order plus the closing column, from contiguous slices
-    (see _first_move); reversing order[i:j] reverses rows and columns i:j
-    of B.
-    Raises NotSymmetric unless D is symmetric at the default tolerance,
-    judged as bounds.Compression judges it, at any magnitude.
+    Starts at city 0 and greedily visits the nearest unvisited city, exact
+    ties broken by a SplitMix64 draw from `seed`; then applies the first
+    improving segment reversal (see _first_move) until none shortens the
+    tour by more than 1e-12 times the power of two math.frexp gives for
+    max|D|, so D and 2^k D take the same moves.  The search runs on
+    S = (D + D^T) / 2, D itself when D is exactly symmetric, where every
+    move shortens the tour, so it ends; the length is measured on D.
+    Raises NotSymmetric unless D is symmetric at the default tolerance, as
+    bounds.Compression judges it.
     """
     A, top = check_distance_matrix(D)
     exact = np.array_equal(A, A.T)

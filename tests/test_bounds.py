@@ -86,6 +86,28 @@ def test_phi_normal_matches_exhaustive_pairing_on_circulants():
         assert abs(a - b) < 1e-8
 
 
+@pytest.mark.parametrize("n", [7, 40, 300])
+def test_normal_route_matches_the_dft_spectrum_of_circulants(n):
+    # the DFT diagonalises every circulant, with no Householder basis and no
+    # eigensolver: its spectrum, paired by the same assignment, is phi_normal
+    from scipy.optimize import linear_sum_assignment
+
+    ang = 2.0 * np.pi * np.arange(1, n) / n
+    for seed in (0, 5, 2**63 + 1, 2**64 - 1):
+        D = random_circulant(n, seed)
+        w = oracles.circulant_center_spectrum(D[0])
+        cost = np.outer(1.0 - np.cos(ang), w.real) + np.outer(np.sin(ang), w.imag)
+        rows, cols = linear_sum_assignment(cost)
+        phi = float(cost[rows, cols].sum())
+        assert abs(bounds.phi_normal(D) - phi) <= 1e-12 * abs(phi), seed
+        # roundoff ties reorder a joint (real, imag) sort from n = 40 on, so
+        # each part is sorted on its own
+        c = bounds.Compression(D)
+        for part in (np.real, np.imag):
+            err = np.abs(np.sort(part(c.w)) - np.sort(part(w))).max()
+            assert err <= 1e-12 * np.abs(w).max(), (seed, part.__name__)
+
+
 def test_phi_normal_reduces_to_phi_symmetric_on_symmetric_input():
     for seed in range(6):
         D = random_symmetric(7, seed=seed)

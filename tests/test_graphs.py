@@ -210,6 +210,13 @@ def test_from_edges_takes_only_integer_pairs(edge, error, match):
         from_edges(3, [edge])
 
 
+def test_from_edges_needs_an_iterable_of_edges():
+    # iterating None raised an untyped TypeError
+    for edges in (None, 3):
+        with pytest.raises(InvalidMatrix, match="an edge is a pair"):
+            from_edges(3, edges)
+
+
 def test_from_edges_takes_numpy_integers():
     edges = np.array([[0, 1], [1, 2]], dtype=np.int32)
     assert np.array_equal(from_edges(3, edges).adjacency, path_graph(3).adjacency)

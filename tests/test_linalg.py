@@ -68,6 +68,29 @@ def test_as_square_rejects_nonsquare_and_nan():
         linalg.as_square(np.array([[0.0, np.nan], [1.0, 0.0]]))
     with pytest.raises(InvalidDimension, match="at least 1 x 1"):
         linalg.as_square(np.zeros((0, 0)))
+    # numpy's untyped ValueError before: a string that is no number, ragged rows
+    for M in ([["x", 1], [1, 0]], [[0, 1], [1]]):
+        with pytest.raises(InvalidMatrix, match="real numbers"):
+            linalg.as_square(M)
+    # a complex matrix was cast to its real part with only a ComplexWarning
+    for M in (np.array([[0, 1j], [1j, 0]]), [[0, 1 + 0j], [1, 0]], np.array([[0, 1j], [1, 0]], dtype=object)):
+        with pytest.raises(InvalidMatrix, match="real"):
+            linalg.as_square(M)
+    # numeric strings stay accepted
+    assert np.array_equal(linalg.as_square([["0", "1.5"], ["1.5", "0"]]), [[0.0, 1.5], [1.5, 0.0]])
+
+
+@pytest.mark.parametrize("tol", ["1e-3", None, [1e-8], 1j, True, np.bool_(False)])
+def test_check_tol_takes_only_real_numbers(tol):
+    # a string, None, a list and 1j raised an untyped TypeError, and True passed as 1
+    with pytest.raises(InvalidTolerance, match="finite number >= 0"):
+        linalg.check_tol(tol)
+
+
+def test_check_tol_returns_a_float():
+    for tol in (0, 1, 1e-8, np.int64(2), np.float32(0.5), np.float64(1e-9)):
+        out = linalg.check_tol(tol)
+        assert type(out) is float and out == float(tol)
 
 
 def test_householder_basis_needs_two_dimensions():

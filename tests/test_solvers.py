@@ -287,7 +287,7 @@ def test_brute_force_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
 
 def test_prefix_tree_tables_are_read_only():
     for rising in (True, False):
-        Q, last, first, codes, starts, spans = tables = solvers._tree(4, rising)
+        Q, last, first, codes, starts = tables = solvers._tree(4, rising)
         assert tables is solvers._tree(4, rising)
         for a in (Q, last, first, *codes):
             with pytest.raises(ValueError):
@@ -344,21 +344,24 @@ def _same_as_the_oracle(sizes, seeds, cities=9):
                 assert (t.order, t.length.hex()) == (order, length.hex()), (name, n, seed, cities)
 
 
-@pytest.mark.parametrize("cut_rows", [0, solvers._CUT_ROWS])
-def test_cut_tree_is_the_batch_oracle(monkeypatch, cut_rows):
-    # cut_rows 0 cuts every tree, down to n = 3
-    monkeypatch.setattr(solvers, "_CUT_ROWS", cut_rows)
+def test_cut_tree_is_the_batch_oracle():
     _same_as_the_oracle(range(3, 10), SEEDS[::3])
     _same_as_the_oracle([10], SEEDS[:1])
 
 
+@pytest.mark.parametrize("rows", [1, 5, 64])
+def test_parts_grown_in_chunks_are_the_batch_oracle(monkeypatch, rows):
+    # a part whose children pass `rows` goes on in chunks, each cut at the
+    # limit its turn meets; at 1 every node is a part of its own
+    monkeypatch.setattr(solvers, "_PART_ROWS", rows)
+    _same_as_the_oracle(range(3, 9), SEEDS[:1])
+
+
 @pytest.mark.parametrize("cities", range(1, 9))
 def test_cut_tree_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
-    # the cut meets leading cities fixed per batch, spans of several lasts,
-    # and, below 5 cities, where no level is wider than the beam, a limit
-    # that is first set at the end of a batch
+    # the cut meets leading cities fixed per batch, and a beam that reaches
+    # every leaf of the first batch
     monkeypatch.setattr(solvers, "_BATCH_CITIES", cities)
-    monkeypatch.setattr(solvers, "_CUT_ROWS", 0)
     largest = max(n for n in range(3, 13) if math.perm(n - 1, n - 1 - min(n - 1, cities)) <= 60)
     _same_as_the_oracle(range(3, largest + 1), SEEDS[::3], cities)
 
@@ -367,7 +370,6 @@ def test_cut_tree_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
 def test_any_beam_gives_the_same_tour(monkeypatch, beam):
     # a narrow beam starts from a poor limit, which the cut must survive
     monkeypatch.setattr(solvers, "_BEAM", beam)
-    monkeypatch.setattr(solvers, "_CUT_ROWS", 0)
     _same_as_the_oracle([6, 9], SEEDS[:1])
 
 
@@ -404,7 +406,6 @@ def test_limit_is_a_tour_summed_in_tree_order(monkeypatch):
     ])
     first, smaller = [0, 3, 4, 1, 2, 5], [0, 1, 4, 3, 2, 5]
     assert _tree_order_sum(D, first) == _tree_order_sum(D, smaller) > solvers.tour_length(D, first)
-    monkeypatch.setattr(solvers, "_CUT_ROWS", 0)
     monkeypatch.setattr(solvers, "_BEAM", 1)
     t = solvers.brute_force(D)
     assert (t.order, t.length) == oracles.brute_force(D) and t.order == smaller
@@ -435,8 +436,8 @@ def leaves_summed(monkeypatch):
     tree = solvers._tree
 
     def counted(m, rising):
-        Q, last, first, codes, starts, spans = tree(m, rising)
-        return Q, last, first, (*codes[:-1], codes[-1].view(_CountedCodes)), starts, spans
+        Q, last, first, codes, starts = tree(m, rising)
+        return Q, last, first, (*codes[:-1], codes[-1].view(_CountedCodes)), starts
 
     monkeypatch.setattr(solvers, "_tree", counted)
 
@@ -458,6 +459,18 @@ def test_cut_sums_few_leaves(leaves_summed):
     assert (t.order, t.length) == oracles.brute_force(D)
 
 
+def test_small_trees_are_cut_too(leaves_summed):
+    # symmetric n = 9 has 8!/2 = 20160 tours and n = 8 has 2520: the cut
+    # reaches them as it reaches larger trees
+    for n in (8, 9):
+        for seed in SEEDS:
+            leaves_summed()
+            D = random_symmetric(n, seed)
+            t = solvers.brute_force(D)
+            assert leaves_summed() < math.factorial(n - 1) // 2, (n, seed)
+            assert (t.order, t.length) == oracles.brute_force(D), (n, seed)
+
+
 def test_negative_entries_turn_the_cut_off(leaves_summed):
     # a float sum with a negative term can fall, so a prefix above a tour's
     # length may still lead to a shorter one: every tour gets its full sum
@@ -469,14 +482,15 @@ def test_negative_entries_turn_the_cut_off(leaves_summed):
         assert (t.order, t.length) == oracles.brute_force(D), n
 
 
-def test_ties_everywhere_are_summed_densely(leaves_summed, monkeypatch):
+def test_ties_everywhere_sum_every_tour_once(leaves_summed):
     # no partial sum of the uniform instance exceeds n - 1 < n = every tour's
-    # length: nothing is cut, and no beam is sent down the tree
-    monkeypatch.setattr(solvers, "_cheapest", None)
+    # length: nothing is cut, and each tour is summed once, besides the leaves
+    # of the beam, at most _BEAM nodes with one child each at the last level
     for n in (10, 11):
         leaves_summed()
         t = solvers.brute_force(uniform_instance(n))
-        assert leaves_summed() == math.factorial(n - 1) // 2
+        tours = math.factorial(n - 1) // 2
+        assert tours <= leaves_summed() <= tours + solvers._BEAM
         assert (t.order, t.length) == (list(range(n)), float(n))
 
 

@@ -1,0 +1,164 @@
+"""Run one fixed list of CLI commands through two source trees and compare their bytes.
+
+Both trees are imported into one process (interleave.load_tree), and each
+command runs through its tree's cli.main(argv) with stdout and stderr
+captured; a command's digest is the sha256 of its stdout, stderr and exit
+code.  BLAS runs on one thread unless the environment says otherwise, and
+SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
+--tol 0:
+
+  - bound, and every solve method whose cap admits n, on each --family at
+    n = 3, 7, 40 and 300 with --seed 0, 3 and 2^64 - 1;
+  - solve --method brute on each --family at n = 9..12 (seed 0);
+  - bound on the fixtures, and on EUC_2D, ATT, GEO and EXPLICIT files (all
+    five packings) at n = 7 and 40, written for the run as the cli-tsplib
+    benchmark workload writes them;
+  - batch --jobs 1 on the fixtures and the n = 7 files;
+  - check-graph on every graph family, invalid sizes included.
+
+    python tools/byte_sweep.py --base HEAD~1           # HEAD~1 against this checkout
+    python tools/byte_sweep.py --base A --new B --show # two revisions, differences shown
+
+The base tree is a git revision (--base, extracted with `git archive`) or a
+directory holding src/spectral_tsp (--base-tree); the new tree is this
+checkout unless --new names a revision.  --smoke runs six commands only.
+Each command whose digest differs is printed; the exit status is 1 if any
+differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+if __name__ == "__main__":
+    # BLAS reads its thread count once, when numpy loads
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+
+import numpy as np  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from interleave import ROOT, extract, load_tree  # noqa: E402
+
+sys.path.insert(0, str(ROOT / "bench"))
+from workloads import FIXTURES, write_round  # noqa: E402  (the cli-tsplib workload's files)
+
+MATRIX_FAMILIES = (
+    "uniform", "circle", "line", "two-cluster",
+    "random-euclidean", "random-symmetric", "random-asymmetric", "random-circulant",
+)
+SEEDS = ("0", "3", str(2**64 - 1))
+TOLS = ((), ("--tol", "1"), ("--tol", "0"))
+GRAPHS = [
+    *(("--family", "path", "--n", n) for n in ("-1", "0", "1", "2", "3", "40")),
+    *(("--family", "cycle", "--n", n) for n in ("2", "3", "40")),
+    *(("--family", "complete", "--n", n) for n in ("0", "1", "2", "3", "40", "2049")),
+    *(("--family", "complete-bipartite", "--n", n, "--m", m) for n, m in (("0", "2"), ("1", "1"), ("2", "3"), ("20", "20"))),
+    ("--family", "complete-bipartite", "--n", "3"),
+    ("--family", "bow-tie"),
+    *(("--family", "dihedral-reflection", "--m", m) for m in ("0", "1", "2", "3", "20")),
+    ("--family", "cycle"),
+]
+SMOKE = [
+    ("bound", "--family", "random-symmetric", "--n", "7", "--seed", "3"),
+    ("bound", "--family", "random-circulant", "--n", "7", "--seed", "3"),
+    ("solve", "--family", "random-asymmetric", "--n", "9", "--method", "brute"),
+    ("solve", "--family", "random-euclidean", "--n", "40", "--method", "two-opt"),
+    ("check-graph", "--family", "complete-bipartite", "--n", "3", "--m", "4"),
+    ("check-graph", "--family", "path", "--n", "1"),
+]
+
+
+def commands(directory: Path) -> list[tuple[str, ...]]:
+    """The full list, each command once per tol; files are written under directory."""
+    listed = []
+    for family in MATRIX_FAMILIES:
+        for n in (3, 7, 40, 300):
+            for seed in SEEDS:
+                instance = ("--family", family, "--n", str(n), "--seed", seed)
+                listed.append(("bound", *instance))
+                methods = [m for m, cap in (("brute", 12), ("held-karp", 20), ("two-opt", math.inf)) if n <= cap]
+                listed += [("solve", *instance, "--method", m) for m in methods]
+        listed += [("solve", "--family", family, "--n", str(n), "--method", "brute") for n in range(9, 13)]
+    listed += [("bound", str(f), "--sidecar", str(f.with_suffix(".opt"))) for f in FIXTURES]
+    small, large = (write_round(directory / str(n), np.random.default_rng(n), n, n) for n in (7, 40))
+    listed += [("bound", str(f)) for f in (*small, *large)]
+    manifest = directory / "batch.manifest"
+    manifest.write_text("".join(f"{f},{f.with_suffix('.opt')}\n" for f in FIXTURES) + "".join(f"{f}\n" for f in small))
+    listed.append(("batch", str(manifest), "--jobs", "1"))
+    listed += [("check-graph", *g) for g in GRAPHS]
+    return [(*tol, *argv) for tol in TOLS for argv in listed]
+
+
+def run(cli, argv) -> tuple[str, str, object]:
+    """stdout, stderr and exit code of cli.main(argv); a crash is an output too."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as e:  # argparse's own errors
+            code = e.code
+        except Exception as e:  # noqa: BLE001 - an uncaught error is an output to compare
+            code = f"raised {type(e).__name__}: {e}"
+    return out.getvalue(), err.getvalue(), code
+
+
+def digest(output: tuple[str, str, object]) -> str:
+    return hashlib.sha256(json.dumps(output).encode()).hexdigest()
+
+
+def report(base: dict, new: dict) -> int:
+    """Print each command whose digest differs between base and new (command -> digest); 1 if any do."""
+    differ = [cmd for cmd in base if base[cmd] != new.get(cmd)]
+    for cmd in differ:
+        print(f"DIFFERENT {cmd}")
+    print(f"{len(base)} commands, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+def _first_difference(a: str, b: str, context: int = 80) -> str:
+    k = next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
+    lo = max(0, k - context)
+    return f"    base ...{a[lo : k + context]!r}\n    new  ...{b[lo : k + context]!r}"
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", default="HEAD", help="git revision of the base tree (default HEAD)")
+    p.add_argument("--base-tree", type=Path, help="directory holding src/spectral_tsp, in place of --base")
+    p.add_argument("--new", help="git revision of the new tree (default: this checkout)")
+    p.add_argument("--smoke", action="store_true", help="run six commands only")
+    p.add_argument("--show", action="store_true", help="print where each differing output first differs")
+    args = p.parse_args(argv)
+    os.environ.pop("SPECTRAL_TSP_TOL", None)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        base_tree = args.base_tree or extract(args.base, tmp / "base")
+        new_tree = extract(args.new, tmp / "new") if args.new else ROOT
+        clis = [load_tree(tree, alias)["cli"] for tree, alias in ((base_tree, "sweep_base"), (new_tree, "sweep_new"))]
+        (tmp / "files").mkdir()
+        argvs = SMOKE if args.smoke else commands(tmp / "files")
+        print(f"base {args.base_tree or args.base}, new {args.new or ROOT}, numpy {np.__version__}, "
+              f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
+        outputs = [{" ".join(a): run(cli, a) for a in argvs} for cli in clis]
+    status = report(*({cmd: digest(out) for cmd, out in side.items()} for side in outputs))
+    if args.show:
+        base, new = outputs
+        for cmd in base:
+            for label, a, b in zip(("stdout", "stderr", "exit"), base[cmd], new[cmd]):
+                if a != b:
+                    print(f"{cmd}: {label}\n" + _first_difference(str(a), str(b)))
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())
