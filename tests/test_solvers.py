@@ -344,9 +344,14 @@ def _same_as_the_oracle(sizes, seeds, cities=9):
                 assert (t.order, t.length.hex()) == (order, length.hex()), (name, n, seed, cities)
 
 
-def test_cut_tree_is_the_batch_oracle():
+@pytest.mark.parametrize("part_rows", [0, solvers._PART_ROWS])
+def test_cut_tree_is_the_batch_oracle(monkeypatch, part_rows):
+    # part_rows 0 grows every node as a part of its own, down to n = 3; at
+    # n = 10 that is some 20 s of one-node steps, so it stops at n = 9
+    monkeypatch.setattr(solvers, "_PART_ROWS", part_rows)
     _same_as_the_oracle(range(3, 10), SEEDS[::3])
-    _same_as_the_oracle([10], SEEDS[:1])
+    if part_rows:
+        _same_as_the_oracle([10], SEEDS[:1])
 
 
 @pytest.mark.parametrize("rows", [1, 5, 64])
