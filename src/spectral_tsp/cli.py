@@ -13,8 +13,8 @@ human-readable summary on stderr, leaving stdout machine-clean.  The
 decision tolerance defaults to 1e-8, can be set for a whole shell via the
 SPECTRAL_TSP_TOL environment variable, and per-run via --tol; either must
 be a finite number >= 0, else the run exits 2.  --n, --m, --dim and the
-vertex count of an edge-list file are capped at graphs.SIZE_CAP (2048), and
-a TSPLIB DIMENSION at twice that, the largest order those flags reach.
+vertex count of a graph file are capped at graphs.SIZE_CAP (2048), and a
+TSPLIB DIMENSION at twice that, the largest order those flags reach.
 
 The bound fields are those of bounds.BoundReport and each screen's those
 of graphs.ScreenResult, in declaration order; the CLI adds only kind,

@@ -35,7 +35,7 @@ from .errors import (
 from .linalg import DEFAULT_TOL, _is_index, check_int, check_tol
 
 ORACLE_CAP = 12
-# largest edge-list vertex count and command-line size flag: orders, and a
+# largest vertex count of a graph file and command-line size flag: orders, and a
 # TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
 SIZE_CAP = 2048
 
@@ -109,17 +109,12 @@ def _hops(g: Graph, s: int) -> np.ndarray:
     """Hop distances from vertex s by breadth-first search, -1 where unreachable."""
     hops = np.full(g.n, -1, dtype=np.int64)
     hops[s] = 0
-    frontier = [s]
+    frontier = np.array([s])
     d = 0
-    while frontier:
+    while frontier.size:  # one array step per level: the unvisited neighbours of the whole frontier
         d += 1
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(g.adjacency[u]):
-                if hops[v] < 0:
-                    hops[v] = d
-                    nxt.append(v)
-        frontier = nxt
+        frontier = np.flatnonzero(g.adjacency[frontier].any(axis=0) & (hops < 0))
+        hops[frontier] = d
     return hops
 
 
@@ -412,6 +407,8 @@ def graph_from_text(text: str, fmt: str = "auto") -> Graph:
             raise InputFormatError(str(exc)) from None
 
     if fmt == "adjacency":
+        if len(lines) > SIZE_CAP:  # one row per vertex, counted before any entry is read
+            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {len(lines)}")
         try:
             rows = [[int(tok) for tok in line.split()] for line in lines]
         except ValueError:

@@ -106,14 +106,14 @@ def _explicit_count(fmt: str, n: int) -> int:
     return n * (n + 1) // 2  # UPPER_DIAG_ROW, LOWER_DIAG_ROW
 
 
-def _explicit_matrix(fmt: str, n: int, weights: list[float]) -> np.ndarray:
+def _explicit_matrix(fmt: str, n: int, weights: np.ndarray) -> np.ndarray:
     """The n x n matrix of an EDGE_WEIGHT_SECTION; triangular formats are mirrored.
 
     Each triangle's entries come row by row, which is the order
     np.triu_indices and np.tril_indices list their positions in.
     """
     if fmt == "FULL_MATRIX":
-        return np.array(weights, dtype=float).reshape(n, n)
+        return weights.reshape(n, n)
     off = 0 if fmt.endswith("DIAG_ROW") else 1
     r, c = np.triu_indices(n, off) if fmt.startswith("UPPER") else np.tril_indices(n, -off)
     D = np.zeros((n, n))
@@ -127,7 +127,7 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
     header: dict[str, str] = {}
     n: int | None = None
     coords: np.ndarray | None = None
-    explicit: tuple[str, int, list[float]] | None = None  # format, DIMENSION, weights
+    explicit: tuple[str, int, np.ndarray] | None = None  # format, DIMENSION, weights
 
     def fail(exc, lineno, msg):
         raise exc(f"{source}, line {lineno + 1}: {msg}")
@@ -202,22 +202,25 @@ def parse_tsplib(text: str, source: str = "<string>") -> TsplibProblem:
             if fmt not in _WEIGHT_FORMATS:
                 fail(UnsupportedKeyword, i, f"EDGE_WEIGHT_FORMAT {fmt!r} is not supported")
             need = _explicit_count(fmt, n)
-            weights = []
+            chunks = []  # one float64 array per line: in a list, a Python float takes 32 bytes, not 8
+            count = 0
             start = i
-            while len(weights) < need:
+            while count < need:
                 i += 1
                 if i >= len(lines):
-                    fail(TruncatedSection, start, f"section has {len(weights)} of {need} entries")
+                    fail(TruncatedSection, start, f"section has {count} of {need} entries")
                 try:
-                    vals = [float(tok) for tok in lines[i].split()]
+                    vals = np.array([float(tok) for tok in lines[i].split()], dtype=float)
                 except ValueError:
-                    fail(TruncatedSection, i, f"section has {len(weights)} of {need} entries")
-                if not all(map(math.isfinite, vals)):
+                    fail(TruncatedSection, i, f"section has {count} of {need} entries")
+                if not np.isfinite(vals).all():
                     fail(NonFiniteValue, i, f"weight is not a finite number: {lines[i].strip()!r}")
-                weights.extend(vals)
-            if len(weights) > need:
+                chunks.append(vals)
+                count += vals.size
+            if count > need:
                 fail(DimensionMismatch, i, f"section has more than the {need} entries implied by DIMENSION")
-            explicit = (fmt, n, weights)
+            explicit = (fmt, n, np.concatenate(chunks))
+            del chunks  # else every line is held while the matrix is built
             i += 1
             continue
 

@@ -422,6 +422,62 @@ def distance_phi_transmission_regular(g) -> float:
 
 
 # ---------------------------------------------------------------------------
+# both screens on a circulant graph C_n(+-steps) in closed form, in long
+# double: the DFT diagonalises every circulant, so neither needs an eigensolve
+
+
+def _cos_2pi(n: int, m) -> np.ndarray:
+    """cos(2 pi m / n) in long double, with the integers m reduced to (-n/2, n/2] and pi = 4 atan(1)."""
+    m = np.asarray(m, dtype=np.int64) % n
+    m = np.where(2 * m > n, m - n, m).astype(np.longdouble)
+    return np.cos(8 * np.arctan(np.longdouble(1)) * m / n)
+
+
+def _coefficients(n: int) -> np.ndarray:
+    """c_k = 1 - cos(2 pi k / n), k = 1..n-1, ascending, in long double."""
+    return np.sort(1 - _cos_2pi(n, np.arange(1, n)))
+
+
+def circulant_hops(n: int, steps) -> list[int]:
+    """Hop distances from 0 on Z_n with steps +-s for s in steps, by a queue of Python ints."""
+    hops = [-1] * n
+    hops[0] = 0
+    queue = [0]
+    for u in queue:
+        for s in steps:
+            for v in ((u + s) % n, (u - s) % n):
+                if hops[v] < 0:
+                    hops[v] = hops[u] + 1
+                    queue.append(v)
+    return hops
+
+
+def circulant_complement_phi(n: int, steps) -> tuple[np.longdouble, np.longdouble]:
+    """complement_phi of C_n(+-steps), and the sum |c_k mu_k| of its pairing.
+
+    The complement's restricted spectrum is 1 + lambda_j, j = 1..n-1, with
+    lambda_j = sum over the connection set S of cos(2 pi j s / n); the
+    coefficients sum to n, so the value is n + sum c_k lambda_k descending.
+    """
+    S = sorted({s % n for t in steps for s in (t, -t)})
+    lam = np.sort(_cos_2pi(n, np.outer(np.arange(1, n), S)).sum(axis=1))[::-1]
+    c = _coefficients(n)
+    return n + c @ lam, np.abs(c * (1 + lam)).sum()
+
+
+def circulant_distance_phi(n: int, steps) -> tuple[np.longdouble, np.longdouble]:
+    """distance_phi of C_n(+-steps), and the sum |c_k mu_k| of its pairing.
+
+    The negated hop matrix, restricted, has mu_j = -sum_k h_k cos(2 pi j k / n)
+    for the hop row h from vertex 0.
+    """
+    h = np.array(circulant_hops(n, steps), dtype=np.longdouble)
+    mu = np.sort(-(_cos_2pi(n, np.outer(np.arange(1, n), np.arange(n))) @ h))[::-1]
+    c = _coefficients(n)
+    return c @ mu, np.abs(c * mu).sum()
+
+
+# ---------------------------------------------------------------------------
 # TSPLIB distance rules, one pair at a time as the format's reference code
 # computes them; each returns the full symmetric matrix
 

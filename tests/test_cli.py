@@ -426,6 +426,8 @@ def test_m_is_a_check_graph_option_only(command, capsys):
         (["check-graph", "--family", "complete", "--n", "5000"], None),
         (["check-graph", "--family", "complete-bipartite", "--n", "3", "--m", "2049"], None),
         (["check-graph", "--family", "dihedral-reflection", "--m", "1000000000000"], None),
+        pytest.param(["check-graph"], "0 1\n" * (graphs.SIZE_CAP + 1), id="adjacency-rows-auto"),
+        pytest.param(["check-graph", "--format", "adjacency"], "0\n" * (graphs.SIZE_CAP + 1), id="adjacency-rows"),
     ],
 )
 def test_sizes_past_the_cap_exit_3_before_allocating(tmp_path, capsys, argv, edge_list):
@@ -435,6 +437,26 @@ def test_sizes_past_the_cap_exit_3_before_allocating(tmp_path, capsys, argv, edg
     assert cli.main(argv) == 3
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "capped at 2048" in err
+
+
+@pytest.mark.parametrize(
+    "form, flags",
+    [("edges", []), ("edges", ["--format", "edges"]), ("adjacency", []), ("adjacency", ["--format", "adjacency"])],
+    ids=["edges-auto", "edges", "adjacency-auto", "adjacency"],
+)
+def test_graph_files_of_both_formats_past_the_cap_exit_3(tmp_path, capsys, monkeypatch, form, flags):
+    monkeypatch.setattr(graphs, "SIZE_CAP", 4)
+    for n in (4, 5):
+        if form == "edges":
+            text = f"{n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+        else:
+            text = "".join(" ".join(str(int((j - i) % n in (1, n - 1))) for j in range(n)) + "\n" for i in range(n))
+        (tmp_path / f"c{n}.txt").write_text(text)
+    assert cli.main(["check-graph", *flags, str(tmp_path / "c4.txt")]) == 0
+    assert json.loads(capsys.readouterr().out)["instance"]["n"] == 4
+    assert cli.main(["check-graph", *flags, str(tmp_path / "c5.txt")]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "capped at 4 vertices, got 5" in err
 
 
 def test_tsplib_order_past_the_cap_exits_3(tmp_path, capsys, monkeypatch):

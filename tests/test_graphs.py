@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -240,11 +241,55 @@ def test_connectivity_and_distances():
         distance_matrix(disjoint_cliques(3))
 
 
+def _assert_bfs_is_the_oracle(g):
+    H = oracles.hop_distances(g)
+    hops = np.array([graphs._hops(g, s) for s in range(g.n)])
+    assert np.array_equal(hops, np.where(np.isinf(H), -1, H))
+    connected = bool(np.isfinite(H).all())
+    assert is_connected(g) is connected
+    if connected:
+        assert np.array_equal(distance_matrix(g), H)
+    else:
+        with pytest.raises(Disconnected):
+            distance_matrix(g)
+    return connected
+
+
+_BFS_FAMILIES = {
+    **{f"P{n}": path_graph(n) for n in (1, 2, 3, 50)},
+    **{f"C{n}": cycle_graph(n) for n in (3, 50)},
+    **{f"K{n}": complete_graph(n) for n in (1, 2, 3, 50)},
+    **{f"K{a},{b}": complete_bipartite(a, b) for a, b in ((0, 3), (1, 1), (1, 5), (2, 3), (20, 30))},
+    **{f"reflections{m}": dihedral_reflection_cayley(m) for m in (2, 3, 10, 25)},
+    "two-12-cycles": cayley_graph(dihedral_group(12), {1, 11}),
+    "prism12": cayley_graph(dihedral_group(12), {1, 11, 12}),
+}
+
+
+@pytest.mark.parametrize("name", _BFS_FAMILIES)
+def test_breadth_first_search_is_floyd_warshall_on_the_families(name):
+    _assert_bfs_is_the_oracle(_BFS_FAMILIES[name])
+
+
 def test_distance_matrix_matches_floyd_warshall():
     for seed in range(30):
-        g = random_graph(4 + seed % 9, seed=500 + seed, density=0.45)
-        if is_connected(g):
-            assert np.array_equal(distance_matrix(g), oracles.hop_distances(g))
+        _assert_bfs_is_the_oracle(random_graph(4 + seed % 9, seed=500 + seed, density=0.45))
+    connected = isolated = 0
+    for n in (1, 2, 5, 12, 30, 60):
+        for density in (0.05, 0.1, 0.2, 0.4, 0.9):
+            for seed in range(3):
+                g = random_graph(n, seed=7000 + 10 * n + seed, density=density)
+                connected += _assert_bfs_is_the_oracle(g)
+                isolated += bool((g.degrees == 0).any())
+    assert 0 < connected < 90 and isolated > 0  # both kinds, and isolated vertices, were compared
+
+
+@pytest.mark.parametrize("g", [complete_graph(300), complete_bipartite(150, 150)], ids=["K300", "K150,150"])
+def test_distance_matrix_of_dense_graphs_is_fast(g):
+    # one array step per level: a dense graph has two or three levels from any source
+    t0 = time.perf_counter()
+    distance_matrix(g)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_regularity_predicates():
@@ -509,6 +554,24 @@ def test_transmission_regular_fast_path_matches_generic():
         assert abs(oracles.distance_phi_transmission_regular(g) - distance_phi(g)) < 1e-9
 
 
+@pytest.mark.parametrize(
+    "n, steps",
+    [(97, (1, 5)), (300, (1, 2, 7)), (1000, (3, 10)), (97, (1,)), (600, (1,))],
+    ids=["C97{1,5}", "C300{1,2,7}", "C1000{3,10}", "cycle97", "cycle600"],
+)
+def test_screen_values_are_the_closed_forms_on_circulants(n, steps):
+    # values only: the cycles' verdicts at tol 0 are a separate question
+    S = {x % n for s in steps for x in (s, -s)}
+    g = cycle_graph(n) if steps == (1,) else cayley_graph(cyclic_group(n), S)
+    eps = np.finfo(float).eps
+    for value, reference in (
+        (complement_phi, oracles.circulant_complement_phi),
+        (distance_phi, oracles.circulant_distance_phi),
+    ):
+        exact, magnitude = reference(n, steps)
+        assert abs(np.longdouble(value(g)) - exact) <= 8 * n * eps * magnitude
+
+
 # ---------------------------------------------------------------- screens
 
 
@@ -666,6 +729,30 @@ def test_graph_from_text_caps_the_declared_vertex_count():
         with pytest.raises(TooLarge, match="capped"):
             graph_from_text(f"{n}\n0 1\n")
     assert graph_from_text(f"{graphs.SIZE_CAP}\n0 1\n").n == graphs.SIZE_CAP
+
+
+def cycle_text(n: int, form: str) -> str:
+    """The n-cycle as an edge list or as adjacency rows."""
+    if form == "edges":
+        return f"{n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n))
+    return "".join(" ".join(map(str, row)) + "\n" for row in cycle_graph(n).adjacency.tolist())
+
+
+@pytest.mark.parametrize("form, fmt", [("edges", "auto"), ("edges", "edges"), ("adjacency", "auto"), ("adjacency", "adjacency")])
+def test_graph_files_of_both_formats_are_capped_at_the_same_vertex_count(monkeypatch, form, fmt):
+    monkeypatch.setattr(graphs, "SIZE_CAP", 4)
+    assert np.array_equal(graph_from_text(cycle_text(4, form), fmt).adjacency, cycle_graph(4).adjacency)
+    kind = {"edges": "edge lists", "adjacency": "adjacency matrices"}[form]
+    with pytest.raises(TooLarge, match=f"^{kind} are capped at 4 vertices, got 5$"):
+        graph_from_text(cycle_text(5, form), fmt)
+
+
+def test_adjacency_rows_are_counted_before_any_entry_is_read():
+    rows = "x y\n" * (graphs.SIZE_CAP + 1)
+    with pytest.raises(TooLarge, match="^adjacency matrices are capped at 2048 vertices, got 2049$"):
+        graph_from_text(rows)
+    with pytest.raises(InputFormatError, match="integers"):
+        graph_from_text("x y\n" * graphs.SIZE_CAP)
 
 
 def test_graph_from_text_rejects_digits_int_cannot_read():

@@ -74,6 +74,35 @@ def test_huge_declared_dimension_is_truncated_without_allocating(fmt):
     assert peak < 2_000_000
 
 
+def _explicit_rows(M: np.ndarray, fmt: str) -> list[np.ndarray]:
+    """The rows of M as an EDGE_WEIGHT_SECTION in the given format lists them."""
+    n = len(M)
+    off = 0 if fmt.endswith("DIAG_ROW") else 1
+    if fmt == "FULL_MATRIX":
+        return list(M)
+    if fmt.startswith("UPPER"):
+        return [M[i, i + off :] for i in range(n - off)]
+    return [M[i, : i + 1 - off] for i in range(off, n)]
+
+
+@pytest.mark.parametrize("fmt", ["FULL_MATRIX", "UPPER_ROW", "LOWER_ROW", "UPPER_DIAG_ROW", "LOWER_DIAG_ROW"])
+def test_explicit_weights_peak_within_three_and_a_half_matrices(fmt):
+    # read as Python floats, the weights alone took four matrices' worth
+    n = 150
+    M = np.triu(np.arange(n * n).reshape(n, n) % 997 + 1, 1)
+    M = M + M.T
+    body = "\n".join(" ".join(map(str, row.tolist())) for row in _explicit_rows(M, fmt))
+    text = make("EXPLICIT", body, n=n, fmt=fmt)
+    tracemalloc.start()
+    try:
+        p = tsplib.parse_tsplib(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(p.matrix, M)
+    assert peak <= 3.5 * 8 * n * n
+
+
 def test_huge_declared_dimension_with_coordinates_is_truncated():
     text = make("EUC_2D", "1 0 0\n2 3 4", n=10**15)
     with pytest.raises(TruncatedSection):

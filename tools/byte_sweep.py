@@ -14,7 +14,9 @@ SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
     five packings) at n = 7 and 40, written for the run as the cli-tsplib
     benchmark workload writes them;
   - batch --jobs 1 on the fixtures and the n = 7 files;
-  - check-graph on every graph family, invalid sizes included.
+  - check-graph on every graph family, invalid sizes included, and at
+    n = 200 on complete (--n 200), complete-bipartite (--n 100 --m 100),
+    dihedral-reflection (--m 100), cycle (--n 200) and path (--n 200).
 
     python tools/byte_sweep.py --base HEAD~1           # HEAD~1 against this checkout
     python tools/byte_sweep.py --base A --new B --show # two revisions, differences shown
@@ -67,6 +69,9 @@ GRAPHS = [
     ("--family", "bow-tie"),
     *(("--family", "dihedral-reflection", "--m", m) for m in ("0", "1", "2", "3", "20")),
     ("--family", "cycle"),
+    *(("--family", family, "--n", "200") for family in ("complete", "cycle", "path")),
+    ("--family", "complete-bipartite", "--n", "100", "--m", "100"),
+    ("--family", "dihedral-reflection", "--m", "100"),
 ]
 SMOKE = [
     ("bound", "--family", "random-symmetric", "--n", "7", "--seed", "3"),
