@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,6 +256,16 @@ def _assert_bfs_is_the_oracle(g):
     return connected
 
 
+def _union(*parts) -> graphs.Graph:
+    """The disjoint union of the parts, numbered in order."""
+    A = np.zeros((sum(g.n for g in parts),) * 2, dtype=np.int8)
+    start = 0
+    for g in parts:
+        A[start : start + g.n, start : start + g.n] = g.adjacency
+        start += g.n
+    return graphs.Graph(A)
+
+
 _BFS_FAMILIES = {
     **{f"P{n}": path_graph(n) for n in (1, 2, 3, 50)},
     **{f"C{n}": cycle_graph(n) for n in (3, 50)},
@@ -263,12 +274,18 @@ _BFS_FAMILIES = {
     **{f"reflections{m}": dihedral_reflection_cayley(m) for m in (2, 3, 10, 25)},
     "two-12-cycles": cayley_graph(dihedral_group(12), {1, 11}),
     "prism12": cayley_graph(dihedral_group(12), {1, 11, 12}),
+    # components that turn complete at different depths: K5 from the start, P40 after six squarings
+    "K5+P40": _union(complete_graph(5), path_graph(40)),
+    "C50+K1": _union(cycle_graph(50), complete_graph(1)),
+    "P30+P31": _union(path_graph(30), path_graph(31)),
+    **{f"Gnp150#{seed}": random_graph(150, seed, 6 / 149) for seed in (150, 152)},  # mean degree 6
 }
+_DISCONNECTED = {"K0,3", "two-12-cycles", "K5+P40", "C50+K1", "P30+P31"}
 
 
 @pytest.mark.parametrize("name", _BFS_FAMILIES)
 def test_breadth_first_search_is_floyd_warshall_on_the_families(name):
-    _assert_bfs_is_the_oracle(_BFS_FAMILIES[name])
+    assert _assert_bfs_is_the_oracle(_BFS_FAMILIES[name]) is (name not in _DISCONNECTED)
 
 
 def test_distance_matrix_matches_floyd_warshall():
@@ -284,12 +301,42 @@ def test_distance_matrix_matches_floyd_warshall():
     assert 0 < connected < 90 and isolated > 0  # both kinds, and isolated vertices, were compared
 
 
+@pytest.mark.parametrize("n", [2, 3, 200, 601, 1024])
+def test_path_and_cycle_distances_are_the_closed_forms(n):
+    # diameters 1 to 1023: both parities, and up to 10 squarings to unwind
+    i, j = np.indices((n, n))
+    assert np.array_equal(distance_matrix(path_graph(n)), np.abs(i - j))
+    if n >= 3:
+        assert np.array_equal(distance_matrix(cycle_graph(n)), np.minimum(np.abs(i - j), n - np.abs(i - j)))
+
+
 @pytest.mark.parametrize("g", [complete_graph(300), complete_bipartite(150, 150)], ids=["K300", "K150,150"])
 def test_distance_matrix_of_dense_graphs_is_fast(g):
-    # one array step per level: a dense graph has two or three levels from any source
+    # one squaring makes a dense graph complete, and one product unwinds it
     t0 = time.perf_counter()
     distance_matrix(g)
     assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("g", [path_graph(600), cycle_graph(600)], ids=["P600", "C600"])
+def test_distance_matrix_of_long_graphs_is_fast(g):
+    # about log2(diameter) squarings, however long the graph: no step per level or per source
+    t0 = time.perf_counter()
+    distance_matrix(g)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_distance_screen_of_a_long_path_peaks_within_four_and_a_half_matrices():
+    # the squarings' layers are bool; float64 layers would peak near 14 matrices
+    n = 1024
+    g = path_graph(n)
+    tracemalloc.start()
+    try:
+        distance_hamiltonian_screen(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * n * n
 
 
 def test_regularity_predicates():
@@ -556,8 +603,8 @@ def test_transmission_regular_fast_path_matches_generic():
 
 @pytest.mark.parametrize(
     "n, steps",
-    [(97, (1, 5)), (300, (1, 2, 7)), (1000, (3, 10)), (97, (1,)), (600, (1,))],
-    ids=["C97{1,5}", "C300{1,2,7}", "C1000{3,10}", "cycle97", "cycle600"],
+    [(97, (1, 5)), (300, (1, 2, 7)), (1000, (3, 10)), (97, (1,)), (600, (1,)), (1000, (1,))],
+    ids=["C97{1,5}", "C300{1,2,7}", "C1000{3,10}", "cycle97", "cycle600", "cycle1000"],
 )
 def test_screen_values_are_the_closed_forms_on_circulants(n, steps):
     # values only: the cycles' verdicts at tol 0 are a separate question

@@ -16,7 +16,8 @@ SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
   - batch --jobs 1 on the fixtures and the n = 7 files;
   - check-graph on every graph family, invalid sizes included, and at
     n = 200 on complete (--n 200), complete-bipartite (--n 100 --m 100),
-    dihedral-reflection (--m 100), cycle (--n 200) and path (--n 200).
+    dihedral-reflection (--m 100), cycle (--n 200) and path (--n 200), and
+    on cycle and path at --n 500, whose hop distances take 8 and 9 squarings.
 
     python tools/byte_sweep.py --base HEAD~1           # HEAD~1 against this checkout
     python tools/byte_sweep.py --base A --new B --show # two revisions, differences shown
@@ -70,6 +71,7 @@ GRAPHS = [
     *(("--family", "dihedral-reflection", "--m", m) for m in ("0", "1", "2", "3", "20")),
     ("--family", "cycle"),
     *(("--family", family, "--n", "200") for family in ("complete", "cycle", "path")),
+    *(("--family", family, "--n", "500") for family in ("cycle", "path")),
     ("--family", "complete-bipartite", "--n", "100", "--m", "100"),
     ("--family", "dihedral-reflection", "--m", "100"),
 ]
