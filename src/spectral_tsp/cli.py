@@ -5,7 +5,8 @@ Four subcommands, all emitting one JSON document per result on stdout:
   bound        spectral lower bounds for one instance (file or --family)
   solve        exact or heuristic tour for one instance
   check-graph  spectral Hamiltonicity screens for a graph
-  batch        bound reports for every line of a manifest file
+  batch        bound reports for every line of a manifest file, run in
+               order in this process; --jobs N (N >= 1) changes nothing
 
 Output is deterministic byte for byte: fields appear in fixed order and
 timing is reported as null unless --timing is given.  --pretty adds a
@@ -200,8 +201,7 @@ def _manifest_rows(path: Path) -> list[tuple[str, str | None]]:
     return rows
 
 
-def _batch_row(job) -> dict:
-    problem_path, sidecar_path, tol = job
+def _batch_row(problem_path: str, sidecar_path: str | None, tol: float) -> dict:
     try:
         return _bound_doc(*_load_problem(problem_path, sidecar_path), tol)
     except (SpectralTspError, *_INPUT_ERRORS) as e:
@@ -216,19 +216,7 @@ def _batch_row(job) -> dict:
 def _cmd_batch(args) -> int:
     if args.jobs < 1:
         raise InputFormatError(f"--jobs must be at least 1, got {args.jobs}")
-    rows = _manifest_rows(Path(args.manifest))
-    jobs = [(p, s, args.tol) for p, s in rows]
-    # a fork-based pool starts all its workers up front, so never more than rows
-    workers = min(args.jobs, len(jobs))
-    if workers > 1:
-        # only a pool needs this import, which is a noticeable share of start-up
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            docs = list(pool.map(_batch_row, jobs))
-    else:
-        docs = [_batch_row(j) for j in jobs]
-
+    docs = [_batch_row(p, s, args.tol) for p, s in _manifest_rows(Path(args.manifest))]
     worst = 0
     pretty = [f"{'name':<12} {'n':>4} {'phi':>14} {'optimum':>10} {'ratio':>7}  psd"]
     for doc in docs:
@@ -290,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", parents=[common], help="bound reports for a manifest of problem files")
     p.add_argument("manifest", help="text file: one 'problem[,sidecar]' per line, paths relative to it")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers, at most one per row (output in manifest order)")
+    p.add_argument("--jobs", type=int, default=1, help="at least 1; rows run in order in this process whatever its value")
     p.set_defaults(func=_cmd_batch)
 
     return ap

@@ -11,8 +11,6 @@ conditions:
 
 A bound value above the threshold certifies non-Hamiltonicity (verdict
 "excluded"); at or below it the screen says nothing ("not_excluded").
-Exact combinatorial oracles (backtracking, small n only) live here too so
-the screens can be validated against ground truth.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, _is_index, check_int, check_tol
 
-ORACLE_CAP = 12
 # largest vertex count of a graph file and command-line size flag: orders, and a
 # TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
 SIZE_CAP = 2048
@@ -335,50 +332,6 @@ def traceable_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
 def distance_hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenResult:
     """Excludes Hamiltonicity when the hop-distance bound rises above n."""
     return _screen(g, distance_phi, float(g.n), tol)
-
-
-# ---------------------------------------------------------------------------
-# exact oracles (exponential; small n only)
-
-
-def _adjacency_lists(g: Graph) -> list[list[int]]:
-    return [list(map(int, np.flatnonzero(g.adjacency[u]))) for u in range(g.n)]
-
-
-def _extend(adj: list[list[int]], u: int, visited: int, full: int, closed: bool) -> bool:
-    """Can the path that ends at u and covers the vertex bitmask `visited` grow to cover `full`?
-
-    With `closed` the finished path must also end next to vertex 0, so that
-    it closes into a cycle; closed searches start there.
-    """
-    if visited == full:
-        return not closed or 0 in adj[u]
-    return any(not visited & (1 << v) and _extend(adj, v, visited | (1 << v), full, closed) for v in adj[u])
-
-
-def _oracle_size(g: Graph) -> int:
-    if g.n > ORACLE_CAP:
-        raise TooLarge(f"oracle is capped at {ORACLE_CAP} vertices, got {g.n}")
-    return g.n
-
-
-def is_hamiltonian(g: Graph) -> bool:
-    """Exact Hamiltonian-cycle test by backtracking.  Capped at 12 vertices."""
-    n = _oracle_size(g)
-    if n < 3 or (g.degrees < 2).any() or not is_connected(g):
-        return False
-    return _extend(_adjacency_lists(g), 0, 1, (1 << n) - 1, closed=True)
-
-
-def is_traceable(g: Graph) -> bool:
-    """Exact Hamiltonian-path test by backtracking.  Capped at 12 vertices."""
-    n = _oracle_size(g)
-    if n == 1:
-        return True
-    if not is_connected(g):
-        return False
-    adj = _adjacency_lists(g)
-    return any(_extend(adj, s, 1 << s, (1 << n) - 1, closed=False) for s in range(n))
 
 
 # ---------------------------------------------------------------------------

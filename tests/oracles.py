@@ -13,7 +13,9 @@ Householder basis as I minus an outer product, the compression negated out
 of place, A - A^T for the skew and (A + A^T) / 2 for n2) are the reference
 for the library's in-place and exactly-symmetric routes, bit for bit.  The
 two-step normality rule (an early accept before the commutator) is the
-reference the library's one commutator test must decide alike.
+reference the library's one commutator test must decide alike.  The
+backtracking Hamiltonicity tests are the ground truth no screen may
+contradict.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ import itertools
 import math
 
 import numpy as np
+
+from spectral_tsp.errors import TooLarge
+from spectral_tsp.graphs import Graph, is_connected
 
 
 def cosine_coefficients(n: int) -> np.ndarray:
@@ -419,6 +424,52 @@ def distance_phi_transmission_regular(g) -> float:
     D = hop_distances(g)
     kappa = np.sort(np.linalg.eigvalsh(D))  # ascending; the Perron value is last
     return float(-(cosine_coefficients(len(D)) @ kappa[:-1]))
+
+
+# ---------------------------------------------------------------------------
+# exact Hamiltonicity by backtracking (exponential; small n only)
+
+ORACLE_CAP = 12
+
+
+def _adjacency_lists(g: Graph) -> list[list[int]]:
+    return [list(map(int, np.flatnonzero(g.adjacency[u]))) for u in range(g.n)]
+
+
+def _extend(adj: list[list[int]], u: int, visited: int, full: int, closed: bool) -> bool:
+    """Can the path that ends at u and covers the vertex bitmask `visited` grow to cover `full`?
+
+    With `closed` the finished path must also end next to vertex 0, so that
+    it closes into a cycle; closed searches start there.
+    """
+    if visited == full:
+        return not closed or 0 in adj[u]
+    return any(not visited & (1 << v) and _extend(adj, v, visited | (1 << v), full, closed) for v in adj[u])
+
+
+def _oracle_size(g: Graph) -> int:
+    if g.n > ORACLE_CAP:
+        raise TooLarge(f"oracle is capped at {ORACLE_CAP} vertices, got {g.n}")
+    return g.n
+
+
+def is_hamiltonian(g: Graph) -> bool:
+    """Exact Hamiltonian-cycle test by backtracking.  Capped at 12 vertices."""
+    n = _oracle_size(g)
+    if n < 3 or (g.degrees < 2).any() or not is_connected(g):
+        return False
+    return _extend(_adjacency_lists(g), 0, 1, (1 << n) - 1, closed=True)
+
+
+def is_traceable(g: Graph) -> bool:
+    """Exact Hamiltonian-path test by backtracking.  Capped at 12 vertices."""
+    n = _oracle_size(g)
+    if n == 1:
+        return True
+    if not is_connected(g):
+        return False
+    adj = _adjacency_lists(g)
+    return any(_extend(adj, s, 1 << s, (1 << n) - 1, closed=False) for s in range(n))
 
 
 # ---------------------------------------------------------------------------

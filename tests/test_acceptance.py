@@ -318,12 +318,12 @@ def test_09_screens_never_contradict_oracle():
                 if not graphs.is_connected(g):
                     continue
                 corpus += 1
-                if graphs.is_hamiltonian(g):
+                if oracles.is_hamiltonian(g):
                     if graphs.hamiltonian_screen(g).verdict == "excluded":
                         failures.append(f"n={n} p={p}: cycle screen excluded a Hamiltonian graph")
                     if graphs.distance_hamiltonian_screen(g).verdict == "excluded":
                         failures.append(f"n={n} p={p}: distance screen excluded a Hamiltonian graph")
-                if graphs.is_traceable(g):
+                if oracles.is_traceable(g):
                     if graphs.traceable_screen(g).verdict == "excluded":
                         failures.append(f"n={n} p={p}: path screen excluded a traceable graph")
     elapsed = time.perf_counter() - t0

@@ -347,40 +347,28 @@ def test_bound_reads_a_short_display_section(tmp_path):
     assert doc["instance"]["n"] == 3 and doc["mean_distance"] == pytest.approx(20.0 / 3)
 
 
-def test_batch_starts_at_most_one_worker_per_row(tmp_path, monkeypatch, capsys):
-    # a fork-based pool forks all its workers when it starts, so --jobs
-    # 100000 on one row must not reach it; a fake pool records the request
+def test_batch_runs_every_jobs_value_in_process(tmp_path, monkeypatch, capsys):
+    # --jobs changes nothing: no value may reach a process pool, and every
+    # value prints the same rows
     import concurrent.futures
 
-    started = []
+    def no_pool(*args, **kwargs):
+        raise AssertionError("batch started a process pool")
 
-    class FakePool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     (tmp_path / "three.tsp").write_text(
         "NAME: three\nTYPE: TSP\nDIMENSION: 3\nEDGE_WEIGHT_TYPE: EXPLICIT\n"
         "EDGE_WEIGHT_FORMAT: FULL_MATRIX\nEDGE_WEIGHT_SECTION\n0 1 2\n1 0 3\n2 3 0\nEOF\n"
     )
-    outputs = []
-    for rows, jobs, pool in [(1, "100000", []), (4, "100000", [4]), (4, "2", [2]), (4, "1", []), (1, "1", [])]:
+    outputs = {}
+    for rows in (1, 4):
         manifest = tmp_path / f"rows{rows}.manifest"
         manifest.write_text("three.tsp\n" * rows)
-        started.clear()
-        assert cli.main(["batch", str(manifest), "--jobs", jobs]) == 0
-        assert started == pool, (rows, jobs)
-        outputs.append(capsys.readouterr().out)
-    assert outputs[1] == outputs[2] == outputs[3] != outputs[0] == outputs[4]
+        for jobs in ("1", "2", "4", "100000"):
+            assert cli.main(["batch", str(manifest), "--jobs", jobs]) == 0, (rows, jobs)
+            outputs.setdefault(rows, set()).add(capsys.readouterr().out)
+    assert len(outputs[1]) == len(outputs[4]) == 1 and outputs[1] != outputs[4]
+    assert len(next(iter(outputs[4])).splitlines()) == 4
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1", "-100000"])
@@ -393,14 +381,19 @@ def test_batch_jobs_below_one_exits_2(tmp_path, capsys, jobs):
 
 
 def test_cli_import_leaves_the_process_pool_out_and_batch_jobs_2_works():
-    # scipy.sparse.csgraph alone takes longer to import than the whole CLI
+    # scipy.sparse.csgraph alone takes longer to import than the whole CLI;
+    # a batch, --jobs 2 included, runs in process and loads no pool module
+    pool = "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
     probe = (
-        "import sys, spectral_tsp.cli; "
-        "print('concurrent.futures.process' in sys.modules, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+        f"import sys, spectral_tsp.cli; {pool}; "
+        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
+        f"code = spectral_tsp.cli.main(['batch', {str(FIXTURES / 'table1.manifest')!r}, '--jobs', '2']); "
+        f"print(code); {pool}"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.split() == ["False", "False"]
+    assert done.stdout.split()[:3] == ["False", "False", "False"]
+    assert done.stdout.split()[-3:] == ["0", "False", "False"]
     one = run_cli("batch", str(FIXTURES / "table1.manifest"))
     two = run_cli("batch", str(FIXTURES / "table1.manifest"), "--jobs", "2")
     assert two.returncode == one.returncode == 0 and two.stdout == one.stdout != ""
@@ -543,7 +536,7 @@ _FLAGS = {
     "--seed": _VALUES,
     "--method": stn.sampled_from(["brute", "held-karp", "two-opt", "exact"]),
     "--format": stn.sampled_from(["auto", "edges", "adjacency", "csv"]),
-    "--jobs": stn.sampled_from(["-1", "0", "1"]),  # never a process pool
+    "--jobs": stn.sampled_from(["-1", "0", "1", "2", "100000"]),
     "--sidecar": stn.just("p.opt"),
 }
 # command: (its input file, its families, the flags it takes)

@@ -25,6 +25,8 @@ REMOVED = [
     ("spectral_tsp.linalg", "sym_eigenvalues"),
     ("spectral_tsp.bounds", "restricted_spectrum"),
     ("spectral_tsp.errors", "NotAntisymmetric"),
+    ("spectral_tsp.graphs", "is_hamiltonian"),
+    ("spectral_tsp.graphs", "is_traceable"),
 ]
 
 

@@ -13,7 +13,7 @@ SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
   - bound on the fixtures, and on EUC_2D, ATT, GEO and EXPLICIT files (all
     five packings) at n = 7 and 40, written for the run as the cli-tsplib
     benchmark workload writes them;
-  - batch --jobs 1 on the fixtures and the n = 7 files;
+  - batch --jobs 1 and --jobs 2 on the fixtures and the n = 7 files;
   - check-graph on every graph family, invalid sizes included, and at
     n = 200 on complete (--n 200), complete-bipartite (--n 100 --m 100),
     dihedral-reflection (--m 100), cycle (--n 200) and path (--n 200), and
@@ -101,7 +101,7 @@ def commands(directory: Path) -> list[tuple[str, ...]]:
     listed += [("bound", str(f)) for f in (*small, *large)]
     manifest = directory / "batch.manifest"
     manifest.write_text("".join(f"{f},{f.with_suffix('.opt')}\n" for f in FIXTURES) + "".join(f"{f}\n" for f in small))
-    listed.append(("batch", str(manifest), "--jobs", "1"))
+    listed += [("batch", str(manifest), "--jobs", jobs) for jobs in ("1", "2")]
     listed += [("check-graph", *g) for g in GRAPHS]
     return [(*tol, *argv) for tol in TOLS for argv in listed]
 
