@@ -31,7 +31,7 @@ from .graphs import (
     hamiltonian_screen,
     traceable_screen,
 )
-from .linalg import center_restrict, householder_basis, vn_trace_range
+from .linalg import center_restrict, householder_basis
 from .solvers import Tour, brute_force, held_karp, tour_length, two_opt
 from .tsplib import load_tsplib, load_with_optimum, parse_tsplib
 
@@ -63,5 +63,4 @@ __all__ = [
     "tsp_coefficients",
     "traceable_screen",
     "two_opt",
-    "vn_trace_range",
 ]

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -49,7 +51,7 @@ class Graph:
             raise InvalidMatrix(f"adjacency must be square, got shape {A.shape}")
         if A.shape[0] < 1:
             raise InvalidDimension("graphs need at least one vertex")
-        if not np.isin(A, (0, 1)).all():
+        if not ((A == 0) | (A == 1)).all():  # np.isin(A, (0, 1)) at a tenth of its cost
             raise InvalidMatrix("adjacency entries must be 0 or 1")
         A = A.astype(np.int8)  # a copy even of int8 input, so no caller can change it
         if not np.array_equal(A, A.T):
@@ -77,14 +79,36 @@ class Graph:
         return phi_symmetric(1.0 - np.eye(self.n) - self.adjacency)
 
 
+def _pairs(edges) -> np.ndarray | None:
+    """edges as an (m, 2) integer array, if it is one or a list of m tuples or lists that each
+    hold two ints or numpy integers, no bool among them; else None."""
+    if isinstance(edges, np.ndarray):
+        return edges if edges.dtype.kind in "iu" and edges.shape[1:] == (2,) else None
+    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {2}:
+        return None
+    ends = set(map(type, chain.from_iterable(edges)))
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in ends):
+        return None
+    try:
+        return np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
+    except OverflowError:  # an endpoint outside int64, which the walk reports out of range
+        return None
+
+
 def from_edges(n: int, edges) -> Graph:
-    """Graph on vertices 0..n-1 with the given (u, v) edges."""
+    """Graph on vertices 0..n-1 with the given (u, v) edges, checked in bulk and set by one scatter.
+    Only when a bulk check fails are they walked in order, so that an error names the first bad edge."""
     n = check_int(n, "vertex count", 1)
     A = np.zeros((n, n), dtype=np.int8)
-    try:
-        edges = iter(edges)
-    except TypeError:
-        raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
+    if not (isinstance(edges, np.ndarray) and edges.ndim):  # a generator is read once, here
+        try:
+            edges = list(edges)
+        except TypeError:
+            raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
+    E = _pairs(edges)
+    if E is not None and (E.size == 0 or 0 <= E.min() and E.max() < n):
+        A[E[:, 0], E[:, 1]] = A[E[:, 1], E[:, 0]] = 1
+        return Graph(A)
     for edge in edges:
         try:
             u, v = edge
@@ -119,15 +143,22 @@ def is_connected(g: Graph) -> bool:
     return bool((_hops(g, 0) >= 0).all())
 
 
+def _exact_float(n: int) -> type:
+    """float32 if it holds every integer up to (n - 1)^2 exactly (n <= 4097), else float64."""
+    return np.float32 if (n - 1) ** 2 <= 1 << 24 else np.float64
+
+
 def distance_matrix(g: Graph) -> np.ndarray:
-    """All-pairs hop distances by Seidel's repeated squaring (JCSS 51(3), 1995).  Raises Disconnected.
+    """All-pairs hop distances, as float64, by Seidel's repeated squaring (JCSS 51(3), 1995).  Raises Disconnected.
 
     G_{k+1} = [G_k^2 > 0] | G_k less its diagonal, from the adjacency G_0 until G_K is complete;
-    from T = G_K down, G_k's distances are 2T - [T G_k < T deg_k].  Every product is of 0/1 and
-    non-negative integer matrices with entries <= n^2: exact in float64 at any BLAS thread count.
+    from T = G_K down, G_k's distances are 2T - [T G_k < T deg_k].  Every product and partial
+    sum is a non-negative integer of at most (n - 1)^2, so the products run in _exact_float(n),
+    float32 up to n = 4097, and are exact at any BLAS thread count: the same bits as float64.
     """
     G = g.adjacency.astype(bool)
-    layers, F, X = [], np.empty(G.shape), np.empty(G.shape)  # bool layers, two float buffers
+    dtype = _exact_float(len(G))
+    layers, F, X = [], np.empty(G.shape, dtype), np.empty(G.shape, dtype)  # bool layers, two buffers
     while np.count_nonzero(G) < G.size - len(G):  # about log2(diameter) squarings
         np.copyto(F, G)
         H = (np.matmul(F, F, out=X) > 0) | G
@@ -136,14 +167,14 @@ def distance_matrix(g: Graph) -> np.ndarray:
             raise Disconnected("hop distances are only defined for connected graphs")
         layers.append(G)
         G = H
-    T = G.astype(float)
+    T = G.astype(dtype if layers else float)  # a complete G_0 needs no product
     for G in reversed(layers):
         np.copyto(F, G)
         np.matmul(T, F, out=X)
-        np.multiply(T, G.sum(axis=0), out=F)
+        np.multiply(T, G.sum(axis=0, dtype=dtype), out=F)
         T *= 2
         T -= np.less(X, F, out=X)
-    return T
+    return T.astype(float, copy=False)
 
 
 def is_regular(g: Graph) -> bool:
@@ -338,19 +369,41 @@ def distance_hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenRes
 # text formats
 
 
+def _digit_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
+    """The token count of each line and every token's value, as arrays, when each
+    whitespace-separated token is 1 to 18 ASCII digits: int() reads those, and int64 holds
+    them.  Else None, and the caller reads each token with int()."""
+    b = np.frombuffer("\n".join(lines).encode("ascii", "replace"), np.uint8)  # non-ASCII reads as "?"
+    d = b - np.uint8(48)  # each digit's value; every other byte wraps above 9
+    digit = d < 10
+    if not (digit | (b - np.uint8(9) < 5) | (b - np.uint8(28) < 5)).all():  # str.split() splits on 9-13, 28-32
+        return None
+    starts = np.flatnonzero(digit & ~np.append(False, digit[:-1]))  # where each token begins
+    ends = np.append(np.flatnonzero(b == ord("\n")), b.size)[: len(lines)]  # where each line ends
+    counts, values = np.diff(np.searchsorted(starts, ends), prepend=0), d[starts]
+    if starts.size < np.count_nonzero(digit):  # a token of more than one digit
+        length = np.flatnonzero(digit & ~np.append(digit[1:], False)) + 1 - starts
+        if length.max() > 18:
+            return None
+        values = values.astype(np.int64)
+        for k in range(1, length.max()):  # the k-th digit of the tokens that have one
+            longer = np.flatnonzero(length > k)
+            values[longer] = 10 * values[longer] + d[starts[longer] + k]
+    return counts, values
+
+
 def graph_from_text(text: str, fmt: str = "auto") -> Graph:
     """Parse a graph from edge-list or adjacency-matrix text.
 
     Edge list: first non-comment line is the vertex count, each further line
     one "u v" pair, 0-based.  Adjacency matrix: n whitespace-separated rows
     of n entries each, 0/1.  Blank lines and '#' comments are ignored.  With
-    fmt="auto", a single leading integer selects the edge-list form.
+    fmt="auto", a single leading integer selects the edge-list form.  Plain
+    digit tokens are read as arrays; any other token is read by int() in a
+    walk over the lines, which also names the first malformed one.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    uncommented = map(itemgetter(0), map(str.partition, text.splitlines(), repeat("#")))
+    lines = list(filter(None, map(str.strip, uncommented)))
     if not lines:
         raise InputFormatError("empty graph description")
 
@@ -364,32 +417,42 @@ def graph_from_text(text: str, fmt: str = "auto") -> Graph:
         n = int(head[0])
         if n > SIZE_CAP:
             raise TooLarge(f"edge lists are capped at {SIZE_CAP} vertices, got {n}")
-        edges = []
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise InputFormatError(f"expected 'u v', got {line!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise InputFormatError(f"non-integer edge endpoint in {line!r}") from None
+        parsed = _digit_tokens(lines[1:])
+        if parsed is not None and (parsed[0] == 2).all():
+            edges = parsed[1].reshape(-1, 2)
+        else:
+            edges = []
+            for line in lines[1:]:
+                parts = line.split()
+                if len(parts) != 2:
+                    raise InputFormatError(f"expected 'u v', got {line!r}")
+                try:
+                    edges.append((int(parts[0]), int(parts[1])))
+                except ValueError:
+                    raise InputFormatError(f"non-integer edge endpoint in {line!r}") from None
         try:
             return from_edges(n, edges)
         except (InvalidDimension, InvalidMatrix) as exc:
             raise InputFormatError(str(exc)) from None
 
     if fmt == "adjacency":
-        if len(lines) > SIZE_CAP:  # one row per vertex, counted before any entry is read
-            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {len(lines)}")
+        n = len(lines)
+        if n > SIZE_CAP:  # one row per vertex, counted before any entry is read
+            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {n}")
+        parsed = _digit_tokens(lines)
+        if parsed is not None:  # plain digits, which int() reads: only the shape can be wrong
+            if (parsed[0] != n).any():
+                raise InputFormatError("adjacency matrix must be square")
+            A = parsed[1].reshape(n, n)
+        else:
+            try:
+                A = [[int(tok) for tok in line.split()] for line in lines]
+            except ValueError:
+                raise InputFormatError("adjacency matrix entries must be integers") from None
+            if any(len(r) != n for r in A):
+                raise InputFormatError("adjacency matrix must be square")
         try:
-            rows = [[int(tok) for tok in line.split()] for line in lines]
-        except ValueError:
-            raise InputFormatError("adjacency matrix entries must be integers") from None
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InputFormatError("adjacency matrix must be square")
-        try:
-            return Graph(np.array(rows))
+            return Graph(A)
         except InvalidMatrix as exc:
             raise InputFormatError(str(exc)) from None
 

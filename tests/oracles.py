@@ -15,7 +15,10 @@ for the library's in-place and exactly-symmetric routes, bit for bit.  The
 two-step normality rule (an early accept before the commutator) is the
 reference the library's one commutator test must decide alike.  The
 backtracking Hamiltonicity tests are the ground truth no screen may
-contradict.
+contradict.  The per-edge graph builder and the per-token graph reader are
+the reference the library's bulk versions must match, graph for graph and
+error for error.  The symmetry test and the trace-pairing bracket live here
+because only tests use them.
 """
 
 from __future__ import annotations
@@ -26,8 +29,25 @@ import math
 
 import numpy as np
 
-from spectral_tsp.errors import TooLarge
-from spectral_tsp.graphs import Graph, is_connected
+from spectral_tsp.errors import (
+    InputFormatError,
+    InvalidDimension,
+    InvalidMatrix,
+    NotSymmetric,
+    TooLarge,
+)
+from spectral_tsp.graphs import SIZE_CAP, Graph, is_connected
+from spectral_tsp.linalg import (
+    DEFAULT_TOL,
+    _Checked,
+    _is_index,
+    _near_symmetric,
+    _square,
+    _top,
+    as_square,
+    check_int,
+    check_tol,
+)
 
 
 def cosine_coefficients(n: int) -> np.ndarray:
@@ -669,3 +689,106 @@ def validate_group(table) -> None:
         for b, c in itertools.product(range(n), repeat=2):
             if M[M[a, b], c] != M[a, M[b, c]]:
                 raise ValueError(f"({a} {b}) {c} != {a} ({b} {c})")
+
+
+# ---------------------------------------------------------------------------
+# symmetry test and trace-pairing bracket
+
+
+def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
+    """M == M^T, or ||M - M^T||_F <= tol * ||M||_F, both taken on
+    M / _scale(max|M|), so that no square over- or underflows and the answer
+    is the same for 2^k M.  A _Checked M brings its max|M| along."""
+    check_tol(tol)
+    A = _square(M, "matrix")
+    return np.array_equal(A, A.T) or _near_symmetric(A, M.top if isinstance(M, _Checked) else _top(A), tol)
+
+
+def vn_trace_range(A, B, tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """Sharp range of tr(A Pi B Pi^T) over orthogonal conjugations of B.
+
+    For symmetric A, B with spectra lambda (descending) and mu, the trace of
+    A Q B Q^T over orthogonal Q ranges over exactly
+    [sum_j lambda_j mu_{n+1-j}, sum_j lambda_j mu_j]: opposite-sorted pairing
+    at the bottom, same-sorted at the top.  Returns (lo, hi).
+    """
+    A, B = as_square(A), as_square(B)
+    if not (is_symmetric(_Checked(A, _top(A)), tol) and is_symmetric(_Checked(B, _top(B)), tol)):
+        raise NotSymmetric("vn_trace_range requires symmetric matrices")
+    lam, mu = (np.linalg.eigvalsh(0.5 * (M + M.T))[::-1] for M in (A, B))
+    if lam.shape != mu.shape:
+        raise InvalidDimension("vn_trace_range requires matrices of equal size")
+    return float(lam @ mu[::-1]), float(lam @ mu)
+
+
+# ---------------------------------------------------------------------------
+# graph input, one edge and one token at a time
+
+
+def from_edges(n: int, edges) -> Graph:
+    """Graph on vertices 0..n-1 with the given (u, v) edges, set one edge per step."""
+    n = check_int(n, "vertex count", 1)
+    A = np.zeros((n, n), dtype=np.int8)
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):
+            raise InvalidMatrix(f"an edge is a pair (u, v), got {edge!r}") from None
+        if not (_is_index(u) and _is_index(v)):
+            raise InvalidDimension(f"edge {edge!r} needs integer endpoints")
+        if not (0 <= u < n and 0 <= v < n):
+            raise InvalidDimension(f"edge ({u}, {v}) out of range for {n} vertices")
+        A[u, v] = A[v, u] = 1
+    return Graph(A)
+
+
+def graph_from_text(text: str, fmt: str = "auto") -> Graph:
+    """Edge-list or adjacency-matrix text read one line and one int() per token at a time."""
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
+    if not lines:
+        raise InputFormatError("empty graph description")
+    if fmt == "auto":
+        fmt = "edges" if len(lines[0].split()) == 1 else "adjacency"
+    if fmt == "edges":
+        head = lines[0].split()
+        if len(head) != 1 or not head[0].isdecimal():
+            raise InputFormatError(f"expected a vertex count on the first line, got {lines[0]!r}")
+        n = int(head[0])
+        if n > SIZE_CAP:
+            raise TooLarge(f"edge lists are capped at {SIZE_CAP} vertices, got {n}")
+        edges = []
+        for line in lines[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise InputFormatError(f"expected 'u v', got {line!r}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise InputFormatError(f"non-integer edge endpoint in {line!r}") from None
+        try:
+            return from_edges(n, edges)
+        except (InvalidDimension, InvalidMatrix) as exc:
+            raise InputFormatError(str(exc)) from None
+    if fmt == "adjacency":
+        if len(lines) > SIZE_CAP:
+            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {len(lines)}")
+        try:
+            rows = [[int(tok) for tok in line.split()] for line in lines]
+        except ValueError:
+            raise InputFormatError("adjacency matrix entries must be integers") from None
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise InputFormatError("adjacency matrix must be square")
+        try:
+            return Graph(np.array(rows))
+        except InvalidMatrix as exc:
+            raise InputFormatError(str(exc)) from None
+    raise InputFormatError(f"unknown graph format {fmt!r}")

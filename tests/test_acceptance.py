@@ -210,14 +210,12 @@ def test_06_affine_covariance():
 
 
 def test_07_trace_pairing_sandwich():
-    from spectral_tsp.linalg import vn_trace_range
-
     failures = []
     for trial in range(1000):
         n = 3 + trial % 6  # up to 8
         A = random_symmetric(n, seed=trial)
         B = random_symmetric(n, seed=10_000 + trial)
-        lo, hi = vn_trace_range(A, B)
+        lo, hi = oracles.vn_trace_range(A, B)
         tr = float(np.trace(A @ B))
         if not (lo <= tr + 1e-9 and tr <= hi + 1e-9):
             failures.append(f"trial {trial}: {lo} <= {tr} <= {hi} violated")
@@ -226,7 +224,7 @@ def test_07_trace_pairing_sandwich():
         n = 3 + trial % 4
         A = random_symmetric(n, seed=trial)
         B = random_symmetric(n, seed=20_000 + trial)
-        lo, hi = vn_trace_range(A, B)
+        lo, hi = oracles.vn_trace_range(A, B)
         wa = np.linalg.eigvalsh(A)
         wb = np.linalg.eigvalsh(B)
         pairings = [

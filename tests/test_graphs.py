@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
 
@@ -223,6 +224,77 @@ def test_from_edges_takes_numpy_integers():
     assert from_edges(3, [(np.uint8(0), np.int64(2))]).edge_count == 1
 
 
+def _outcome(build, *args):
+    """The adjacency bytes a build returns, or the type and message of what it raises."""
+    try:
+        return ("graph", build(*args).adjacency.tobytes())
+    except SpectralTspError as exc:
+        return (type(exc).__name__, str(exc))
+
+
+def _random_edges(rng, n: int, m: int) -> list[tuple[int, int]]:
+    """m random edges of an n-vertex graph, self-loops left out, repeats and both orientations kept."""
+    u, v = rng.integers(0, n, size=(2, m))
+    keep = u != v
+    return [(int(a), int(b)) for a, b in zip(u[keep], v[keep])]
+
+
+def test_from_edges_is_the_per_edge_build():
+    rng = np.random.default_rng(21)
+    for trial in range(60):
+        n = int(rng.integers(2, 40))
+        edges = _random_edges(rng, n, int(rng.integers(0, 3 * n)))
+        edges += edges[: len(edges) // 3] + [(v, u) for u, v in edges[len(edges) // 3 :]]
+        want = _outcome(oracles.from_edges, n, edges)
+        assert want[0] == "graph"
+        assert _outcome(from_edges, n, edges) == want, trial
+        assert _outcome(from_edges, n, [list(e) for e in edges]) == want, trial
+        assert _outcome(from_edges, n, (e for e in edges)) == want, trial
+        for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64):
+            E = np.array(edges, dtype=dtype).reshape(-1, 2)
+            assert _outcome(from_edges, n, E) == want, (trial, dtype)
+            assert _outcome(from_edges, n, [tuple(e) for e in E]) == want, (trial, dtype)  # numpy scalars
+    for n in (1, 5):
+        assert _outcome(from_edges, n, []) == _outcome(oracles.from_edges, n, []) == _outcome(from_edges, n, iter(()))
+
+
+BAD_EDGES = [(0, 9), (0.5, 1), ("0", "1"), (True, 2), (1, 2, 0), 7, (-1, 2), (2**70, 1), (np.bool_(False), 1), (1, 1)]
+
+
+@pytest.mark.parametrize("first", range(len(BAD_EDGES)))
+def test_from_edges_names_the_first_bad_edge_as_the_per_edge_build(first):
+    rng = np.random.default_rng(first)
+    for trial in range(20):
+        good = _random_edges(rng, 6, 8)
+        bad = [BAD_EDGES[first]] + [BAD_EDGES[i] for i in rng.permutation(len(BAD_EDGES))[:3]]
+        edges = good[:4] + bad[:1] + good[4:] + bad[1:]
+        want = _outcome(oracles.from_edges, 6, edges)
+        assert want[0] != "graph"
+        assert _outcome(from_edges, 6, edges) == want, edges
+        assert _outcome(from_edges, 6, iter(edges)) == want, edges
+
+
+def test_from_edges_finds_a_bool_among_ints():
+    # np.asarray would read True as 1 and build the edge (1, 2)
+    edges = [(0, 1), (3, 4), (True, 2), (2, 3)]
+    with pytest.raises(InvalidDimension, match=r"^edge \(True, 2\) needs integer endpoints$"):
+        from_edges(5, edges)
+    with pytest.raises(InvalidDimension, match="needs integer endpoints"):
+        from_edges(5, [(0, 1), (3, np.bool_(True))])
+    with pytest.raises(InvalidDimension, match="needs integer endpoints"):
+        from_edges(5, np.array([[0, 1], [1, 0]], dtype=bool))
+
+
+def test_from_edges_walks_no_edge_of_valid_input(monkeypatch):
+    # the walk checks each endpoint with _is_index; bulk checks and a scatter need none
+    monkeypatch.setattr(graphs, "_is_index", lambda x: pytest.fail("walked an edge"))
+    rng = np.random.default_rng(5)
+    edges = _random_edges(rng, 50, 200)
+    want = oracles.from_edges(50, edges).adjacency
+    for given in (edges, iter(edges), np.array(edges, dtype=np.uint16), [(np.int32(u), v) for u, v in edges]):
+        assert np.array_equal(from_edges(50, given).adjacency, want)
+
+
 def test_complement_is_involution():
     for seed in range(5):
         g = random_graph(7, seed=seed)
@@ -322,6 +394,63 @@ def test_distance_matrix_of_long_graphs_is_fast(g):
     t0 = time.perf_counter()
     distance_matrix(g)
     assert time.perf_counter() - t0 < 1.0
+
+
+def test_distance_matrix_of_the_path_at_the_size_cap_is_the_closed_form():
+    # diameter 2047, eleven squarings, and products up to 2047^2 in float32
+    n = graphs.SIZE_CAP
+    D = distance_matrix(path_graph(n))
+    idx = np.arange(n)
+    assert D.dtype == np.float64 and np.array_equal(D, np.abs(np.subtract.outer(idx, idx)))
+
+
+def test_products_run_in_float32_up_to_4097_vertices():
+    # product entries reach (n - 1)^2, and float32 holds every integer up to 2^24 = 4096^2, not 2^24 + 1
+    assert graphs._exact_float(4097) is np.float32 and graphs._exact_float(4098) is np.float64
+    assert graphs._exact_float(1) is graphs._exact_float(graphs.SIZE_CAP) is np.float32
+    assert int(np.float32(4096) * np.float32(4096)) == 2**24 == int(np.float32(2**24 + 1))
+
+
+def test_distance_matrix_multiplies_in_the_exact_float(monkeypatch):
+    seen = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, out: seen.append((a.dtype, b.dtype, out.dtype)) or matmul(a, b, out=out))
+    distance_matrix(cycle_graph(40))
+    assert seen and set(seen) == {(np.dtype(np.float32),) * 3}
+    seen.clear()
+    monkeypatch.setattr(graphs, "_exact_float", lambda n: np.float64)
+    distance_matrix(cycle_graph(40))
+    assert seen and set(seen) == {(np.dtype(np.float64),) * 3}
+
+
+@pytest.mark.parametrize("name", [name for name in _BFS_FAMILIES if name not in _DISCONNECTED])
+def test_float32_and_float64_products_give_the_same_bits(monkeypatch, name):
+    g = _BFS_FAMILIES[name]
+    D = distance_matrix(g)
+    monkeypatch.setattr(graphs, "_exact_float", lambda n: np.float64)
+    assert D.dtype == np.float64 and D.tobytes() == distance_matrix(g).tobytes()
+
+
+_RELABELLED = {
+    **{name: g for name, g in _BFS_FAMILIES.items() if name not in _DISCONNECTED and g.n >= 3},
+    **{f"C{n}": cycle_graph(n) for n in (5, 7, 40)},
+    "bow-tie": bow_tie(),
+    "C12{1,5}": cayley_graph(cyclic_group(12), {1, 5, 7, 11}),
+}
+
+
+@pytest.mark.parametrize("name", _RELABELLED)
+def test_relabelled_graphs_keep_hop_distances_and_screen_verdicts(name):
+    g = _RELABELLED[name]
+    D = distance_matrix(g)
+    screens = (hamiltonian_screen, traceable_screen, distance_hamiltonian_screen)
+    want = [(s(g).verdict, s(g).saturated) for s in screens]
+    rng = np.random.default_rng(g.n)
+    for _ in range(3):
+        p = rng.permutation(g.n)  # vertex k of the copy is vertex p[k]: P A P^T, P[k, p[k]] = 1
+        copy = graphs.Graph(g.adjacency[np.ix_(p, p)])
+        assert distance_matrix(copy).tobytes() == D[np.ix_(p, p)].tobytes()
+        assert [(s(copy).verdict, s(copy).saturated) for s in screens] == want
 
 
 def test_distance_screen_of_a_long_path_peaks_within_four_and_a_half_matrices():
@@ -825,3 +954,73 @@ def test_graph_reader_fails_only_with_package_errors_and_returns_clean_graphs(te
     A = g.adjacency
     assert A.ndim == 2 and A.shape[0] == A.shape[1] >= 1
     assert np.isin(A, (0, 1)).all() and np.array_equal(A, A.T) and not np.diagonal(A).any()
+
+
+_ODD_TOKENS = ["1_0", "+1", "-1", "1.0", "0x1", "١", "²", str(2**63), str(10**30), "0" * 18 + "1", "00", "x"]
+_SEPARATORS = [" ", "  ", "\t", "\x1f", "\x0b", "\x1c", "\xa0", "　", "\r\n", "\n", " # note\n"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    stn.lists(
+        stn.one_of(stn.sampled_from(["0", "1", "1", "2", "3", "7", "12"]), stn.sampled_from(_ODD_TOKENS), stn.sampled_from(_SEPARATORS)),
+        max_size=40,
+    ).map("".join),
+    stn.sampled_from(["auto", "edges", "adjacency"]),
+)
+def test_graph_reader_is_the_per_token_reader(text, fmt):
+    assert _outcome(graph_from_text, text, fmt) == _outcome(oracles.graph_from_text, text, fmt)
+
+
+@pytest.mark.parametrize("token", ["1_0", "+1", "1.0", str(2**63), str(10**30), "0" * 18 + "1", "١"])
+def test_graph_reader_reads_tokens_numpy_could_misread_as_int_does(token):
+    for text in (f"12\n0 {token}\n1 2\n", f"0 {token}\n{token} 0\n", f"0 1 1\n1 0 {token}\n1 {token} 0\n"):
+        assert _outcome(graph_from_text, text) == _outcome(oracles.graph_from_text, text), text
+    assert graph_from_text("12\n0 1_0\n").adjacency[0, 10] == 1
+    assert graph_from_text("0 +1\n+1 0\n").edge_count == 1
+    with pytest.raises(InputFormatError, match="non-integer edge endpoint"):
+        graph_from_text("3\n0 1.0\n")
+    with pytest.raises(InputFormatError, match=f"^edge \\(0, {2**63}\\) out of range for 3 vertices$"):
+        graph_from_text(f"3\n0 {2**63}\n")
+    with pytest.raises(InputFormatError, match="0 or 1"):
+        graph_from_text(f"0 {2**63}\n{2**63} 0\n")
+
+
+def _lines_run_in_graphs(f, *args) -> int:
+    """How many lines of graphs.py f(*args) executes."""
+    count = [0]
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename != graphs.__file__:
+            return None
+        count[0] += event == "line"
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        f(*args)
+    finally:
+        sys.settrace(previous)
+    return count[0]
+
+
+@pytest.mark.parametrize("form", ["edges", "adjacency"])
+def test_graph_reader_takes_no_step_per_line_of_plain_digits(form):
+    # 200 and 900 vertices: three-digit tokens both, so the same digit loop
+    assert _lines_run_in_graphs(graph_from_text, cycle_text(200, form)) == _lines_run_in_graphs(graph_from_text, cycle_text(900, form))
+    assert np.array_equal(graph_from_text(cycle_text(900, form)).adjacency, cycle_graph(900).adjacency)
+
+
+def test_graph_reader_reads_random_files_as_the_per_token_reader():
+    rng = np.random.default_rng(8)
+    for trial in range(12):
+        n = int(rng.integers(1, 120))
+        A = np.triu(rng.random((n, n)) < rng.random(), 1)
+        A = A | A.T
+        gaps = rng.choice([" ", "  ", "\t", " \x1f"], size=A.size)
+        rows = ["".join(f"{x}{s}" for x, s in zip(row, gaps[i * n :])) for i, row in enumerate(A.astype(int))]
+        u, v = np.nonzero(A)
+        for text in ("\n".join(rows), f"{n}  # vertices\n" + "".join(f"{a}\t{b}\n" for a, b in zip(u, v))):
+            want = oracles.graph_from_text(text).adjacency
+            assert np.array_equal(want, A) and graph_from_text(text).adjacency.tobytes() == want.tobytes(), trial

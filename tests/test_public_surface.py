@@ -27,6 +27,9 @@ REMOVED = [
     ("spectral_tsp.errors", "NotAntisymmetric"),
     ("spectral_tsp.graphs", "is_hamiltonian"),
     ("spectral_tsp.graphs", "is_traceable"),
+    ("spectral_tsp", "vn_trace_range"),
+    ("spectral_tsp.linalg", "vn_trace_range"),
+    ("spectral_tsp.linalg", "is_symmetric"),
 ]
 
 

@@ -17,7 +17,13 @@ SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
   - check-graph on every graph family, invalid sizes included, and at
     n = 200 on complete (--n 200), complete-bipartite (--n 100 --m 100),
     dihedral-reflection (--m 100), cycle (--n 200) and path (--n 200), and
-    on cycle and path at --n 500, whose hop distances take 8 and 9 squarings.
+    on cycle and path at --n 500, whose hop distances take 8 and 9 squarings;
+  - check-graph on graph files written for the run (GRAPH_FILES), in both
+    formats: valid ones (a G(200, p) edge list with both orientations and
+    repeated edges, the same graph as a matrix, comments and tabs) and
+    malformed ones (tokens int() reads but plain digits do not spell, such
+    as +1 and 1_0, tokens it rejects, endpoints out of range, self-loops,
+    capped sizes, ragged or asymmetric matrices), some with --format given.
 
     python tools/byte_sweep.py --base HEAD~1           # HEAD~1 against this checkout
     python tools/byte_sweep.py --base A --new B --show # two revisions, differences shown
@@ -75,6 +81,33 @@ GRAPHS = [
     ("--family", "complete-bipartite", "--n", "100", "--m", "100"),
     ("--family", "dihedral-reflection", "--m", "100"),
 ]
+GRAPH_FILES = {  # name: text; .edges files are edge lists, .adj files adjacency rows
+    "bow-tie.edges": "# two triangles\n5\n0 1\n0\t2  # a tab\n1 2\n\n2 3\n2 4\n3 4\n",
+    "disconnected.edges": "6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n",
+    "no-edges.edges": "4\n",
+    "plus.edges": "3\n0 +1\n1 2\n2 0\n",
+    "underscore.edges": "12\n0 1_0\n10 11\n",
+    "leading-zeros.edges": "3\n0 0000000000000000001\n001 2\n",
+    "float.edges": "3\n0 1\n0 1.0\n",
+    "out-of-range.edges": "3\n0 1\n0 5\n",
+    "past-int64.edges": "3\n0 9223372036854775808\n",
+    "negative.edges": "3\n0 1\n-1 2\n",
+    "self-loop.edges": "3\n0 1\n1 1\n",
+    "three-tokens.edges": "3\n0 1\n0 1 2\n",
+    "bad-head.edges": "x\n0 1\n",
+    "capped.edges": "2049\n0 1\n",
+    "zero.edges": "0\n",
+    "empty.edges": "# nothing\n\n",
+    "k3.adj": "0 1 1\n1 0 1  # comment\n1\t1 0\n",
+    "plus.adj": "0 +1\n1 0\n",
+    "underscore.adj": "0 1_0\n1_0 0\n",
+    "float.adj": "0 1.0\n1.0 0\n",
+    "two.adj": "0 2\n2 0\n",
+    "ragged.adj": "0 1 0\n1 0\n0 0 0\n",
+    "asymmetric.adj": "0 1\n0 0\n",
+    "diagonal.adj": "1 1\n1 0\n",
+    "past-int64.adj": "0 9223372036854775808\n9223372036854775808 0\n",
+}
 SMOKE = [
     ("bound", "--family", "random-symmetric", "--n", "7", "--seed", "3"),
     ("bound", "--family", "random-circulant", "--n", "7", "--seed", "3"),
@@ -103,7 +136,37 @@ def commands(directory: Path) -> list[tuple[str, ...]]:
     manifest.write_text("".join(f"{f},{f.with_suffix('.opt')}\n" for f in FIXTURES) + "".join(f"{f}\n" for f in small))
     listed += [("batch", str(manifest), "--jobs", jobs) for jobs in ("1", "2")]
     listed += [("check-graph", *g) for g in GRAPHS]
+    listed += [("check-graph", *argv) for argv in write_graph_files(directory / "graphs")]
     return [(*tol, *argv) for tol in TOLS for argv in listed]
+
+
+def write_graph_files(directory: Path) -> list[tuple[str, ...]]:
+    """check-graph arguments on GRAPH_FILES and on files of a G(200, p), of C_40 and of P_500,
+    written under directory."""
+    directory.mkdir()
+    rng = np.random.default_rng(21)
+    upper = np.triu(rng.random((200, 200)) < 6 / 199, 1) | np.eye(200, k=1, dtype=bool)  # a spanning path
+    edges = np.argwhere(upper)
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip, ::-1]  # both orientations
+    edges = np.concatenate([edges, edges[rng.permutation(len(edges))[:20]]])  # and 20 edges twice
+    texts = {
+        **GRAPH_FILES,
+        "gnp200.edges": "200\n" + "".join(f"{u} {v}\n" for u, v in edges),
+        "gnp200.adj": _rows(upper | upper.T),
+        "cycle40.adj": _rows(np.roll(np.eye(40, dtype=int), 1, axis=1) + np.roll(np.eye(40, dtype=int), -1, axis=1)),
+        "path500.edges": "500\n" + "".join(f"{i} {i + 1}\n" for i in range(499)),
+    }
+    paths = {name: directory / name for name in texts}
+    for name, text in texts.items():
+        paths[name].write_text(text, encoding="utf-8")
+    listed = [(str(path),) for path in paths.values()]
+    listed += [(str(paths["gnp200.edges"]), "--format", "edges"), (str(paths["k3.adj"]), "--format", "adjacency")]
+    return listed + [(str(paths["k3.adj"]), "--format", "edges"), (str(paths["bow-tie.edges"]), "--format", "adjacency")]
+
+
+def _rows(A: np.ndarray) -> str:
+    return "".join(" ".join(map(str, row)) + "\n" for row in A.astype(int).tolist())
 
 
 def run(cli, argv) -> tuple[str, str, object]:
