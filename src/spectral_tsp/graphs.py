@@ -17,8 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, repeat
-from operator import itemgetter
+from itertools import chain
 
 import numpy as np
 
@@ -51,7 +50,7 @@ class Graph:
             raise InvalidMatrix(f"adjacency must be square, got shape {A.shape}")
         if A.shape[0] < 1:
             raise InvalidDimension("graphs need at least one vertex")
-        if not ((A == 0) | (A == 1)).all():  # np.isin(A, (0, 1)) at a tenth of its cost
+        if not ((A == 0) | (A == 1)).all():
             raise InvalidMatrix("adjacency entries must be 0 or 1")
         A = A.astype(np.int8)  # a copy even of int8 input, so no caller can change it
         if not np.array_equal(A, A.T):
@@ -80,11 +79,11 @@ class Graph:
 
 
 def _pairs(edges) -> np.ndarray | None:
-    """edges as an (m, 2) integer array, if it is one or a list of m tuples or lists that each
+    """edges as an (m, 2) int64 array, if it is a list or tuple of m tuples or lists that each
     hold two ints or numpy integers, no bool among them; else None."""
-    if isinstance(edges, np.ndarray):
-        return edges if edges.dtype.kind in "iu" and edges.shape[1:] == (2,) else None
-    if not set(map(type, edges)) <= {tuple, list} or set(map(len, edges)) - {2}:
+    if not isinstance(edges, (list, tuple)) or not set(map(type, edges)) <= {tuple, list}:
+        return None
+    if set(map(len, edges)) - {2}:
         return None
     ends = set(map(type, chain.from_iterable(edges)))
     if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in ends):
@@ -96,19 +95,18 @@ def _pairs(edges) -> np.ndarray | None:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Graph on vertices 0..n-1 with the given (u, v) edges, checked in bulk and set by one scatter.
-    Only when a bulk check fails are they walked in order, so that an error names the first bad edge."""
+    """Graph on vertices 0..n-1 with the given (u, v) edges.  A list or tuple of int pairs in range
+    is set by one scatter; any other input is walked in order, so that an error names the first bad edge."""
     n = check_int(n, "vertex count", 1)
     A = np.zeros((n, n), dtype=np.int8)
-    if not (isinstance(edges, np.ndarray) and edges.ndim):  # a generator is read once, here
-        try:
-            edges = list(edges)
-        except TypeError:
-            raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
     E = _pairs(edges)
     if E is not None and (E.size == 0 or 0 <= E.min() and E.max() < n):
         A[E[:, 0], E[:, 1]] = A[E[:, 1], E[:, 0]] = 1
         return Graph(A)
+    try:
+        edges = iter(edges)
+    except TypeError:
+        raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
     for edge in edges:
         try:
             u, v = edge
@@ -369,41 +367,19 @@ def distance_hamiltonian_screen(g: Graph, tol: float = DEFAULT_TOL) -> ScreenRes
 # text formats
 
 
-def _digit_tokens(lines: list[str]) -> tuple[np.ndarray, np.ndarray] | None:
-    """The token count of each line and every token's value, as arrays, when each
-    whitespace-separated token is 1 to 18 ASCII digits: int() reads those, and int64 holds
-    them.  Else None, and the caller reads each token with int()."""
-    b = np.frombuffer("\n".join(lines).encode("ascii", "replace"), np.uint8)  # non-ASCII reads as "?"
-    d = b - np.uint8(48)  # each digit's value; every other byte wraps above 9
-    digit = d < 10
-    if not (digit | (b - np.uint8(9) < 5) | (b - np.uint8(28) < 5)).all():  # str.split() splits on 9-13, 28-32
-        return None
-    starts = np.flatnonzero(digit & ~np.append(False, digit[:-1]))  # where each token begins
-    ends = np.append(np.flatnonzero(b == ord("\n")), b.size)[: len(lines)]  # where each line ends
-    counts, values = np.diff(np.searchsorted(starts, ends), prepend=0), d[starts]
-    if starts.size < np.count_nonzero(digit):  # a token of more than one digit
-        length = np.flatnonzero(digit & ~np.append(digit[1:], False)) + 1 - starts
-        if length.max() > 18:
-            return None
-        values = values.astype(np.int64)
-        for k in range(1, length.max()):  # the k-th digit of the tokens that have one
-            longer = np.flatnonzero(length > k)
-            values[longer] = 10 * values[longer] + d[starts[longer] + k]
-    return counts, values
-
-
 def graph_from_text(text: str, fmt: str = "auto") -> Graph:
     """Parse a graph from edge-list or adjacency-matrix text.
 
     Edge list: first non-comment line is the vertex count, each further line
     one "u v" pair, 0-based.  Adjacency matrix: n whitespace-separated rows
     of n entries each, 0/1.  Blank lines and '#' comments are ignored.  With
-    fmt="auto", a single leading integer selects the edge-list form.  Plain
-    digit tokens are read as arrays; any other token is read by int() in a
-    walk over the lines, which also names the first malformed one.
+    fmt="auto", a single leading integer selects the edge-list form.
     """
-    uncommented = map(itemgetter(0), map(str.partition, text.splitlines(), repeat("#")))
-    lines = list(filter(None, map(str.strip, uncommented)))
+    lines = []
+    for raw in text.splitlines():
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            lines.append(line)
     if not lines:
         raise InputFormatError("empty graph description")
 
@@ -417,42 +393,32 @@ def graph_from_text(text: str, fmt: str = "auto") -> Graph:
         n = int(head[0])
         if n > SIZE_CAP:
             raise TooLarge(f"edge lists are capped at {SIZE_CAP} vertices, got {n}")
-        parsed = _digit_tokens(lines[1:])
-        if parsed is not None and (parsed[0] == 2).all():
-            edges = parsed[1].reshape(-1, 2)
-        else:
-            edges = []
-            for line in lines[1:]:
-                parts = line.split()
-                if len(parts) != 2:
-                    raise InputFormatError(f"expected 'u v', got {line!r}")
-                try:
-                    edges.append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise InputFormatError(f"non-integer edge endpoint in {line!r}") from None
+        edges = []
+        for line in lines[1:]:
+            parts = line.split()
+            if len(parts) != 2:
+                raise InputFormatError(f"expected 'u v', got {line!r}")
+            try:
+                edges.append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise InputFormatError(f"non-integer edge endpoint in {line!r}") from None
         try:
             return from_edges(n, edges)
         except (InvalidDimension, InvalidMatrix) as exc:
             raise InputFormatError(str(exc)) from None
 
     if fmt == "adjacency":
-        n = len(lines)
-        if n > SIZE_CAP:  # one row per vertex, counted before any entry is read
-            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {n}")
-        parsed = _digit_tokens(lines)
-        if parsed is not None:  # plain digits, which int() reads: only the shape can be wrong
-            if (parsed[0] != n).any():
-                raise InputFormatError("adjacency matrix must be square")
-            A = parsed[1].reshape(n, n)
-        else:
-            try:
-                A = [[int(tok) for tok in line.split()] for line in lines]
-            except ValueError:
-                raise InputFormatError("adjacency matrix entries must be integers") from None
-            if any(len(r) != n for r in A):
-                raise InputFormatError("adjacency matrix must be square")
+        if len(lines) > SIZE_CAP:  # one row per vertex, counted before any entry is read
+            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {len(lines)}")
         try:
-            return Graph(A)
+            rows = [[int(tok) for tok in line.split()] for line in lines]
+        except ValueError:
+            raise InputFormatError("adjacency matrix entries must be integers") from None
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise InputFormatError("adjacency matrix must be square")
+        try:
+            return Graph(np.array(rows))
         except InvalidMatrix as exc:
             raise InputFormatError(str(exc)) from None
 

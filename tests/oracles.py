@@ -15,10 +15,9 @@ for the library's in-place and exactly-symmetric routes, bit for bit.  The
 two-step normality rule (an early accept before the commutator) is the
 reference the library's one commutator test must decide alike.  The
 backtracking Hamiltonicity tests are the ground truth no screen may
-contradict.  The per-edge graph builder and the per-token graph reader are
-the reference the library's bulk versions must match, graph for graph and
-error for error.  The symmetry test and the trace-pairing bracket live here
-because only tests use them.
+contradict.  The per-edge graph builder is the reference the library's bulk
+one must match, graph for graph and error for error.  The symmetry test and
+the trace-pairing bracket live here because only tests use them.
 """
 
 from __future__ import annotations
@@ -30,13 +29,12 @@ import math
 import numpy as np
 
 from spectral_tsp.errors import (
-    InputFormatError,
     InvalidDimension,
     InvalidMatrix,
     NotSymmetric,
     TooLarge,
 )
-from spectral_tsp.graphs import SIZE_CAP, Graph, is_connected
+from spectral_tsp.graphs import Graph, is_connected
 from spectral_tsp.linalg import (
     DEFAULT_TOL,
     _Checked,
@@ -722,7 +720,7 @@ def vn_trace_range(A, B, tol: float = DEFAULT_TOL) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# graph input, one edge and one token at a time
+# graph input, one edge at a time
 
 
 def from_edges(n: int, edges) -> Graph:
@@ -744,51 +742,3 @@ def from_edges(n: int, edges) -> Graph:
             raise InvalidDimension(f"edge ({u}, {v}) out of range for {n} vertices")
         A[u, v] = A[v, u] = 1
     return Graph(A)
-
-
-def graph_from_text(text: str, fmt: str = "auto") -> Graph:
-    """Edge-list or adjacency-matrix text read one line and one int() per token at a time."""
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
-    if not lines:
-        raise InputFormatError("empty graph description")
-    if fmt == "auto":
-        fmt = "edges" if len(lines[0].split()) == 1 else "adjacency"
-    if fmt == "edges":
-        head = lines[0].split()
-        if len(head) != 1 or not head[0].isdecimal():
-            raise InputFormatError(f"expected a vertex count on the first line, got {lines[0]!r}")
-        n = int(head[0])
-        if n > SIZE_CAP:
-            raise TooLarge(f"edge lists are capped at {SIZE_CAP} vertices, got {n}")
-        edges = []
-        for line in lines[1:]:
-            parts = line.split()
-            if len(parts) != 2:
-                raise InputFormatError(f"expected 'u v', got {line!r}")
-            try:
-                edges.append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise InputFormatError(f"non-integer edge endpoint in {line!r}") from None
-        try:
-            return from_edges(n, edges)
-        except (InvalidDimension, InvalidMatrix) as exc:
-            raise InputFormatError(str(exc)) from None
-    if fmt == "adjacency":
-        if len(lines) > SIZE_CAP:
-            raise TooLarge(f"adjacency matrices are capped at {SIZE_CAP} vertices, got {len(lines)}")
-        try:
-            rows = [[int(tok) for tok in line.split()] for line in lines]
-        except ValueError:
-            raise InputFormatError("adjacency matrix entries must be integers") from None
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise InputFormatError("adjacency matrix must be square")
-        try:
-            return Graph(np.array(rows))
-        except InvalidMatrix as exc:
-            raise InputFormatError(str(exc)) from None
-    raise InputFormatError(f"unknown graph format {fmt!r}")
