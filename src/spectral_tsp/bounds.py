@@ -1,26 +1,21 @@
 """Eigenvalue lower bounds on shortest-tour length.
 
-The common scheme: compress the negated distance matrix onto the
-mean-zero subspace (see linalg.center_restrict), read off its spectrum,
-and pair the eigenvalues against the spectrum a tour cycle would have.
-Three variants, by what the compressed matrix supports:
+Each bound compresses -D onto the mean-zero subspace (linalg.center_restrict)
+and pairs the compression's spectrum against a tour cycle's:
 
-  phi_symmetric  symmetric distances; pairs tour-cycle coefficients
-                 1 - cos(2 pi k / n) (ascending) with the eigenvalues of
-                 the compression (descending).
-  phi_normal     asymmetric distances whose compression is normal; pairs
-                 the complex tour-cycle values 1 - omega^j against the
-                 complex spectrum, minimized exactly over all bijections
-                 by a linear assignment solve.
-  phi_general    any distances; bounds the symmetric and antisymmetric
-                 parts separately and adds the two pairings.
+  phi_symmetric  symmetric D: the coefficients 1 - cos(2 pi k / n),
+                 ascending, against the eigenvalues, descending.
+  phi_normal     D with a normal compression: the values 1 - omega^j
+                 against the complex spectrum, minimized over all
+                 bijections by a linear assignment solve.
+  phi_general    any D: the symmetric and antisymmetric parts, each paired
+                 on its own, added.
 
-All three are valid lower bounds on the length of every closed tour, and
-they agree when the matrix is symmetric.  They stay sound whatever tol
-judges: the symmetric bounds pay Compression.skew for any asymmetry, and
-the normal route needs its spectrum certified (Compression.normal).  Affine behaviour is exact:
-shifting all off-diagonal distances by beta adds beta * n to each bound,
-scaling by alpha >= 0 multiplies it by alpha.
+Each lower-bounds every closed tour whatever tol judges (the symmetric
+bounds pay Compression.skew for any asymmetry, phi_normal needs
+Compression.normal), and all agree on symmetric D.  Shifting every
+off-diagonal distance by beta adds beta * n to each bound; scaling by
+alpha >= 0 multiplies it by alpha.
 """
 
 from __future__ import annotations
@@ -53,14 +48,9 @@ _ROUNDOFF = 64.0 * np.finfo(float).eps
 
 
 def check_distance_matrix(D) -> _Checked:
-    """Validate a distance matrix: square, finite, n >= 3, zero diagonal.
-
-    n * max|D| must be finite, so that no tour length overflows.  The
-    diagonal must vanish to within 1e-12 * ||D||_F, both taken on
-    D / _scale(max|D|); it is never silently zeroed.  Returns the float64
-    array and max|D| as a _Checked pair (A, top), so that no caller takes
-    max|D| again.
-    """
+    """The float64 array and max|D| as a _Checked pair (A, top), once D is square, finite, n >= 3,
+    n * max|D| is finite (no tour length overflows) and the diagonal is within 1e-12 * ||D||_F,
+    both taken on D / _scale(max|D|).  The diagonal is never silently zeroed."""
     A = as_square(D, "distance matrix")
     n = A.shape[0]
     if n < 3:
@@ -76,11 +66,8 @@ def check_distance_matrix(D) -> _Checked:
 
 
 def tsp_coefficients(n: int) -> np.ndarray:
-    """The n - 1 values 1 - cos(2 pi k / n), k = 1..n-1, sorted ascending.
-
-    These are the nontrivial eigenvalues of I - (C + C^T)/2 for the cyclic
-    shift C: the spectrum every tour's adjacency structure contributes.
-    """
+    """The n - 1 values 1 - cos(2 pi k / n), k = 1..n-1, ascending: the nontrivial
+    eigenvalues of I - (C + C^T)/2 for the cyclic shift C."""
     n = check_int(n, "n")
     if n < 3:
         raise InvalidDimension("tours need at least 3 cities")
@@ -88,19 +75,16 @@ def tsp_coefficients(n: int) -> np.ndarray:
 
 
 class Compression:
-    """One validated distance matrix and the spectral data the bounds read.
+    """One validated distance matrix and the spectral data the bounds read, each computed on first use.
 
-    Everything is computed on A = D / scale, scale = _scale(max|D|), where
-    no square the tests and spectra take over- or underflows: every
-    decision is the same for D and 2^k D, and each bound is scale times its
-    value on A.  R is the compression of -A onto the mean-zero subspace
-    (linalg.center_restrict), S and K its symmetric and antisymmetric parts,
-    `spectrum` the descending spectrum of S and w the complex spectrum of R;
-    mu is the descending spectrum on D's scale, scale * spectrum.  Each is
-    computed on first use and kept.  Every bound function below accepts a
-    Compression in place of D (its own tol then applies), so asking one for
-    all bounds costs one validation, one compression and, on symmetric
-    input, one eigensolve.
+    All is computed on A = D / scale, scale = _scale(max|D|): every decision
+    is the same for D and 2^k D, and each bound is scale times its value on
+    A.  R is the compression of -A (linalg.center_restrict), S and K its
+    symmetric and antisymmetric parts, `spectrum` the descending spectrum of
+    S, mu = scale * spectrum, and w the complex spectrum of R.  Every bound
+    function accepts a Compression in place of D, with its own tol: all the
+    bounds cost one validation, one compression and, on symmetric input,
+    one eigensolve.
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
@@ -114,7 +98,7 @@ class Compression:
 
     @cached_property
     def exactly_symmetric(self) -> bool:
-        """A == A^T entry for entry: then no difference A - A^T is formed."""
+        """A == A^T entry for entry."""
         return np.array_equal(self.A, self.A.T)
 
     @cached_property
@@ -145,14 +129,10 @@ class Compression:
 
     @cached_property
     def normal(self) -> bool:
-        """True at every tol on exactly symmetric A, whose compression is
-        symmetric: no K, norm or commutator is formed.  Else R must commute
-        with R^T at tol and, unless A is symmetric at tol, w is certified by
-        Schur's identity part by part, sum (Re w)^2 = ||S||_F^2 and
-        sum (Im w)^2 = ||K||_F^2 to roundoff, whatever tol is: a commutator
-        small at tol can still split an eigenvalue of S wider than the cluster
-        gap, losing the imaginary parts over it.  Symmetric input needs none:
-        phi_normal is then phi_symmetric, which pays `skew` instead."""
+        """True at every tol on exactly symmetric A.  Else R must commute with R^T at tol and,
+        unless A is symmetric at tol (phi_normal is then phi_symmetric, which pays `skew`), w
+        must meet Schur's identity part by part to roundoff, whatever tol is:
+        sum (Re w)^2 = ||S||_F^2 and sum (Im w)^2 = ||K||_F^2."""
         if self.exactly_symmetric:
             return True
         scale = float(np.linalg.norm(self.R)) ** 2
@@ -199,28 +179,23 @@ def _compression(D, tol: float, symmetric: bool = False) -> Compression:
 
 
 def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
-    """Spectral lower bound on shortest-tour length for symmetric distances.
+    """Spectral lower bound on tour length for symmetric D.  Raises NotSymmetric.
 
-    Pairs tsp_coefficients(n) ascending with the compressed spectrum
-    descending; by the rearrangement inequality this is the cheapest pairing,
-    and it lower-bounds the length of every Hamiltonian cycle through
-    (D + D^T) / 2.  Less the `skew` of D, it bounds every tour through D.
+    tsp_coefficients(n), ascending, paired with the compressed spectrum,
+    descending (the cheapest pairing, by rearrangement), bounds every tour
+    through (D + D^T) / 2; less the `skew` of D, every tour through D.
     """
     c = _compression(D, tol, symmetric=True)
     return c.scale * (float(tsp_coefficients(c.n) @ c.spectrum) - c.skew)
 
 
 def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
-    """Assignment-sharpened bound for distances with a normal compression.
+    """Assignment-sharpened bound for D with a normal compression.  Raises NotNormal.
 
-    Requires center_restrict(D) to commute with its transpose (circulant
-    distance matrices are the model case; exactly symmetric ones qualify at
-    every tol, with no commutator formed).
-    Minimizes sum_j Re((1 - omega^j) w_{sigma(j)}) over all bijections sigma
-    between the tour-cycle frequencies j = 1..n-1 and the complex compressed
-    spectrum w, via an exact linear assignment solve (Jonker-Volgenant).  On
-    symmetric D the spectrum is real, the minimum is phi_symmetric by
-    rearrangement, and that value is returned without the solve.
+    The minimum of sum_j Re((1 - omega^j) w_{sigma(j)}) over all bijections
+    sigma between the frequencies j = 1..n-1 and the complex compressed
+    spectrum w, by an exact linear assignment solve (Jonker-Volgenant).  On
+    symmetric D it is phi_symmetric, returned without the solve.
     """
     c = _compression(D, tol)
     if not c.normal:
@@ -237,14 +212,8 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
 
 
 def phi_general(D, tol: float = DEFAULT_TOL) -> float:
-    """Split bound valid for every distance matrix with zero diagonal.
-
-    Bounds the symmetric part of the compression with the cosine pairing and
-    the antisymmetric part with the sine pairing, each by rearrangement, and
-    adds them.  Coarser than phi_normal when both apply, but needs no
-    structure at all.  On symmetric D the sine term vanishes and the value
-    is phi_symmetric.
-    """
+    """Bound for every distance matrix: the cosine pairing of the compression's symmetric part
+    plus the sine pairing of its antisymmetric part.  On symmetric D it is phi_symmetric."""
     c = _compression(D, tol)
     if c.symmetric:
         return phi_symmetric(c)
@@ -253,12 +222,10 @@ def phi_general(D, tol: float = DEFAULT_TOL) -> float:
 
 
 def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
-    """Half the sum, over cities, of the two cheapest incident distances.
+    """The degree-two counting bound, the non-spectral baseline.  Raises NotSymmetric.
 
-    Every tour enters and leaves each city once, so this is a lower bound on
-    symmetric tour length.  It is the classical degree-two counting bound and
-    serves as the non-spectral baseline.  It is taken on (D + D^T) / 2, less
-    the `skew` of D.
+    Half the sum over cities of the two cheapest distances at each, taken on
+    (D + D^T) / 2, less the `skew` of D.
     """
     c = _compression(D, tol, symmetric=True)
     off = c.A.copy() if c.exactly_symmetric else 0.5 * (c.A + c.A.T)  # 0.5 (a + a) is a
@@ -274,26 +241,18 @@ def mean_distance(D) -> float:
 
 
 def schoenberg_edm_check(D, tol: float = DEFAULT_TOL) -> bool:
-    """True iff -P D P is positive semidefinite, P = I - J/n the centering projector.
-
-    This is the classical embeddability criterion applied directly to D
-    (not to elementwise squares), which is the form the spectral bound
-    interacts with, and it holds for every matrix of pairwise Euclidean
-    point distances.  Since -P D P = Q R Q^T for the compression R, the two
-    share their nonzero spectrum: this is the `psd` flag of symmetric D,
-    read off mu with no projector product and no second eigensolve.
-    """
+    """True iff -P D P is positive semidefinite at tol, P = I - J/n: the embeddability criterion
+    applied to D itself, which every matrix of Euclidean point distances meets.  Raises
+    NotSymmetric.  -P D P = Q R Q^T shares R's nonzero spectrum: this is Compression.psd."""
     return _compression(D, tol, symmetric=True).psd
 
 
 def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
-    """Closed-form floor (n - 1) (1 - cos(2 pi / n)) * mean_distance(D), less the `skew` of D.
+    """(n - 1) (1 - cos(2 pi / n)) * mean_distance(D), less the `skew` of D.  Raises NotSymmetric.
 
-    The compressed spectrum sums to (n - 1) * mean_distance(D), and the
-    smallest tour coefficient is 1 - cos(2 pi / n), so this is a lower bound
-    on phi_symmetric(D) whenever that spectrum is non-negative to roundoff
-    (Compression.floor_holds), as for every matrix of Euclidean point
-    distances.  The value is computed regardless of that hypothesis.
+    A lower bound on phi_symmetric(D) when the compressed spectrum is
+    non-negative to roundoff (Compression.floor_holds), as for Euclidean
+    point distances; the value is computed either way.
     """
     c = _compression(D, tol, symmetric=True)
     return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c)) - c.scale * c.skew
@@ -301,20 +260,16 @@ def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
 
 @dataclass
 class BoundReport:
-    """Everything the bound machinery can say about one distance matrix.
+    """Everything the bound machinery can say about one distance matrix, from one Compression.
 
-    Fields that require structure the matrix lacks are None: phi_symmetric,
-    n2 and euclidean_floor need symmetry, phi_normal a normal compression,
-    and euclidean_floor also `psd`, which says the descending spectrum `mu`
-    of the symmetrized compression is non-negative (at tolerance); for
-    symmetric D it is schoenberg_edm_check.  The floor needs the stricter
-    Compression.floor_holds, so a loose tol can report psd with no floor.
-    `phi` is the sharpest bound: phi_symmetric when symmetric, else
-    phi_normal when defined, else phi_general.  On symmetric D the routes
-    coincide, so phi_normal (when normal) and phi_general carry the
-    phi_symmetric value; exactly symmetric D is normal at every tol.  All
-    fields come from one Compression: one validation, one compression and,
-    on symmetric input, one eigensolve.
+    A field is None where D lacks its structure: phi_symmetric and n2 need
+    symmetry, phi_normal a normal compression, euclidean_floor symmetry and
+    Compression.floor_holds, which is stricter than `psd` (the descending
+    spectrum `mu` is non-negative at tol; schoenberg_edm_check on symmetric
+    D).  `phi` is phi_symmetric when symmetric, else phi_normal when
+    defined, else phi_general.  On symmetric D, phi_normal (when normal) and
+    phi_general carry the phi_symmetric value; exactly symmetric D is normal
+    at every tol.
     """
 
     n: int

@@ -68,10 +68,6 @@ class Graph:
     def degrees(self) -> np.ndarray:
         return self.adjacency.sum(axis=1)
 
-    @property
-    def edge_count(self) -> int:
-        return int(self.adjacency.sum()) // 2
-
     @cached_property
     def _complement_phi(self) -> float:
         """The complement bound, computed on first use and kept; complement_phi reads it."""
@@ -95,8 +91,8 @@ def _pairs(edges) -> np.ndarray | None:
 
 
 def from_edges(n: int, edges) -> Graph:
-    """Graph on vertices 0..n-1 with the given (u, v) edges.  A list or tuple of int pairs in range
-    is set by one scatter; any other input is walked in order, so that an error names the first bad edge."""
+    """Graph on vertices 0..n-1 with the given (u, v) edges.  An error names the first bad edge;
+    input that is not a list or tuple is read lazily, only up to that edge."""
     n = check_int(n, "vertex count", 1)
     A = np.zeros((n, n), dtype=np.int8)
     E = _pairs(edges)
@@ -118,10 +114,6 @@ def from_edges(n: int, edges) -> Graph:
             raise InvalidDimension(f"edge ({u}, {v}) out of range for {n} vertices")
         A[u, v] = A[v, u] = 1
     return Graph(A)
-
-
-def complement(g: Graph) -> Graph:
-    return Graph(1 - np.eye(g.n, dtype=np.int8) - g.adjacency)
 
 
 def _hops(g: Graph, s: int) -> np.ndarray:
@@ -213,11 +205,6 @@ def bow_tie() -> Graph:
     return from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
 
-def disjoint_cliques(n: int) -> Graph:
-    """Two disjoint cliques of n vertices each: the complement of K_{n,n}."""
-    return complement(complete_bipartite(n, n))
-
-
 # ---------------------------------------------------------------------------
 # groups and Cayley graphs
 
@@ -241,7 +228,9 @@ class GroupTable:
             raise InvalidMatrix("multiplication table must be square") from None
         if M.ndim != 2 or M.shape[0] != M.shape[1]:
             raise InvalidMatrix("multiplication table must be square")
-        if M.dtype.kind not in "iu" or (M.size and not 0 <= M.min() <= M.max() < len(M)):
+        if not M.size:
+            raise InvalidDimension("groups need at least one element")
+        if M.dtype.kind not in "iu" or not 0 <= M.min() <= M.max() < len(M):
             raise InvalidMatrix(f"multiplication table entries must be integers in [0, {len(M)})")
         M = M.astype(np.int64, copy=False)
         hits = M == self.identity
@@ -254,12 +243,6 @@ class GroupTable:
     @property
     def order(self) -> int:
         return self.mult.shape[0]
-
-
-def cyclic_group(n: int) -> GroupTable:
-    n = check_int(n, "group order", 1)
-    idx = np.arange(n)
-    return GroupTable((idx[:, None] + idx[None, :]) % n)
 
 
 def dihedral_group(m: int) -> GroupTable:
@@ -281,7 +264,10 @@ def cayley_graph(table: GroupTable, connection) -> Graph:
     The connection set must exclude the identity (no self-loops) and be
     closed under inversion (so adjacency is symmetric).
     """
-    elements = list(connection)
+    try:
+        elements = list(connection)
+    except TypeError:
+        raise InvalidDimension(f"connection set must be a collection, got {connection!r}") from None
     n = table.order
     for s in elements:
         if not _is_index(s):

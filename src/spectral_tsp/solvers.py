@@ -1,13 +1,9 @@
 """Exact and heuristic tour solvers used to certify the bounds.
 
-Two independent exact routes (branch and bound over a prefix tree of tours,
-which sums each shared prefix once and each length in one fixed order, and
-dynamic programming over subsets) plus a 2-opt local search for sizes where
-exactness is out of reach.  Each validates its matrix once.  Everything is
-deterministic: enumeration breaks ties toward the lexicographically
-smallest city order, the DP by first index, and the heuristic draws any
-tie-breaking from an explicit seed.  Enumeration cuts a prefix longer than
-a tour it has summed only when no entry is negative.
+Two independent exact routes, branch and bound (brute_force) and dynamic
+programming over subsets (held_karp), and a 2-opt local search (two_opt).
+Each validates its matrix once and is deterministic; its docstring gives
+its tie rule.
 """
 
 from __future__ import annotations
@@ -21,7 +17,7 @@ import numpy as np
 
 from .bounds import check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
-from .instances import SplitMix64
+from .instances import _u64s
 from .linalg import DEFAULT_TOL, _near_symmetric
 
 BRUTE_FORCE_CAP = 12
@@ -54,7 +50,10 @@ def tour_length(D, order) -> float:
     """
     A = check_distance_matrix(D).A
     n = A.shape[0]
-    p = np.asarray(order)
+    try:
+        p = np.asarray(order)
+    except ValueError:  # ragged entries, such as [0, [1], 2]: no shape is (n,)
+        p = np.empty(0)
     if (
         p.shape != (n,)
         or p.dtype.kind not in "iu"
@@ -117,19 +116,17 @@ def _cheapest(total: np.ndarray, k: int) -> np.ndarray:
 
 
 def brute_force(D) -> Tour:
-    """Exact minimum over every tour, by branch and bound.  Hard cap at 12 cities.
+    """Exact minimum over every tour, by branch and bound.  Raises TooLarge above 12 cities.
 
-    City 0 is pinned first; on exactly symmetric input each tour is taken
-    in one direction only, the one with the smaller second city.  Among
-    tours of exactly minimal length the lexicographically smallest order
-    wins.  Each batch fixes the leading cities and grows the last
-    m = min(n - 1, 9) over _tree's prefix tree, a node's sum its parent's
-    plus one edge, so every length is summed in one order: the closing
-    pair, then left to right.  Unless an entry is negative, a node whose
-    sum exceeds `limit`, the best tour's sum so far, is cut with its
-    subtree (Little, Murty, Sweeney and Karel, 1963): float sums of
-    non-negative terms never decrease, and ties with `limit` are kept.  A
-    beam, the _BEAM cheapest nodes of each level, sets the first limit.
+    City 0 comes first; on exactly symmetric input each tour is taken in one
+    direction, the one with the smaller second city.  Among tours of exactly
+    minimal length the lexicographically smallest order wins.  Every length
+    is summed in one order, the closing pair, then left to right: each batch
+    fixes the leading cities and grows the last m = min(n - 1, 9) over
+    _tree's prefix tree, a node's sum its parent's plus one edge.  Unless an
+    entry is negative, a node whose sum exceeds the best tour's so far is
+    cut with its subtree (Little, Murty, Sweeney and Karel, 1963); ties are
+    kept.
     """
     A = check_distance_matrix(D).A
     n = A.shape[0]
@@ -204,17 +201,12 @@ def brute_force(D) -> Tour:
 
 
 def held_karp(D) -> Tour:
-    """Exact minimum by dynamic programming over subsets.  Cap at 20 cities.
+    """Exact minimum by dynamic programming over subsets.  Raises TooLarge above 20 cities.
 
-    Standard table: for every subset of cities 1..n-1 and every last city j
-    in it, the cheapest path from 0 through the subset ending at j.  The
-    table is filled layer by layer over subset size, as Held and Karp (1962)
-    lay it out: for each last city j, one array step extends every subset
-    of the previous layer that lacks j.  Runs in O(2^n n^2) time; only two
-    layers of costs are held, and O(2^n n) memory is the int8 table of best
-    predecessors.  Ties resolve to the smallest city index at every argmin,
-    so the order returned is deterministic (though not necessarily the same
-    one brute_force picks among equals).
+    Held and Karp (1962): O(2^n n^2) time, and O(2^n n) memory for the int8
+    table of best predecessors.
+    Ties resolve to the smallest city index at every argmin, which need not
+    be the order brute_force picks among equals.
     """
     A = check_distance_matrix(D).A
     n = A.shape[0]
@@ -259,9 +251,9 @@ def held_karp(D) -> Tour:
     return Tour(order=order, length=_length(A, order))
 
 
-def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
-    """The greedy start: each step reads the last city's row of one working
-    copy of A, in which every visited city's column is set to inf."""
+def _nearest_neighbour(A: np.ndarray, draws) -> np.ndarray:
+    """The greedy start from city 0: among the nearest unvisited cities (ascending), the draw d
+    from the iterator draws picks the (d mod count)-th; a unique nearest city consumes no draw."""
     n = A.shape[0]
     order = [0]
     W = A.copy()
@@ -269,7 +261,7 @@ def _nearest_neighbour(A: np.ndarray, rng: SplitMix64) -> np.ndarray:
     for _ in range(1, n):
         row = W[order[-1]]
         near = (row == np.minimum.reduce(row)).nonzero()[0]  # ascending city index
-        pick = int(near[0] if len(near) == 1 else near[rng.next_u64() % len(near)])
+        pick = int(near[0] if len(near) == 1 else near[next(draws) % len(near)])
         order.append(pick)
         W[:, pick] = np.inf
     return np.array(order)
@@ -305,17 +297,16 @@ def _first_move(B: np.ndarray, i: int, j: int, upper: np.ndarray, least: float) 
 
 
 def two_opt(D, seed: int = 0) -> Tour:
-    """2-opt local search from a nearest-neighbour start (symmetric only).
+    """2-opt local search from a nearest-neighbour start.  Raises NotSymmetric unless D is
+    symmetric at the default tolerance, as bounds.Compression judges it.
 
-    Starts at city 0 and greedily visits the nearest unvisited city, exact
-    ties broken by a SplitMix64 draw from `seed`; then applies the first
-    improving segment reversal (see _first_move) until none shortens the
-    tour by more than 1e-12 times the power of two math.frexp gives for
-    max|D|, so D and 2^k D take the same moves.  The search runs on
-    S = (D + D^T) / 2, D itself when D is exactly symmetric, where every
-    move shortens the tour, so it ends; the length is measured on D.
-    Raises NotSymmetric unless D is symmetric at the default tolerance, as
-    bounds.Compression judges it.
+    The start's exact ties take the words of instances._u64s(seed) in order
+    (see _nearest_neighbour).  The search applies the first improving
+    reversal (see _first_move) until none shortens the tour by more than
+    1e-12 times the power of two math.frexp gives for max|D|, so D and 2^k D
+    take the same moves.  It runs on S = (D + D^T) / 2, D itself when D is
+    exactly symmetric, where every move shortens the tour, so it ends; the
+    length is measured on D.
     """
     A, top = check_distance_matrix(D)
     exact = np.array_equal(A, A.T)
@@ -323,7 +314,7 @@ def two_opt(D, seed: int = 0) -> Tour:
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
     S = A if exact else 0.5 * (A + A.T)
-    order = _nearest_neighbour(S, SplitMix64(seed))
+    order = _nearest_neighbour(S, iter(_u64s(seed, n - 1).tolist()))
     least = math.ldexp(1e-12, math.frexp(top)[1])
 
     B = S[np.ix_(order, [*order, order[0]])]

@@ -7,22 +7,24 @@ import pytest
 import oracles
 from spectral_tsp import instances
 from spectral_tsp.errors import InvalidDimension
-from spectral_tsp.instances import SplitMix64
 
 
 def test_splitmix64_matches_reference_stream():
     # Known-answer test against an independent transcription of the
     # generator; seed 0 starts e220a8397b1dcdaf, 6e789e6aa1b965f4, ...
-    for seed in (0, 1, 0x123456789ABCDEF, 2**64 - 1):
-        r = SplitMix64(seed)
-        assert [r.next_u64() for _ in range(5)] == oracles.splitmix64_reference(seed, 5)
+    assert instances._u64s(0, 1).tolist() == [0xE220A8397B1DCDAF]
+    for seed in (0, 1, 3, 0x123456789ABCDEF, 2**64 - 1, -1):
+        words = instances._u64s(seed, 5)
+        assert words.dtype == np.uint64
+        assert words.tolist() == oracles.splitmix64_reference(seed, 5), seed
+    for seed in (np.int64(3), np.uint64(3), np.int16(3), np.int64(-1), np.uint64(2**64 - 1)):
+        assert instances._u64s(seed, 5).tolist() == oracles.splitmix64_reference(int(seed), 5), seed
+    assert instances._u64s(0, 0).tolist() == []
 
 
 def test_splitmix64_floats_are_unit_interval_and_deterministic():
-    r1 = SplitMix64(42)
-    r2 = SplitMix64(42)
-    xs = [r1.next_float() for _ in range(1000)]
-    assert xs == [r2.next_float() for _ in range(1000)]
+    xs = instances._floats(42, 1000).tolist()
+    assert xs == instances._floats(42, 1000).tolist()
     assert all(0.0 <= x < 1.0 for x in xs)
     assert min(xs) < 0.1 and max(xs) > 0.9  # not obviously degenerate
 
@@ -71,22 +73,22 @@ def test_random_symmetric_shape_and_range():
 def test_random_symmetric_draw_order_is_upper_triangle_row_major():
     """The documented draw order is part of the reproducibility contract."""
     n = 5
-    r = SplitMix64(31)
+    r = oracles._unit_floats(31)
     expect = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            expect[i, j] = expect[j, i] = r.next_float()
+            expect[i, j] = expect[j, i] = next(r)
     assert np.array_equal(instances.random_symmetric(n, seed=31), expect)
 
 
 def test_random_asymmetric_draw_order_is_row_major():
     n = 4
-    r = SplitMix64(8)
+    r = oracles._unit_floats(8)
     expect = np.zeros((n, n))
     for i in range(n):
         for j in range(n):
             if i != j:
-                expect[i, j] = r.next_float()
+                expect[i, j] = next(r)
     assert np.array_equal(instances.random_asymmetric(n, seed=8), expect)
 
 
@@ -140,7 +142,7 @@ GENERATORS = {
     "seed_symmetric": lambda seed: instances.random_symmetric(4, seed),
     "seed_asymmetric": lambda seed: instances.random_asymmetric(4, seed),
     "seed_circulant": lambda seed: instances.random_circulant(4, seed),
-    "seed_splitmix": lambda seed: SplitMix64(seed).next_u64(),
+    "seed_splitmix": lambda seed: instances._u64s(seed, 3),
 }
 
 
@@ -166,7 +168,7 @@ def test_numpy_integer_seeds_wrap_as_python_integers_do():
         expected = instances.random_symmetric(5, seed)
         np_seed = np.int64(seed) if seed < 0 else np.uint64(seed)
         assert np.array_equal(instances.random_symmetric(5, np_seed), expected)
-        assert SplitMix64(np_seed).next_u64() == SplitMix64(seed).next_u64()
+        assert instances._u64s(np_seed, 3).tolist() == instances._u64s(seed, 3).tolist()
 
 
 @pytest.mark.parametrize("dim", [0, -1])
@@ -176,7 +178,7 @@ def test_random_euclidean_needs_a_dimension(dim):
 
 
 # the top of the uint64 range exercises the counter's wraparound; negative
-# and oversized seeds reduce modulo 2**64 as SplitMix64 reduces them
+# and oversized seeds reduce modulo 2**64 as the stream's state does
 @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 1, 2**64 - 1, -1, 2**64 + 3])
 def test_random_families_are_the_per_draw_oracles(seed):
     for n in (3, 4, 7, 16, 61):
@@ -191,8 +193,8 @@ def test_random_families_are_the_per_draw_oracles(seed):
 
 def test_floats_are_the_stream():
     for seed in (0, 2**63 + 1, 2**64 - 1):
-        r = SplitMix64(seed)
-        assert instances._floats(seed, 300).tolist() == [r.next_float() for _ in range(300)]
+        r = oracles._unit_floats(seed)
+        assert instances._floats(seed, 300).tolist() == [next(r) for _ in range(300)]
 
 
 @pytest.mark.parametrize(

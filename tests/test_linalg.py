@@ -9,7 +9,6 @@ import oracles
 from spectral_tsp import bounds, linalg
 from spectral_tsp.errors import InvalidDimension, InvalidMatrix, InvalidTolerance, NotNormal, NotSymmetric
 from spectral_tsp.instances import (
-    SplitMix64,
     random_asymmetric,
     random_circulant,
     random_symmetric,
@@ -209,8 +208,8 @@ def test_is_psd():
 
 
 def test_antisym_spectrum_pairs_exactly():
-    rng = SplitMix64(7)
-    A = np.array([[rng.next_float() for _ in range(7)] for _ in range(7)])
+    rng = oracles._unit_floats(7)
+    A = np.array([[next(rng) for _ in range(7)] for _ in range(7)])
     K = A - A.T
     spec = linalg._antisym_spectrum(K)
     assert len(spec) == 7
