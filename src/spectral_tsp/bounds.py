@@ -20,9 +20,12 @@ alpha >= 0 multiplies it by alpha.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -189,12 +192,32 @@ def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
     return c.scale * (float(tsp_coefficients(c.n) @ c.spectrum) - c.skew)
 
 
+@cache
+def _assignment_solver():
+    """scipy's linear_sum_assignment, loaded from scipy/optimize/_lsap alone: the same C function
+    without `import scipy.optimize`, which costs about half a second and 40 MB.  Falls back to
+    that import where the file or the function is missing."""
+    spec = importlib.util.find_spec("scipy")  # finds the package without importing it
+    for root in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "optimize", "_lsap" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader("scipy.optimize._lsap", path)
+                module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
+                loader.exec_module(module)
+                if hasattr(module, "linear_sum_assignment"):
+                    return module.linear_sum_assignment
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment
+
+
 def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
     """Assignment-sharpened bound for D with a normal compression.  Raises NotNormal.
 
     The minimum of sum_j Re((1 - omega^j) w_{sigma(j)}) over all bijections
     sigma between the frequencies j = 1..n-1 and the complex compressed
-    spectrum w, by an exact linear assignment solve (Jonker-Volgenant).  On
+    spectrum w, by scipy's exact linear assignment solve (_assignment_solver).  On
     symmetric D it is phi_symmetric, returned without the solve.
     """
     c = _compression(D, tol)
@@ -202,12 +225,10 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
         raise NotNormal("compression of -D is not normal; use phi_general instead")
     if c.symmetric:
         return phi_symmetric(c)
-    from scipy.optimize import linear_sum_assignment
-
     ang = 2.0 * np.pi * np.arange(1, c.n) / c.n
     # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t
     cost = np.outer(1.0 - np.cos(ang), c.w.real) + np.outer(np.sin(ang), c.w.imag)
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = _assignment_solver()(cost)
     return c.scale * float(cost[rows, cols].sum())
 
 

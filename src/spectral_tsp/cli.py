@@ -1,30 +1,20 @@
 """Command line front end.
 
-Four subcommands, all emitting one JSON document per result on stdout:
+bound, solve and check-graph report on one instance or graph; batch runs
+bound on each 'problem[,sidecar]' row of a manifest, in order, in this
+process (--jobs N >= 1 changes nothing).  Each result is one JSON document
+on stdout, the same byte for byte on every run: fields in fixed order
+(bounds.BoundReport's and graphs.ScreenResult's in declaration order, plus
+kind, instance, optimum, ratio and timing_ms), timing_ms null without
+--timing.  --pretty adds a summary on stderr.  The tolerance is --tol, else
+SPECTRAL_TSP_TOL, else 1e-8, and must be a finite number >= 0.  --n, --m,
+--dim and graph files are capped at graphs.SIZE_CAP (2048) vertices, a
+TSPLIB DIMENSION at twice that.
 
-  bound        spectral lower bounds for one instance (file or --family)
-  solve        exact or heuristic tour for one instance
-  check-graph  spectral Hamiltonicity screens for a graph
-  batch        bound reports for every line of a manifest file, run in
-               order in this process; --jobs N (N >= 1) changes nothing
-
-Output is deterministic byte for byte: fields appear in fixed order and
-timing is reported as null unless --timing is given.  --pretty adds a
-human-readable summary on stderr, leaving stdout machine-clean.  The
-decision tolerance defaults to 1e-8, can be set for a whole shell via the
-SPECTRAL_TSP_TOL environment variable, and per-run via --tol; either must
-be a finite number >= 0, else the run exits 2.  --n, --m, --dim and the
-vertex count of a graph file are capped at graphs.SIZE_CAP (2048), and a
-TSPLIB DIMENSION at twice that, the largest order those flags reach.
-
-The bound fields are those of bounds.BoundReport and each screen's those
-of graphs.ScreenResult, in declaration order; the CLI adds only kind,
-instance, optimum, ratio and timing_ms.
-
-Exit codes: 0 success, 2 unreadable or unparseable input, 3 valid input
-rejected by a numeric precondition (asymmetry, size caps, distances whose
-tour lengths overflow, a bound or ratio that JSON cannot carry as a finite
-number, and so on).
+Exit codes: 0 success, 2 unreadable or unparseable input (a bad tolerance
+too), 3 valid input rejected by a numeric precondition (asymmetry, size
+caps, tour lengths that overflow, a bound or ratio JSON cannot carry as a
+finite number, and so on).
 """
 
 from __future__ import annotations

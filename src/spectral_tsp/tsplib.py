@@ -1,9 +1,8 @@
-"""Reader for the classic TSPLIB problem-file format (symmetric instances).
+"""Reader for TSPLIB problem files of TYPE TSP.
 
-Supports EDGE_WEIGHT_TYPE EXPLICIT (FULL_MATRIX, UPPER_ROW, LOWER_ROW,
-UPPER_DIAG_ROW, LOWER_DIAG_ROW), EUC_2D, ATT, and GEO.  Distances are
-realized exactly as the format defines them, including the integer
-rounding conventions, so values agree with published optima:
+EDGE_WEIGHT_TYPE EXPLICIT (FULL_MATRIX, UPPER_ROW, LOWER_ROW,
+UPPER_DIAG_ROW, LOWER_DIAG_ROW), EUC_2D, ATT and GEO, each rounded as the
+format defines, so tour lengths agree with published optima:
 
   EUC_2D  nint(sqrt(dx^2 + dy^2)) with nint(x) = floor(x + 0.5)
   ATT     r = sqrt((dx^2 + dy^2) / 10), t = nint(r), d = t + (t < r)
@@ -11,14 +10,10 @@ rounding conventions, so values agree with published optima:
           with PI = 3.141592, d = trunc(6378.388 acos(0.5 ((1 + q1) q2 -
           (1 - q1) q3)) + 1), q1 = cos(dlon), q2 = cos(dlat), q3 = cos(lat+lat')
 
-GEO follows the TSPLIB95 FAQ; Concorde also truncates the degrees.  The
-format document's nint(x) would read 14.55 as 14.25 degrees, not 14 deg 55'.
-
-Parse failures raise typed errors naming the offending line; a number
-that is not finite (nan, inf, 1e999) raises NonFiniteValue, as does a
-coordinate set whose realized distances overflow.  A companion
-"sidecar" file may record the known optimal tour length as a single
-`optimum: <value>` line.
+GEO truncates the degrees, as the TSPLIB95 FAQ and Concorde do; the format
+document's nint(x) would read 14.55 as 14.25 degrees, not 14 deg 55'.
+Parse errors are typed and name the offending line.  A number that is not
+finite (nan, inf, 1e999), or distances that overflow, raise NonFiniteValue.
 """
 
 from __future__ import annotations
@@ -107,11 +102,8 @@ def _explicit_count(fmt: str, n: int) -> int:
 
 
 def _explicit_matrix(fmt: str, n: int, weights: np.ndarray) -> np.ndarray:
-    """The n x n matrix of an EDGE_WEIGHT_SECTION; triangular formats are mirrored.
-
-    Each triangle's entries come row by row, which is the order
-    np.triu_indices and np.tril_indices list their positions in.
-    """
+    """The n x n matrix of an EDGE_WEIGHT_SECTION.  A triangle, mirrored, lists its entries
+    row by row, the order of np.triu_indices and np.tril_indices."""
     if fmt == "FULL_MATRIX":
         return weights.reshape(n, n)
     off = 0 if fmt.endswith("DIAG_ROW") else 1
@@ -271,7 +263,7 @@ def load_tsplib(path) -> TsplibProblem:
 
 
 def read_optimum(path) -> float:
-    """Read a sidecar file holding one `optimum: <value>` line."""
+    """The known optimal tour length in a "sidecar" file: its one `optimum: <value>` line."""
     p = Path(path)
     for lineno, raw in enumerate(p.read_text().splitlines()):
         line = raw.split("#", 1)[0].strip()
@@ -291,11 +283,8 @@ def read_optimum(path) -> float:
 
 
 def load_with_optimum(problem_path, sidecar_path=None) -> tuple[TsplibProblem, float | None]:
-    """Load a problem and, if present, its known optimal length.
-
-    With no explicit sidecar path, looks for the problem file's name with a
-    .opt suffix and returns None for the optimum when that does not exist.
-    """
+    """A problem and its optimum from sidecar_path; without one, from the problem's path with
+    suffix .opt, and None if that file does not exist."""
     problem = load_tsplib(problem_path)
     if sidecar_path is None:
         candidate = Path(problem_path).with_suffix(".opt")

@@ -11,17 +11,17 @@ from spectral_tsp import bounds, linalg
 @pytest.fixture
 def calls(monkeypatch):
     """Count the expensive steps a report takes, by kind."""
-    import scipy.optimize
-
     counts = Counter()
 
-    def count(kind, owners, name):
-        original = getattr(owners[0], name)
-
+    def counted(kind, original):
         def wrapper(*args, **kwargs):
             counts[kind] += 1
             return original(*args, **kwargs)
 
+        return wrapper
+
+    def count(kind, owners, name):
+        wrapper = counted(kind, getattr(owners[0], name))
         for owner in owners:
             monkeypatch.setattr(owner, name, wrapper)
 
@@ -31,5 +31,7 @@ def calls(monkeypatch):
     count("parts_commute", [linalg, bounds], "parts_commute")
     count("validation", [bounds], "check_distance_matrix")
     count("as_square", [linalg, bounds], "as_square")
-    count("lsap", [scipy.optimize], "linear_sum_assignment")
+    # bounds gets scipy's assignment solver from its cached loader
+    lsap = counted("lsap", bounds._assignment_solver())
+    monkeypatch.setattr(bounds, "_assignment_solver", lambda: lsap)
     return counts

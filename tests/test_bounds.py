@@ -446,25 +446,69 @@ def test_symmetric_report_holds_at_most_four_matrices():
     assert peak <= 4.25 * 8 * n * n
 
 
-def test_symmetric_report_does_not_import_scipy_optimize():
+def _fresh_python(code: str) -> list[str]:
+    """The stdout lines of `code` run in a new interpreter that imports this checkout's package."""
     src = str(Path(bounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()
+
+
+# after `solve` is bound: prints whether scipy.optimize was loaded, then whether
+# scipy.optimize.linear_sum_assignment, imported only now, gives the same cols as
+# `solve` on random, tie-heavy and circulant costs
+_SAME_COLS = """
+print('scipy.optimize' in sys.modules)
+rng = np.random.default_rng(7)
+costs = [rng.random((30, 30)), rng.random((20, 35)), np.floor(3.0 * rng.random((40, 40)))]
+for n in (7, 40, 300):
+    c = bounds.Compression(instances.random_circulant(n, 3))
+    ang = 2.0 * np.pi * np.arange(1, n) / n
+    costs.append(np.outer(1.0 - np.cos(ang), c.w.real) + np.outer(np.sin(ang), c.w.imag))
+ours = [solve(cost)[1] for cost in costs]
+from scipy.optimize import linear_sum_assignment
+print(all(np.array_equal(a, linear_sum_assignment(cost)[1]) for a, cost in zip(ours, costs)))
+"""
+
+
+def test_no_report_imports_scipy_optimize():
     code = (
         "import sys\n"
+        "import numpy as np\n"
         "from spectral_tsp import bounds, instances\n"
-        "bounds.bound_report(instances.{}(12, 0))\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "for family in ('random_symmetric', 'random_asymmetric', 'random_circulant'):\n"
+        "    bounds.bound_report(getattr(instances, family)(12, 0))\n"
+        "    print('scipy.optimize' in sys.modules)\n"
+        "solve = bounds._assignment_solver()\n"
     )
+    # the circulant is normal and not symmetric: its report solves an assignment
+    assert _fresh_python(code + _SAME_COLS) == ["False"] * 4 + ["True"]
 
-    def imports_lsap(family):
-        done = subprocess.run(
-            [sys.executable, "-c", code.format(family)], capture_output=True, text=True, env=env
-        )
-        assert done.returncode == 0, done.stderr
-        return done.stdout.strip() == "True"
 
-    assert not imports_lsap("random_symmetric")
-    assert imports_lsap("random_circulant")  # the normal route does need it
+def test_extension_and_import_fallback_give_the_same_reports():
+    # the reports are printed before any scipy.optimize import; with find_spec
+    # missing scipy, the loader finds no extension file and imports scipy.optimize
+    code = (
+        "import importlib.util, sys\n"
+        "import numpy as np\n"
+        "if {miss}:\n"
+        "    find_spec = importlib.util.find_spec\n"
+        "    importlib.util.find_spec = lambda name, *a: None if name == 'scipy' else find_spec(name, *a)\n"
+        "from spectral_tsp import bounds, instances\n"
+        "for n in (3, 7, 40, 300):\n"
+        "    for seed in (0, 3, 2**64 - 1):\n"
+        "        for tol in (1e-8, 0.0, 1.0):\n"
+        "            print(repr(bounds.bound_report(instances.random_circulant(n, seed), tol)))\n"
+        "solve = bounds._assignment_solver()\n"
+    )
+    extension = _fresh_python(code.format(miss=False) + _SAME_COLS)
+    fallback = _fresh_python(code.format(miss=True) + _SAME_COLS)
+    assert extension[-2:] == ["False", "True"]
+    assert fallback[-2:] == ["True", "True"]
+    assert len(extension) == 36 + 2 and extension[:-2] == fallback[:-2]
+    # every report at tol 1e-8 is normal and not symmetric: it solves an assignment
+    assert all("symmetric=False, normal=True" in line for line in extension[0:36:3])
 
 
 # ---------------------------------------------------------------- scale

@@ -1,6 +1,7 @@
 """tools/interleave.py: two source trees timed in one process, outputs compared bit for bit."""
 
 import importlib.util
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -46,4 +47,17 @@ def test_different_outputs_fail():
          "--case", "instances.uniform_instance(4)", "--seeds", "0", "--rounds", "1"],
         capture_output=True, text=True, check=False,
     )
+    assert run.returncode == 1 and "DIFFERENT OUTPUT" in run.stdout
+
+
+def test_cli_mode_times_subprocesses_and_compares_their_output(tmp_path):
+    argv = [sys.executable, str(TOOL), "--cli", "bound --family line --n 9", "--rounds", "2"]
+    run = subprocess.run([*argv, "--base-tree", str(ROOT)], capture_output=True, text=True, check=False)
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1].startswith("new won ") and "/2 pairs" in run.stdout
+    # a base tree whose bound document differs by one byte fails the comparison
+    shutil.copytree(ROOT / "src" / "spectral_tsp", tmp_path / "src" / "spectral_tsp")
+    cli = tmp_path / "src" / "spectral_tsp" / "cli.py"
+    cli.write_text(cli.read_text().replace('{"kind": "bound", "instance"', '{"kind": "bounds", "instance"', 1))
+    run = subprocess.run([*argv, "--base-tree", str(tmp_path)], capture_output=True, text=True, check=False)
     assert run.returncode == 1 and "DIFFERENT OUTPUT" in run.stdout

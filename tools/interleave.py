@@ -1,4 +1,4 @@
-"""Time one callable from two source trees of spectral_tsp in alternating order.
+"""Time one callable, or one CLI command, from two source trees of spectral_tsp in alternating order.
 
 Both trees are imported into one process under different package names, so
 each pair of timings runs on the same interpreter, the same BLAS and the
@@ -25,6 +25,17 @@ tree's median over all pairs, base / new, and how many pairs the new tree
 won.  BLAS runs on one thread unless the environment says otherwise.  Both
 trees' caches share the process, so a call can read slower here than in a
 process of its own; the ratio is what the pairs measure.
+
+    python tools/interleave.py --cli 'bound --family random-circulant --n 300' --rounds 10
+
+--cli times a command as `python -m spectral_tsp.cli <argv>` subprocesses,
+each with PYTHONPATH set to one tree's src, so interpreter start and
+imports count, which no in-process timing sees.  The trees alternate
+which goes first from one pair to the next, after one untimed run each.
+Every run's exit code, stdout and stderr must equal the base tree's
+untimed run byte for byte, else the difference is printed and the exit status is
+1.  It prints each tree's median and quartiles of wall time and how many
+pairs the new tree won.
 """
 
 from __future__ import annotations
@@ -35,6 +46,7 @@ import importlib
 import importlib.util
 import io
 import os
+import shlex
 import statistics
 import subprocess
 import sys
@@ -133,20 +145,60 @@ def compare(base: dict, new: dict, call: str, cases: list[str], seed_list, round
     return same
 
 
+def run_cli(tree: Path, argv: list[str]) -> tuple[float, tuple]:
+    """Wall seconds of the CLI run from tree/src on argv, and its (exit code, stdout, stderr)."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, "-m", "spectral_tsp.cli", *argv], capture_output=True, env=env)
+    return time.perf_counter() - t0, (done.returncode, done.stdout, done.stderr)
+
+
+def compare_cli(trees: dict[str, Path], argv: list[str], rounds: int) -> bool:
+    expected, same = None, True
+    times = {"base": [], "new": []}
+    for r in range(rounds + 1):  # round 0, base first, is untimed
+        for name in ("base", "new")[:: 1 if r % 2 == 0 else -1]:
+            seconds, out = run_cli(trees[name], argv)
+            if expected is None:
+                expected = out
+            elif out != expected and same:
+                same = False
+                print(f"DIFFERENT OUTPUT from {name}:\n  base {expected!r}\n  {name:4} {out!r}")
+            if r:
+                times[name].append(seconds)
+    print(f"{'tree':6} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9}")
+    for name, ts in times.items():
+        q1, med, q3 = statistics.quantiles(ts, n=4) if len(ts) > 1 else ts * 3
+        print(f"{name:6} {1e3 * med:10.1f} {1e3 * q1:9.1f} {1e3 * q3:9.1f}")
+    wins = sum(n < b for b, n in zip(times["base"], times["new"]))
+    ratio = statistics.median(times["base"]) / statistics.median(times["new"])
+    print(f"new won {wins}/{rounds} pairs; median base/new {ratio:.2f}; exit code {expected[0]}")
+    return same
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--call", required=True, help="expression giving the callable, e.g. solvers.brute_force")
-    p.add_argument("--case", action="append", required=True, help="expression of the seed s giving its argument")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--call", help="expression giving the callable, e.g. solvers.brute_force")
+    mode.add_argument("--cli", help="CLI arguments, shell-quoted, to time as subprocesses, e.g. 'bound --family line --n 9'")
+    p.add_argument("--case", action="append", help="with --call: expression of the seed s giving its argument")
     p.add_argument("--seeds", default="0:5", help="a:b or a comma-separated list (default 0:5)")
-    p.add_argument("--rounds", type=int, default=5, help="timed pairs per seed (default 5)")
+    p.add_argument("--rounds", type=int, default=5, help="timed pairs per seed, or per command with --cli (default 5)")
     p.add_argument("--base", default="HEAD", help="git revision of the base tree (default HEAD)")
     p.add_argument("--base-tree", type=Path, help="directory holding src/spectral_tsp, in place of --base")
     args = p.parse_args(argv)
+    if args.call and not args.case:
+        p.error("--call needs at least one --case")
+    if args.rounds < 1:
+        p.error("--rounds must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         base_tree = args.base_tree or extract(args.base, Path(tmp))
+        threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
+        if args.cli:
+            print(f"base {args.base_tree or args.base}, new {ROOT}, OPENBLAS_NUM_THREADS={threads}: {args.cli}")
+            return 0 if compare_cli({"base": base_tree, "new": ROOT}, shlex.split(args.cli), args.rounds) else 1
         base = load_tree(base_tree, "spectral_tsp_base")
         new = load_tree(ROOT, "spectral_tsp_new")
-        threads = os.environ.get("OPENBLAS_NUM_THREADS", "unset")
         print(f"base {args.base_tree or args.base}, new {ROOT}, numpy {np.__version__}, OPENBLAS_NUM_THREADS={threads}")
         same = compare(base, new, args.call, args.case, seeds(args.seeds), args.rounds)
     return 0 if same else 1
