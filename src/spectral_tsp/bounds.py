@@ -24,6 +24,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
@@ -203,8 +204,11 @@ def _assignment_solver():
             path = os.path.join(root, "optimize", "_lsap" + suffix)
             if os.path.isfile(path):
                 loader = importlib.machinery.ExtensionFileLoader("scipy.optimize._lsap", path)
+                added = loader.name not in sys.modules
                 module = importlib.util.module_from_spec(importlib.util.spec_from_loader(loader.name, loader))
                 loader.exec_module(module)
+                if added:  # the extension registers itself; left there, a later scipy.optimize would not bind it
+                    sys.modules.pop(loader.name, None)
                 if hasattr(module, "linear_sum_assignment"):
                     return module.linear_sum_assignment
     from scipy.optimize import linear_sum_assignment
@@ -227,7 +231,8 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
         return phi_symmetric(c)
     ang = 2.0 * np.pi * np.arange(1, c.n) / c.n
     # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t
-    cost = np.outer(1.0 - np.cos(ang), c.w.real) + np.outer(np.sin(ang), c.w.imag)
+    cost = np.outer(1.0 - np.cos(ang), c.w.real)
+    cost += np.outer(np.sin(ang), c.w.imag)
     rows, cols = _assignment_solver()(cost)
     return c.scale * float(cost[rows, cols].sum())
 

@@ -168,26 +168,33 @@ def _antisym_spectrum(K: np.ndarray) -> np.ndarray:
     return np.concatenate([theta, np.zeros(n % 2), -theta[::-1]])
 
 
+_PAIR_CHUNK = 32  # at most this many eigenspaces per stacked product: its temporaries stay O(n)
+
+
 def commuting_spectrum(w: np.ndarray, V: np.ndarray, K: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Complex spectrum of S + K, given (w, V) = eigh(S) and an antisymmetric K commuting with S.
 
-    Eigenvalues of S closer than tol * ||S||_F form one eigenspace, whose real part is
-    their mean; K restricted to it gives the imaginary parts, in exact conjugate pairs.
+    Eigenvalues of S closer than tol * ||S||_F form one eigenspace: real part their mean, imaginary
+    parts those of B = Vg^T K Vg in conjugate pairs, 0.0 (no B) in one dimension, +-|B01 - B10| / 2
+    in two.  Runs of two-dimensional ones share a matmul of stacked views of V, each slice the 2-d
+    product Vg.T @ K @ Vg on the same strides, so bit for bit; a copy or one V.T @ K is not.
     """
     w, V = w[::-1], V[:, ::-1]
     cuts = np.flatnonzero(w[:-1] - w[1:] > tol * float(np.linalg.norm(w))) + 1
-    out = []
-    for wg, Vg in zip(np.split(w, cuts), np.split(V, cuts, axis=1)):
-        B = Vg.T @ K @ Vg
-        B = 0.5 * (B - B.T)
-        if len(wg) == 1:
-            imags = [0.0]
-        elif len(wg) == 2:  # a 2 x 2 antisymmetric block has spectrum +-i|b|
-            imags = [abs(B[0, 1]), -abs(B[0, 1])]
-        else:
-            imags = _antisym_spectrum(B)
-        real = float(np.mean(wg))
-        out.extend(complex(real, a) for a in imags)
-    out = np.array(out, dtype=complex)
+    edges = np.concatenate(([0], cuts, [len(w)]))
+    starts, sizes = edges[:-1], np.diff(edges)
+    out = w.astype(complex)  # imaginary part 0.0 and real part w, -0.0 kept
+    p = starts[sizes == 2]  # the first index of each two-dimensional eigenspace
+    # a stack starts after a gap, or where p crosses a multiple of 2 * _PAIR_CHUNK
+    new = np.flatnonzero((np.diff(p, prepend=-2) != 2) | (p % (2 * _PAIR_CHUNK) < 2))
+    for s, k in zip(p[new].tolist(), np.diff(new, append=len(p)).tolist()):
+        Vg = V[:, s : s + 2 * k].reshape(len(w), k, 2).transpose(1, 0, 2)
+        B = np.matmul(np.matmul(Vg.transpose(0, 2, 1), K), Vg)
+        imag = np.abs(0.5 * (B[:, 0, 1] - B[:, 1, 0]))
+        out.real[s : s + 2 * k] = np.repeat(np.mean(w[s : s + 2 * k].reshape(k, 2), axis=1), 2)
+        out.imag[s : s + 2 * k : 2], out.imag[s + 1 : s + 2 * k : 2] = imag, -imag
+    for s, e in zip(starts[sizes > 2].tolist(), edges[1:][sizes > 2].tolist()):
+        B = V[:, s:e].T @ K @ V[:, s:e]
+        out.real[s:e], out.imag[s:e] = float(np.mean(w[s:e])), _antisym_spectrum(0.5 * (B - B.T))
     order = np.lexsort((-out.imag, -out.real))
     return out[order]

@@ -86,17 +86,13 @@ def _permutations(m: int) -> np.ndarray:
 
 @functools.cache
 def _tree(m: int, rising: bool) -> tuple:
-    """The prefix tree over which the tours of one batch of m cities are summed.
+    """The prefix tree over which one batch of m cities is summed, read-only, shared per (m, rising).
 
-    Each row of _permutations(m) is read as (last, t0, ..., t_{m-2}), the
-    tail t0, ..., t_{m-2}, last of one tour; with rising, only the rows Q
-    with t0 < last are kept, one orientation of each tour.  Level k of the
-    tree is Q[::(m-k-2)!, :k+2]: `last` and `first` (t0) are read off its
-    roots, and codes holds the edges t_{k-1} -> t_k of levels 1..m-2, then
-    t_{m-2} -> last, as a * m + b into the flattened m x m block of the
-    batch's distances (at most 80, so int8).  Rows with last = c start at
-    starts[c].  All are read-only and shared by every call with the same m
-    and rising.
+    Row (last, t0, ..., t_{m-2}) of _permutations(m) is the tail t0, ..., t_{m-2}, last of a tour;
+    rising keeps the rows Q with t0 < last, one orientation each.  Level k is Q[::(m-k-2)!, :k+2].
+    Its roots give `last` and `first` (t0); codes holds levels 1..m-2's edges t_{k-1} -> t_k, then
+    t_{m-2} -> last, as a * m + b <= 80 (int8) into the batch's flattened m x m block; rows with
+    last = c start at starts[c].
     """
     Q = _permutations(m)
     Q = Q[Q[:, 1] < Q[:, 0]] if rising else Q
@@ -118,15 +114,13 @@ def _cheapest(total: np.ndarray, k: int) -> np.ndarray:
 def brute_force(D) -> Tour:
     """Exact minimum over every tour, by branch and bound.  Raises TooLarge above 12 cities.
 
-    City 0 comes first; on exactly symmetric input each tour is taken in one
-    direction, the one with the smaller second city.  Among tours of exactly
-    minimal length the lexicographically smallest order wins.  Every length
-    is summed in one order, the closing pair, then left to right: each batch
-    fixes the leading cities and grows the last m = min(n - 1, 9) over
-    _tree's prefix tree, a node's sum its parent's plus one edge.  Unless an
-    entry is negative, a node whose sum exceeds the best tour's so far is
-    cut with its subtree (Little, Murty, Sweeney and Karel, 1963); ties are
-    kept.
+    City 0 comes first; on exactly symmetric input each tour is taken in one direction, the
+    one with the smaller second city.  Among tours of exactly minimal length the
+    lexicographically smallest order wins.  Every length is summed in one order, the closing
+    pair, then left to right: each batch fixes the leading cities and grows the last
+    m = min(n - 1, 9) over _tree's prefix tree, a node's sum its parent's plus one edge.
+    Unless an entry is negative, a node whose sum exceeds the best tour's so far is cut with
+    its subtree (Little, Murty, Sweeney and Karel, 1963); ties are kept.
     """
     A = check_distance_matrix(D).A
     n = A.shape[0]
@@ -203,10 +197,9 @@ def brute_force(D) -> Tour:
 def held_karp(D) -> Tour:
     """Exact minimum by dynamic programming over subsets.  Raises TooLarge above 20 cities.
 
-    Held and Karp (1962): O(2^n n^2) time, and O(2^n n) memory for the int8
-    table of best predecessors.
-    Ties resolve to the smallest city index at every argmin, which need not
-    be the order brute_force picks among equals.
+    Held and Karp (1962): O(2^n n^2) time, O(2^n n) memory for the int8 table of best
+    predecessors.  Ties resolve to the smallest city index at every argmin, which need not be
+    the order brute_force picks among equals.
     """
     A = check_distance_matrix(D).A
     n = A.shape[0]
@@ -270,16 +263,11 @@ def _nearest_neighbour(A: np.ndarray, draws) -> np.ndarray:
 def _first_move(B: np.ndarray, i: int, j: int, upper: np.ndarray, least: float) -> tuple[int, int] | None:
     """The first improving 2-opt move from (i, j) on, in row-major order, or None.
 
-    B[p, q] is A[order[p], order[q % n]], the matrix in tour order plus the
-    closing column.  Move (i, j), 1 <= i <= n - 2 and i + 2 <= j <= n,
-    reverses order[i:j] and replaces the edges (a, b) = (order[i - 1],
-    order[i]) and (c, d) = (order[j - 1], order[j % n]); its delta
-    A[a, c] + A[b, d] - A[a, b] - A[c, d] is B[i - 1, j - 1] + B[i, j]
-    - B[i - 1, i] - B[j - 1, j], read from slices of B and its superdiagonal,
-    and it improves when it is below -least.  A scan from the start of a row
-    measures _ROW_BLOCK rows in one array step, upper[r, k] masking row i + r
-    to its own j >= i + r + 2; a scan resuming inside row i measures that row
-    alone.
+    B[p, q] = A[order[p], order[q % n]], the tour-order matrix plus its closing column.  Move
+    (i, j), 1 <= i <= n - 2 and i + 2 <= j <= n, reverses order[i:j]; it improves when its
+    delta B[i - 1, j - 1] + B[i, j] - B[i - 1, i] - B[j - 1, j] is below -least.  A scan from
+    a row's start measures _ROW_BLOCK rows per array step, upper[r, k] masking row i + r to
+    j >= i + r + 2; one resuming inside row i measures that row alone.
     """
     n = B.shape[0]
     sup = np.diagonal(B, 1)

@@ -13,11 +13,13 @@ Householder basis as I minus an outer product, the compression negated out
 of place, A - A^T for the skew and (A + A^T) / 2 for n2) are the reference
 for the library's in-place and exactly-symmetric routes, bit for bit.  The
 two-step normality rule (an early accept before the commutator) is the
-reference the library's one commutator test must decide alike.  The
-backtracking Hamiltonicity tests are the ground truth no screen may
-contradict.  The per-edge graph builder is the reference the library's bulk
-one must match, graph for graph and error for error.  The symmetry test and
-the trace-pairing bracket live here because only tests use them.
+reference the library's one commutator test must decide alike, and the
+per-eigenspace loop of the complex spectrum the reference for its stacked
+products, bit for bit.  The backtracking Hamiltonicity tests are the ground
+truth no screen may contradict.  The per-edge graph builder is the reference
+the library's bulk one must match, graph for graph and error for error.  The
+symmetry test and the trace-pairing bracket live here because only tests use
+them.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from spectral_tsp.errors import (
 from spectral_tsp.graphs import Graph, is_connected
 from spectral_tsp.linalg import (
     DEFAULT_TOL,
+    _antisym_spectrum,
     _Checked,
     _is_index,
     _near_symmetric,
@@ -166,6 +169,28 @@ def restricted_complex_spectrum(R) -> np.ndarray:
     Q, _ = np.linalg.qr(A)
     B = Q[:, 1:]
     return np.linalg.eigvals(-B.T @ R @ B)
+
+
+def commuting_spectrum(w, V, K, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """linalg.commuting_spectrum one eigenspace at a time, each with its own
+    Vg.T @ K @ Vg: the reference the stacked route must match bit for bit."""
+    w, V = w[::-1], V[:, ::-1]
+    cuts = np.flatnonzero(w[:-1] - w[1:] > tol * float(np.linalg.norm(w))) + 1
+    out = []
+    for wg, Vg in zip(np.split(w, cuts), np.split(V, cuts, axis=1)):
+        B = Vg.T @ K @ Vg
+        B = 0.5 * (B - B.T)
+        if len(wg) == 1:
+            imags = [0.0]
+        elif len(wg) == 2:  # a 2 x 2 antisymmetric block has spectrum +-i|b|
+            imags = [abs(B[0, 1]), -abs(B[0, 1])]
+        else:
+            imags = _antisym_spectrum(B)
+        real = float(np.mean(wg))
+        out.extend(complex(real, a) for a in imags)
+    out = np.array(out, dtype=complex)
+    order = np.lexsort((-out.imag, -out.real))
+    return out[order]
 
 
 def phi_normal_exhaustive(R) -> float:

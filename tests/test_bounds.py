@@ -446,6 +446,22 @@ def test_symmetric_report_holds_at_most_four_matrices():
     assert peak <= 4.25 * 8 * n * n
 
 
+@pytest.mark.parametrize("family", [random_circulant, random_asymmetric])
+def test_non_symmetric_reports_hold_at_most_five_and_a_quarter_matrices(family):
+    # the normal route (circulant) peaked at 5.09 n^2 floats and the general
+    # route at 5.03 before the normal route stacked its eigenspace products
+    n = 400
+    D = family(n, seed=1)
+    bounds.bound_report(D)
+    tracemalloc.start()
+    try:
+        bounds.bound_report(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.25 * 8 * n * n
+
+
 def _fresh_python(code: str) -> list[str]:
     """The stdout lines of `code` run in a new interpreter that imports this checkout's package."""
     src = str(Path(bounds.__file__).resolve().parents[1])
@@ -484,6 +500,25 @@ def test_no_report_imports_scipy_optimize():
     )
     # the circulant is normal and not symmetric: its report solves an assignment
     assert _fresh_python(code + _SAME_COLS) == ["False"] * 4 + ["True"]
+
+
+def test_a_later_scipy_optimize_import_binds_the_loaded_kernel():
+    # the extension registers itself in sys.modules when it loads; the loader
+    # takes it out again, else scipy.optimize would never bind its _lsap
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from spectral_tsp import bounds, instances\n"
+        "bounds.bound_report(instances.random_circulant(40, 0))\n"
+        "print('scipy.optimize._lsap' in sys.modules)\n"
+        "import scipy.optimize\n"
+        "print(hasattr(scipy.optimize, '_lsap'))\n"
+        "solve = bounds._assignment_solver()\n"
+        "print(scipy.optimize.linear_sum_assignment is solve)\n"
+        "cost = np.random.default_rng(7).random((30, 30))\n"
+        "print(np.array_equal(solve(cost)[1], scipy.optimize._lsap.linear_sum_assignment(cost)[1]))\n"
+    )
+    assert _fresh_python(code) == ["False", "True", "True", "True"]
 
 
 def test_extension_and_import_fallback_give_the_same_reports():

@@ -244,6 +244,59 @@ def test_normal_complex_spectrum_matches_complex_eigensolver():
         np.testing.assert_array_equal(bounds.Compression(C).w, spectrum_of_parts(M))
 
 
+def _circulant_with_spectrum(lam):
+    """The real circulant whose spectrum is lam, given lam[n - j] = conj(lam[j])."""
+    c = np.fft.ifft(lam).real
+    idx = np.arange(len(c))
+    return c[(idx[None, :] - idx[:, None]) % len(c)]
+
+
+def _spectrum_inputs():
+    # random_circulant: even n puts a real singleton inside a run of pairs, and at
+    # tol 1 every eigenvalue is one eigenspace; the n = 16 circulant has the real
+    # part 3 at frequencies 2 and 5, a four-dimensional eigenspace between runs of pairs
+    for n in (3, 4, 5, 6, 7, 8, 9, 40, 41, 300, 301):
+        for seed in (0, 3, 2**64 - 1):
+            C = bounds.Compression(random_circulant(n, seed))
+            yield C.S, C.K
+    lam = np.zeros(16, dtype=complex)
+    lam[1:8] = [7 + 1j, 3 + 0.5j, 6 - 2j, 5 + 1j, 3 + 1.5j, 2 - 1j, 1 + 3j]
+    lam[8] = -1.0
+    lam[9:] = np.conj(lam[7:0:-1])
+    M = _circulant_with_spectrum(lam)
+    yield 0.5 * (M + M.T), 0.5 * (M - M.T)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, linalg._PAIR_CHUNK])
+def test_commuting_spectrum_is_the_per_eigenspace_loop(monkeypatch, chunk):
+    monkeypatch.setattr(linalg, "_PAIR_CHUNK", chunk)
+    for S, K in _spectrum_inputs():
+        w, V = np.linalg.eigh(S)
+        for tol in (0.0, 1e-8, 1.0):
+            ours = linalg.commuting_spectrum(w, V, K, tol)
+            assert ours.tobytes() == oracles.commuting_spectrum(w, V, K, tol).tobytes(), (len(w), tol)
+    # the last input's four eigenvalues of real part 3 form one eigenspace at tol 1e-8
+    spec = linalg.commuting_spectrum(w, V, K)
+    three = spec[np.isclose(spec.real, 3.0)]
+    assert len(three) == 4 and len(set(three.real.tolist())) == 1
+    np.testing.assert_allclose(three.imag, [1.5, 0.5, -0.5, -1.5], atol=1e-12)
+
+
+def test_stacked_products_are_views_of_the_eigenvectors(monkeypatch):
+    # the bits hold on the strides of views: a contiguous copy of Vg.T changes them
+    C = bounds.Compression(random_circulant(300, 0))
+    w, V = np.linalg.eigh(C.S)
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b: calls.append((a, b)) or matmul(a, b))
+    linalg.commuting_spectrum(w, V, C.K)
+    assert calls and len(calls) % 2 == 0
+    for (left, K), (_, right) in zip(calls[::2], calls[1::2]):
+        assert left.ndim == right.ndim == 3 and K is C.K
+        assert np.shares_memory(left, V) and np.shares_memory(right, V)
+    assert sum(left.shape[0] for left, _ in calls[::2]) == 149  # every pair of 299 but frequency 150
+
+
 def test_normal_complex_spectrum_real_for_symmetric_input():
     M = linalg.center_restrict(random_symmetric(6, seed=9))
     spec = spectrum_of_parts(M)
