@@ -43,7 +43,10 @@ from .linalg import (
     check_int,
     check_tol,
     commuting_spectrum,
+    eigh,
+    eigvalsh,
     parts_commute,
+    tridiagonal,
 )
 
 _DIAG_TOL = 1e-12
@@ -87,8 +90,9 @@ class Compression:
     symmetric and antisymmetric parts, `spectrum` the descending spectrum of
     S, mu = scale * spectrum, and w the complex spectrum of R.  Every bound
     function accepts a Compression in place of D, with its own tol: all the
-    bounds cost one validation, one compression and, on symmetric input,
-    one eigensolve.
+    bounds cost one validation, one compression and one reduction of S
+    (linalg.tridiagonal), which `spectrum` and `w` share; phi_general adds
+    one of K^T K.
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
@@ -110,18 +114,21 @@ class Compression:
         return self.exactly_symmetric or _near_symmetric(*self._checked, self.tol)
 
     @cached_property
-    def R(self) -> np.ndarray:
-        return center_restrict(self._checked)
+    def _parts(self) -> tuple[np.ndarray, np.ndarray | None, float | None]:
+        """S, K and R_norm = ||R||_F from one compression R, whose buffer then holds S.  K and R_norm,
+        which only the normality test and phi_general read, are None on exactly symmetric A."""
+        R = center_restrict(self._checked)
+        K = norm = None
+        if not self.exactly_symmetric:
+            norm = float(np.linalg.norm(R))
+            K = R - R.T
+            np.multiply(K, 0.5, out=K)
+        np.add(R, R.T, out=R)  # numpy copies R.T first, as the two overlap: R + R^T, bit for bit
+        return np.multiply(R, 0.5, out=R), K, norm
 
-    @cached_property
-    def S(self) -> np.ndarray:
-        S = self.R + self.R.T
-        return np.multiply(S, 0.5, out=S)
-
-    @cached_property
-    def K(self) -> np.ndarray:
-        K = self.R - self.R.T
-        return np.multiply(K, 0.5, out=K)
+    S = property(lambda self: self._parts[0])
+    K = property(lambda self: self._parts[1])
+    R_norm = property(lambda self: self._parts[2])
 
     @cached_property
     def skew(self) -> float:
@@ -139,7 +146,7 @@ class Compression:
         sum (Re w)^2 = ||S||_F^2 and sum (Im w)^2 = ||K||_F^2."""
         if self.exactly_symmetric:
             return True
-        scale = float(np.linalg.norm(self.R)) ** 2
+        scale = self.R_norm**2
         if not parts_commute(self.S, self.K, scale, self.tol):
             return False
         return self.symmetric or all(
@@ -149,7 +156,8 @@ class Compression:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.S)[::-1]  # eigvalsh ascends
+        self._reduced = tridiagonal(self.S)  # S reduced once: `w` reads its eigenvectors from this too
+        return eigvalsh(self._reduced)[::-1]  # eigvalsh ascends
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -158,7 +166,8 @@ class Compression:
     @cached_property
     def w(self) -> np.ndarray:
         """The complex spectrum of R, read as if S and K commute."""
-        return commuting_spectrum(*np.linalg.eigh(self.S), self.K, self.tol)
+        self.spectrum  # reduces S; eigh is the reduction's last reader, and its n x n reflectors go with it
+        return commuting_spectrum(*eigh(vars(self).pop("_reduced")), self.K, self.tol)
 
     @cached_property
     def S_norm(self) -> float:

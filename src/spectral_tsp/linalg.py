@@ -5,11 +5,21 @@ part, ties by descending imaginary part, all from real symmetric eigenproblems.
 A tolerance is relative, tol * ||M||_F (||M||_F^2 for the commutator), and
 compared with <=: the zero matrix passes, and scaling M changes no decision
 while no square over- or underflows (bounds.Compression sees to that).
+
+Every symmetric eigensolve goes through one kernel: `tridiagonal` reduces a
+matrix once, as LAPACK's dsyevd does, and `eigvalsh` (dsterf) and `eigh`
+(dstedc, dormtr) both read that reduction.  It calls numpy's own bundled
+scipy-openblas through ctypes and replays dsyevd step by step, so the values
+are np.linalg.eigvalsh's and (w, V) np.linalg.eigh's byte for byte, at
+whatever BLAS thread count numpy runs with.  On a numpy built without that
+library, or without one of its routines, the kernel calls np.linalg instead.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+from functools import cache
 from typing import NamedTuple
 
 import numpy as np
@@ -156,12 +166,106 @@ def center_restrict(D) -> np.ndarray:
     return np.negative(R, out=R)
 
 
+_ARGS = {"dsyevd": 11, "dsytrd": 10, "dsterf": 4, "dstedc": 11, "dormtr": 13}  # with INFO, all by reference
+
+
+@cache
+def _lapack() -> dict | None:
+    """The routines the kernel calls, by name, from numpy's own LAPACK (scipy-openblas, ILP64) through
+    numpy's already loaded linalg extension, or None where that library or one of them is missing."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        routines = {name: getattr(lib, f"scipy_{name}_64_") for name in _ARGS}
+    except (AttributeError, OSError):
+        return None
+    for name, routine in routines.items():
+        routine.argtypes, routine.restype = [ctypes.c_void_p] * _ARGS[name], None
+    return routines
+
+
+def _call(name: str, *args) -> None:
+    """Call LAPACK's `name` as numpy's own calls do: every argument by reference (a str is one
+    character, an array its data, an int an int64), then INFO; INFO != 0 raises numpy's LinAlgError."""
+    info = ctypes.c_int64()
+    refs = [x.encode() if isinstance(x, str) else ctypes.c_void_p(x.ctypes.data) if isinstance(x, np.ndarray)
+            else ctypes.byref(ctypes.c_int64(x)) for x in args]
+    _lapack()[name](*refs, ctypes.byref(info))
+    if info.value:
+        raise np.linalg.LinAlgError(f"Eigenvalues did not converge ({name} INFO {info.value})")
+
+
+@cache
+def _workspace(jobz: str, n: int) -> tuple[int, int]:
+    """dsyevd's own (LWORK, LIWORK) query for an n x n problem, jobz 'N' (values) or 'V' (vectors)."""
+    work, iwork = np.empty(1), np.empty(1, np.int64)
+    _call("dsyevd", jobz, "L", n, work, n, work, work, -1, iwork, -1)
+    return int(work[0]), int(iwork[0])
+
+
+# dsyevd scales a matrix whose largest |entry| lies outside [_RMIN, 1 / _RMIN] by a power of two
+_RMIN = math.sqrt(np.finfo(float).smallest_normal / np.finfo(float).eps)
+
+
+class Tridiagonal(NamedTuple):
+    """dsytrd's reduction of an exactly symmetric matrix, made as dsyevd makes it: the reflectors in
+    `a`, the diagonal d, off-diagonal e and tau, and dsyevd's scale factor sigma.  Without the kernel
+    (_lapack() is None) `a` is the matrix itself and d, e and tau are None."""
+
+    a: np.ndarray
+    d: np.ndarray | None = None
+    e: np.ndarray | None = None
+    tau: np.ndarray | None = None
+    sigma: float = 1.0
+
+
+def tridiagonal(M: np.ndarray, overwrite: bool = False) -> Tridiagonal:
+    """Reduce the exactly symmetric n x n M, n >= 1, once for eigvalsh and eigh: a float64 C-ordered copy
+    of it, or M's own buffer when overwrite and M is one.  An exactly symmetric C array is its own
+    Fortran transpose, so dsytrd reads the lower triangle that numpy's eigh hands dsyevd."""
+    if _lapack() is None:
+        return Tridiagonal(M)
+    n = len(M)
+    # numpy's ValueError unless M holds n x n entries, the buffer LAPACK reads and writes
+    a = np.array(M, dtype=float, order="C", copy=None if overwrite else True).reshape(n, n)
+    top, sigma = _top(a) if n > 1 else 0.0, 1.0
+    if 0.0 < top < _RMIN or top > 1.0 / _RMIN:
+        sigma = (_RMIN if top < _RMIN else 1.0 / _RMIN) / top
+        a *= sigma  # dlascl's single step at every such scale
+    d, e, tau = np.empty(n), np.empty(n), np.empty(n)
+    work = np.empty(max(_workspace("N", n)[0] - 2 * n, 1))
+    _call("dsytrd", "L", n, a, n, d, e, tau, work, len(work))
+    return Tridiagonal(a, d, e, tau, sigma)
+
+
+def eigvalsh(t: Tridiagonal) -> np.ndarray:
+    """The eigenvalues of t's matrix, ascending: np.linalg.eigvalsh's bytes, by dsterf on t."""
+    if t.d is None:
+        return np.linalg.eigvalsh(t.a)
+    w = t.d.copy()
+    _call("dsterf", len(w), w, t.e.copy())
+    return np.multiply(w, 1.0 / t.sigma, out=w)  # dsyevd's dscal; exact when sigma is 1
+
+
+def eigh(t: Tridiagonal) -> tuple[np.ndarray, np.ndarray]:
+    """(w, V) of t's matrix: np.linalg.eigh's bytes, V C-contiguous, by dstedc and dormtr on t."""
+    if t.d is None:
+        return np.linalg.eigh(t.a)
+    n = len(t.d)
+    lwork, liwork = _workspace("V", n)
+    w, Z = t.d.copy(), np.empty((n, n))  # Z in Fortran order: the eigenvectors are its rows
+    work, iwork = np.empty(max(lwork - 2 * n - n * n, 1)), np.empty(liwork, np.int64)
+    _call("dstedc", "I", n, w, t.e.copy(), Z, n, work, len(work), iwork, liwork)
+    _call("dormtr", "L", "L", "N", n, n, t.a, n, t.tau, Z, n, work, len(work))
+    del work  # before the copy below: the peak holds Z and one n x n array besides
+    return np.multiply(w, 1.0 / t.sigma, out=w), np.ascontiguousarray(Z.T)
+
+
 def _antisym_spectrum(K: np.ndarray) -> np.ndarray:
     """Imaginary parts of the spectrum of an exactly antisymmetric K, descending: the
     pairs +-theta, read as the singular values from eigvalsh(K^T K) with each pair's
     two copies averaged, plus a zero for odd n.  The output is exactly symmetric about 0."""
     n = K.shape[0]
-    sq = np.linalg.eigvalsh(K.T @ K)
+    sq = eigvalsh(tridiagonal(K.T @ K, overwrite=True))  # syrk: K^T K is exactly symmetric
     s = np.sqrt(np.maximum(sq, 0.0))[::-1]
     m = n // 2
     theta = 0.5 * (s[0 : 2 * m : 2] + s[1 : 2 * m : 2])

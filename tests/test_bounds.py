@@ -338,17 +338,19 @@ def test_symmetric_report_is_one_pass(calls):
 
 
 def test_non_normal_report_solves_two_eigenproblems(calls):
+    # one reduction of S for mu, one of K^T K for phi_general
     rep = bounds.bound_report(random_asymmetric(40, seed=3))
     assert not rep.normal
     assert calls == {"validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 2}
 
 
 def test_normal_report_solves_one_assignment(calls):
-    # eigvalsh(S) for mu, eigh(S) for the complex spectrum, eigvalsh(K^T K) for phi_general
+    # one reduction of S for both mu and the complex spectrum (it was eigvalsh(S) and eigh(S)
+    # apart), one of K^T K for phi_general
     rep = bounds.bound_report(random_circulant(7, seed=2))
     assert rep.normal and not rep.symmetric
     assert calls == {
-        "validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 3, "lsap": 1,
+        "validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 2, "lsap": 1,
     }
 
 
@@ -386,7 +388,7 @@ def test_exactly_symmetric_input_is_normal_at_every_tol(tol, monkeypatch):
         c = made.pop()
         assert rep.symmetric and rep.normal and c.normal
         assert rep.phi_normal == rep.phi_symmetric == rep.phi_general == rep.phi
-        assert "K" not in vars(c)
+        assert c.K is None  # never built
         assert bounds.phi_normal(D, tol) == rep.phi
 
 
@@ -416,8 +418,14 @@ def test_report_matches_the_dense_passes_bit_for_bit(tol):
         rep = bounds.bound_report(D, tol)
         c = bounds.Compression(D, tol)
         ref = oracles.dense_report_fields(c.A, c.scale, tol)
-        for part in "RSK":
-            assert getattr(c, part).tobytes() == ref[part].tobytes(), part
+        # Compression keeps S and, unless A is exactly symmetric, K and ||R||_F, not R itself
+        assert linalg.center_restrict(c.A).tobytes() == ref["R"].tobytes()
+        assert c.S.tobytes() == ref["S"].tobytes()
+        if c.exactly_symmetric:
+            assert c.K is None and c.R_norm is None
+        else:
+            assert c.K.tobytes() == ref["K"].tobytes()
+            assert repr(c.R_norm) == repr(float(np.linalg.norm(ref["R"])))
         assert (rep.symmetric, rep.psd, repr(rep.mu)) == (ref["symmetric"], ref["psd"], repr(ref["mu"]))
         if rep.symmetric:
             assert repr((rep.phi_symmetric, rep.n2)) == repr((ref["phi_symmetric"], ref["n2"]))
@@ -460,6 +468,21 @@ def test_non_symmetric_reports_hold_at_most_five_and_a_quarter_matrices(family):
     finally:
         tracemalloc.stop()
     assert peak <= 5.25 * 8 * n * n
+
+
+def test_general_report_holds_at_most_four_and_a_quarter_matrices():
+    # S, K, the reduction of S and K^T K: R goes once S, K and ||R||_F are
+    # taken, where the general route peaked at 5.03 n^2 floats with R kept
+    n = 400
+    D = random_asymmetric(n, seed=1)
+    bounds.bound_report(D)
+    tracemalloc.start()
+    try:
+        bounds.bound_report(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * 8 * n * n
 
 
 def _fresh_python(code: str) -> list[str]:
@@ -685,7 +708,7 @@ def test_commuting_at_tol_is_not_normal_without_the_schur_certificate():
     C = random_circulant(7, 22)
     D = C + 1.8225940919869704e-09 * np.linalg.norm(C) * E
     c = bounds.Compression(D)
-    assert linalg.parts_commute(c.S, c.K, float(np.linalg.norm(c.R)) ** 2, c.tol)
+    assert linalg.parts_commute(c.S, c.K, c.R_norm**2, c.tol)
     assert np.sum(c.w.imag**2) < 0.5 * np.linalg.norm(c.K) ** 2
     rep = _assert_report_is_sound(D, linalg.DEFAULT_TOL)
     assert not rep.normal and rep.phi_normal is None and rep.phi == rep.phi_general
@@ -710,7 +733,7 @@ def test_symmetric_at_a_loose_tol_needs_no_schur_certificate():
     # normal is the commutator test alone and the complex spectrum is not computed
     D = random_asymmetric(7, seed=3)
     c = bounds.Compression(D, 1.0)
-    assert c.symmetric and c.normal == linalg.parts_commute(c.S, c.K, float(np.linalg.norm(c.R)) ** 2, 1.0)
+    assert c.symmetric and c.normal == linalg.parts_commute(c.S, c.K, c.R_norm**2, 1.0)
     assert "w" not in vars(c)
     rep = _assert_report_is_sound(D, 1.0)
     assert rep.normal and rep.phi_normal == rep.phi_symmetric

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,3 +398,103 @@ def test_squared_distances_memory_does_not_grow_with_dim():
         finally:
             tracemalloc.stop()
         assert peak < 8 * (linalg._BLOCK_ENTRIES + n * n) + 2**20, (n, dim)
+
+
+# ---------------------------------------------------------------- the symmetric eigensolver kernel
+
+
+def _random_symmetric_matrix(n: int, seed: int = 0) -> np.ndarray:
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return A + A.T  # exactly symmetric
+
+
+def _assert_numpy_bytes(M: np.ndarray) -> None:
+    """One reduction of M gives np.linalg.eigvalsh's values and np.linalg.eigh's (w, V), byte for byte."""
+    t = linalg.tridiagonal(M)
+    values, (w, V) = linalg.eigvalsh(t), linalg.eigh(t)
+    ref_values, (ref_w, ref_V) = np.linalg.eigvalsh(M), np.linalg.eigh(M)
+    for ours, ref in ((values, ref_values), (w, ref_w), (V, ref_V)):
+        assert (ours.dtype, ours.shape, ours.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+    assert V.flags.c_contiguous
+    # the reduction in M's own buffer is the same reduction
+    assert linalg.eigvalsh(linalg.tridiagonal(M.copy(), overwrite=True)).tobytes() == ref_values.tobytes()
+
+
+def test_the_kernel_is_numpys_own_lapack():
+    # on a numpy built with scipy-openblas the fallback to np.linalg must not run
+    if np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"] == "scipy-openblas":
+        assert linalg._lapack() is not None
+
+
+# 2..40 spans dstedc's switch to divide and conquer (n > 25) and dsytrd's blocked crossover (n > 32)
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 129, 300, 400])
+def test_kernel_has_numpys_bytes(n):
+    _assert_numpy_bytes(_random_symmetric_matrix(n, seed=n))
+
+
+def test_kernel_has_numpys_bytes_on_the_zero_matrix():
+    for n in (1, 2, 7, 40):
+        _assert_numpy_bytes(np.zeros((n, n)))
+
+
+# dsyevd scales max|M| outside [2^-485, 2^485], about 1e+-146, before its reduction
+@pytest.mark.parametrize("exponent", [140, -140, 150, -150, 200, -200])
+def test_kernel_has_numpys_bytes_where_dsyevd_scales(exponent):
+    _assert_numpy_bytes(_random_symmetric_matrix(30, seed=1) * 10.0**exponent)
+
+
+def test_kernel_raises_before_lapack_reads_past_a_buffer_and_when_a_routine_fails():
+    for M in (np.zeros((3, 4)), np.zeros(3), np.zeros((2, 3, 3))):
+        with pytest.raises(ValueError, match="cannot reshape"):
+            linalg.tridiagonal(M)
+    with pytest.raises(np.linalg.LinAlgError):
+        linalg._call("dsterf", -1, np.zeros(1), np.zeros(1))  # INFO = -1: N < 0
+    with pytest.raises(TypeError, match="at least 4 arguments"):
+        linalg._call("dsterf", 1, np.zeros(1))  # dsterf takes N, D, E and INFO
+
+
+def test_kernel_reduces_in_place_only_when_asked():
+    S = _random_symmetric_matrix(9)
+    assert np.shares_memory(linalg.tridiagonal(S, overwrite=True).a, S)
+    assert not np.shares_memory(linalg.tridiagonal(S).a, S)
+
+
+def _route_matrices():
+    for n in (3, 7, 40, 300):
+        for seed in (0, 3):
+            yield random_symmetric(n, seed), random_circulant(n, seed), random_asymmetric(n, seed)
+
+
+def test_reports_on_the_fallback_have_the_kernels_bytes(monkeypatch):
+    # the symmetric, normal and general routes, the normal one at tol 0 and 1 too,
+    # and eigenspaces of more than two dimensions (commuting_spectrum at tol 1)
+    def outputs():
+        out = []
+        for mats in _route_matrices():
+            for D in mats:
+                out += [repr(bounds.bound_report(D, tol)) for tol in (0.0, 1e-8, 1.0)]
+            c = bounds.Compression(mats[1])
+            out.append(linalg.commuting_spectrum(*np.linalg.eigh(c.S), c.K, 1.0).tobytes())
+        return out
+
+    kernel = outputs()
+    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    assert outputs() == kernel
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_has_numpys_bytes_at_each_thread_count(threads):
+    # OpenBLAS reads its thread count once, when it loads, so each count needs
+    # an interpreter of its own; the bytes are compared within that interpreter
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    code = (
+        "import ctypes, sys, numpy as np, pytest\n"
+        "threads = getattr(ctypes.CDLL(np.linalg._umath_linalg.__file__), 'scipy_openblas_get_num_threads64_', None)\n"
+        f"assert threads is None or threads() == {threads}\n"
+        f"sys.exit(pytest.main(['-q', '-p', 'no:cacheprovider', '-k', 'kernel_has_numpys_bytes and not thread', "
+        f"{__file__!r}]))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root)
+    assert done.returncode == 0, done.stdout + done.stderr
