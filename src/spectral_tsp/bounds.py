@@ -33,6 +33,7 @@ import numpy as np
 from .errors import InvalidDimension, InvalidMatrix, NonzeroDiagonal, NotNormal, NotSymmetric
 from .linalg import (
     DEFAULT_TOL,
+    _BAND,
     _antisym_spectrum,
     _Checked,
     _near_symmetric,
@@ -156,8 +157,10 @@ class Compression:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        self._reduced = tridiagonal(self.S)  # S reduced once: `w` reads its eigenvectors from this too
-        return eigvalsh(self._reduced)[::-1]  # eigvalsh ascends
+        t = tridiagonal(self.S)  # S reduced once: `w` reads its eigenvectors from this too
+        if vars(self).get("normal", True):  # else no bound reads w
+            self._reduced = t
+        return eigvalsh(t)[::-1]  # eigvalsh ascends
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -167,7 +170,7 @@ class Compression:
     def w(self) -> np.ndarray:
         """The complex spectrum of R, read as if S and K commute."""
         self.spectrum  # reduces S; eigh is the reduction's last reader, and its n x n reflectors go with it
-        return commuting_spectrum(*eigh(vars(self).pop("_reduced")), self.K, self.tol)
+        return commuting_spectrum(*eigh(vars(self).pop("_reduced", None) or tridiagonal(self.S)), self.K, self.tol)
 
     @cached_property
     def S_norm(self) -> float:
@@ -239,9 +242,10 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
     if c.symmetric:
         return phi_symmetric(c)
     ang = 2.0 * np.pi * np.arange(1, c.n) / c.n
-    # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t
-    cost = np.outer(1.0 - np.cos(ang), c.w.real)
-    cost += np.outer(np.sin(ang), c.w.imag)
+    # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t, the second term a band of rows at a time
+    cost, sin = np.outer(1.0 - np.cos(ang), c.w.real), np.sin(ang)
+    for i in range(0, c.n - 1, _BAND):
+        cost[i : i + _BAND] += np.outer(sin[i : i + _BAND], c.w.imag)
     rows, cols = _assignment_solver()(cost)
     return c.scale * float(cost[rows, cols].sum())
 

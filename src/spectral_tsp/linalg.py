@@ -135,11 +135,20 @@ def _near_symmetric(A: np.ndarray, top: float, tol: float) -> bool:
     return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
 
 
+_BAND = 48  # rows per step of a sum built in place: its temporaries are about _BAND x n
+
+
 def parts_commute(S: np.ndarray, K: np.ndarray, scale: float, tol: float = DEFAULT_TOL) -> bool:
     """The normality test of M = S + K from its symmetric and antisymmetric parts:
-    ||M M^T - M^T M||_F = 2 ||K S + (K S)^T||_F <= tol * scale, with scale = ||M||_F^2."""
+    ||M M^T - M^T M||_F = 2 ||K S + (K S)^T||_F <= tol * scale, with scale = ||M||_F^2.
+    K S + (K S)^T is formed in K S's buffer, a band of rows and its mirror columns at a
+    time; x + y is y + x bit for bit, so every entry is KS + KS.T's."""
     KS = K @ S
-    return 2.0 * float(np.linalg.norm(KS + KS.T)) <= tol * scale
+    for i in range(0, len(KS), _BAND):  # KS[i:, i:] still holds K S
+        band = KS[i : i + _BAND, i:] + KS[i:, i : i + _BAND].T
+        KS[i : i + _BAND, i:], KS[i:, i : i + _BAND] = band, band.T
+        del band  # before the next band is allocated
+    return 2.0 * float(np.linalg.norm(KS)) <= tol * scale
 
 
 def householder_basis(n: int) -> np.ndarray:

@@ -89,21 +89,29 @@ def _tree(m: int, rising: bool) -> tuple:
     """The prefix tree over which one batch of m cities is summed, read-only, shared per (m, rising).
 
     Row (last, t0, ..., t_{m-2}) of _permutations(m) is the tail t0, ..., t_{m-2}, last of a tour;
-    rising keeps the rows Q with t0 < last, one orientation each.  Level k is Q[::(m-k-2)!, :k+2].
-    Its roots give `last` and `first` (t0); codes holds levels 1..m-2's edges t_{k-1} -> t_k, then
-    t_{m-2} -> last, as a * m + b <= 80 (int8) into the batch's flattened m x m block; rows with
-    last = c start at starts[c].
+    rising takes the rows Q with t0 < last, one orientation each, built a (last, t0) block at a time.
+    Level k is Q[::(m-k-2)!, :k+2].  Its roots give `last` and `first` (t0); codes holds levels
+    1..m-2's edges t_{k-1} -> t_k, then t_{m-2} -> last, as a * m + b <= 80 (int8) into the batch's
+    flattened m x m block; rows with last = c start at starts[c].  Q itself is not kept: row r
+    reads back as last and first at r // (m-2)!, and t_k as b in codes[k-1][r // (m-k-2)!].
     """
-    Q = _permutations(m)
-    Q = Q[Q[:, 1] < Q[:, 0]] if rising else Q
+    if rising:  # blocks [a, b, the other cities permuted] for b < a, in row order
+        pairs, P = [(a, b) for a in range(m) for b in range(a)], _permutations(m - 2)
+        Q = np.empty((len(pairs) * len(P), m), dtype=np.int8)
+        for (a, b), block in zip(pairs, np.split(Q, len(pairs))):
+            block[:, :2] = a, b
+            block[:, 2:] = np.delete(np.arange(m, dtype=np.int8), [b, a])[P]
+    else:
+        Q = _permutations(m)
     strides = (math.factorial(m - k - 2) for k in range(1, m - 1))
     codes = [Q[::f, k] * np.int8(m) + Q[::f, k + 1] for k, f in enumerate(strides, 1)]
     codes += [Q[:, -1] * np.int8(m) + Q[:, 0]] if m > 1 else []
-    for a in (Q, *codes):
-        a.flags.writeable = False
     roots = Q[:: math.factorial(max(m - 2, 0))]
-    starts = np.searchsorted(Q[:, 0], np.arange(m + 1)).tolist()
-    return Q, roots[:, 0], roots[:, min(m - 1, 1)], tuple(codes), tuple(starts)
+    last, first = roots[:, 0].copy(), roots[:, min(m - 1, 1)].copy()  # no view keeps Q alive
+    for a in (last, first, *codes):
+        a.flags.writeable = False
+    starts = (np.searchsorted(last, np.arange(m + 1)) * len(Q) // len(last)).tolist()
+    return last, first, tuple(codes), tuple(starts)
 
 
 def _cheapest(total: np.ndarray, k: int) -> np.ndarray:
@@ -120,7 +128,8 @@ def brute_force(D) -> Tour:
     pair, then left to right: each batch fixes the leading cities and grows the last
     m = min(n - 1, 9) over _tree's prefix tree, a node's sum its parent's plus one edge.
     Unless an entry is negative, a node whose sum exceeds the best tour's so far is cut with
-    its subtree (Little, Murty, Sweeney and Karel, 1963); ties are kept.
+    its subtree (Little, Murty, Sweeney and Karel, 1963); ties are kept.  A leaf's cities are
+    read back along the tree's codes: the winner's, and a tie's where the order decides.
     """
     A = check_distance_matrix(D).A
     n = A.shape[0]
@@ -128,9 +137,10 @@ def brute_force(D) -> Tour:
         raise TooLarge(f"brute force is capped at {BRUTE_FORCE_CAP} cities, got {n}")
     symmetric = np.array_equal(A, A.T)
     m = min(n - 1, _BATCH_CITIES)
-    Q, last, first, codes, starts = _tree(m, symmetric and m == n - 1)
+    last, first, codes, starts = _tree(m, symmetric and m == n - 1)
     # children per node at each level: the roots, then after each code
     fan = [len(b) // len(a) for a, b in itertools.pairwise((last, *codes))]
+    per_root = math.factorial(max(m - 2, 0))  # leaves under a root
     cut = A.min() >= 0  # the diagonal is zero: no entry is negative
 
     def grow(level, nodes, total, select):
@@ -151,7 +161,11 @@ def brute_force(D) -> Tour:
         keep = total <= limit
         return None if keep.all() else np.flatnonzero(keep)
 
-    best_len, best_tour, limit = math.inf, None, math.inf
+    def spell(r):  # leaf r's cities t0, ..., last as indices into rest: t_k is b in its level-k code a * m + b
+        ts = [codes[k - 1][r // math.factorial(m - k - 2)] % m for k in range(1, m - 1)]
+        return [first[r // per_root]] * (m > 1) + ts + [last[r // per_root]]
+
+    best_len, best, limit = math.inf, None, math.inf
     for head in itertools.permutations(range(1, n), n - 1 - m):
         rest = np.array([c for c in range(1, n) if c not in head])
         root = A[rest, 0][last]
@@ -160,15 +174,15 @@ def brute_force(D) -> Tour:
         root += A[head[-1] if head else 0, rest][first]
         block = A[np.ix_(rest, rest)].ravel()
         # one orientation, head[0] < rest[last]: the rows from the first last past head[0]
-        lo = starts[int(np.searchsorted(rest, head[0])) if symmetric and head else 0] // (len(Q) // len(last))
+        lo = starts[int(np.searchsorted(rest, head[0])) if symmetric and head else 0] // per_root
         # parts of the tree still to sum: a level, some of its nodes (ascending) and their sums
         parts = [(0, np.arange(lo, len(last)), root[lo:])]
         if cut and limit == math.inf:
-            # the first batch sends a beam to the leaves first: its best tour is the first limit
+            # the first batch sends a beam to the leaves first: its best tour's sum is the first limit
             nodes, total = parts[0][1:]
             for level in range(len(codes)):
                 nodes, total = grow(level, nodes, total, lambda t: _cheapest(t, _BEAM))
-            parts.append((len(codes), nodes, total))
+            limit = float(total.min(initial=math.inf))
         while parts:
             level, nodes, total = parts.pop()
             while level < len(codes) and len(nodes):
@@ -181,17 +195,18 @@ def brute_force(D) -> Tour:
                 level += 1
             else:
                 # the rows of one last are in tour order: the first of its
-                # shortest is the lexicographically smallest
+                # shortest is the lexicographically smallest; a tie with an
+                # earlier batch loses, as a later head spells a larger tour
                 if len(total) and (low := total.min()) <= best_len:
                     rows = nodes[total == low]
                     for u, v in itertools.pairwise(np.searchsorted(rows, starts).tolist()):
-                        if u < v:  # rows[u] is the first of its last
-                            tour = [0, *head, *rest[Q[rows[u], 1:]].tolist(), int(rest[Q[rows[u], 0]])]
-                            best_len, best_tour = min((best_len, best_tour), (low, tour))
+                        if u < v and (low < best_len or (head == best[0] and spell(int(rows[u])) < spell(best[1]))):
+                            best_len, best = low, (head, int(rows[u]), rest)  # rows[u] is the first of its last
                 if cut:
-                    limit = float(best_len)
+                    limit = min(limit, float(best_len))
 
-    return Tour(order=best_tour, length=_length(A, best_tour))
+    tour = [0, *best[0], *best[2][spell(best[1])].tolist()]
+    return Tour(order=tour, length=_length(A, tour))
 
 
 def held_karp(D) -> Tour:

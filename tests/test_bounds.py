@@ -485,6 +485,22 @@ def test_general_report_holds_at_most_four_and_a_quarter_matrices():
     assert peak <= 4.25 * 8 * n * n
 
 
+def test_general_report_holds_at_most_three_and_a_quarter_matrices():
+    # S, K and K S, then S, K and K^T K: K S + (K S)^T is formed in K S's own
+    # buffer a band of rows at a time, and the reduction of S is gone before
+    # K^T K is formed, where the general route peaked at 4.08 n^2 floats
+    n = 400
+    D = random_asymmetric(n, seed=1)
+    bounds.bound_report(D)
+    tracemalloc.start()
+    try:
+        bounds.bound_report(D)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.25 * 8 * n * n
+
+
 def _fresh_python(code: str) -> list[str]:
     """The stdout lines of `code` run in a new interpreter that imports this checkout's package."""
     src = str(Path(bounds.__file__).resolve().parents[1])

@@ -55,6 +55,12 @@ def test_cli_mode_times_subprocesses_and_compares_their_output(tmp_path):
     run = subprocess.run([*argv, "--base-tree", str(ROOT)], capture_output=True, text=True, check=False)
     assert run.returncode == 0, run.stdout + run.stderr
     assert run.stdout.splitlines()[-1].startswith("new won ") and "/2 pairs" in run.stdout
+    # each tree's median peak RSS, the child's own ru_maxrss: an interpreter
+    # that has imported numpy holds more than 10 MB
+    header, *rows = run.stdout.splitlines()[1:4]
+    assert header.split()[-3:] == ["peak", "RSS", "MB"]
+    assert [row.split()[0] for row in rows] == ["base", "new"]
+    assert all(10.0 < float(row.split()[-1]) < 1000.0 for row in rows), rows
     # a base tree whose bound document differs by one byte fails the comparison
     shutil.copytree(ROOT / "src" / "spectral_tsp", tmp_path / "src" / "spectral_tsp")
     cli = tmp_path / "src" / "spectral_tsp" / "cli.py"

@@ -175,6 +175,20 @@ def test_normality_shortcut_agrees_with_the_commutator():
             assert is_normal(X) == oracles.parts_commute_two_step(S, K, scale, linalg.DEFAULT_TOL), (n, eps)
 
 
+def test_commutator_formed_in_place_keeps_its_bits():
+    # K S + (K S)^T is summed in K S's buffer a band of rows at a time: the
+    # norm is the whole-matrix sum's to the bit, so the test flips exactly at
+    # its threshold, on either side of a band edge and within one band
+    rng = np.random.default_rng(7)
+    for n in (1, 2, linalg._BAND - 1, linalg._BAND, linalg._BAND + 1, 3 * linalg._BAND + 5, 100):
+        W, V = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        S, K = W + W.T, V - V.T
+        KS = K @ S
+        commutator = 2.0 * float(np.linalg.norm(KS + KS.T))
+        assert linalg.parts_commute(S, K, 1.0, commutator), n
+        assert not linalg.parts_commute(S, K, 1.0, np.nextafter(commutator, 0.0)) or commutator == 0.0, n
+
+
 def test_predicates_are_scale_free_and_pass_the_zero_matrix():
     Z = np.zeros((4, 4))
     assert oracles.is_symmetric(Z) and is_normal(Z) and bounds.Compression(Z).normal

@@ -289,22 +289,55 @@ def test_brute_force_in_small_batches_is_the_batch_oracle(monkeypatch, cities):
 
 def test_prefix_tree_tables_are_read_only():
     for rising in (True, False):
-        Q, last, first, codes, starts = tables = solvers._tree(4, rising)
+        last, first, codes, starts = tables = solvers._tree(4, rising)
         assert tables is solvers._tree(4, rising)
-        for a in (Q, last, first, *codes):
+        for a in (last, first, *codes):
             with pytest.raises(ValueError):
                 a[0] = 0
 
 
+@pytest.mark.parametrize("rising", [True, False])
+def test_prefix_tree_rows_read_back_along_the_codes(rising):
+    # row r is (last, t0, t1, ..., t_{m-2}): its root r // (m-2)! gives last
+    # and t0, and t_k is b in the code a * m + b of its level-k node
+    for m in range(2, 9):
+        P = solvers._permutations(m)
+        P = P[P[:, 1] < P[:, 0]] if rising else P
+        last, first, codes, starts = solvers._tree(m, rising)
+        r = np.arange(len(codes[-1]))
+        ts = [codes[k - 1][r // math.factorial(m - k - 2)] % m for k in range(1, m - 1)]
+        rows = np.column_stack([last[r // math.factorial(m - 2)], first[r // math.factorial(m - 2)], *ts])
+        assert rows.dtype == np.int8 and np.array_equal(rows, P), (m, rising)
+        for k in range(1, m - 1):
+            f = math.factorial(m - k - 2)
+            assert np.array_equal(codes[k - 1], P[::f, k] * m + P[::f, k + 1]), (m, k)
+        assert np.array_equal(codes[-1], P[:, -1] * m + P[:, 0])
+        assert starts == tuple(np.searchsorted(P[:, 0], np.arange(m + 1)).tolist())
+
+
+@pytest.mark.parametrize(("rising", "bound"), [(True, 750_000), (False, 1_400_000)])
+def test_prefix_tree_keeps_only_its_codes(rising, bound):
+    # the tables kept for m = 9 are 0.68 MB rising and 1.35 MB otherwise; with
+    # the permutation rows they were 2.20 and 4.40 MB
+    solvers._tree.cache_clear()
+    tracemalloc.start()
+    try:
+        solvers._tree(9, rising)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept <= bound
+
+
 def test_brute_force_keeps_no_tour_table():
-    # building the tables for symmetric n = 10 peaks at 6.72 MB (the
-    # permutation rows, 3.3 MB, and the half kept, 1.6 MB); with them built a
-    # call peaks at 0.97 MB, summing one last city's tours (at most 40320) at
-    # a time.  The whole-tail route peaked at 9.99 MB.  Both bounds leave
-    # about 4 %.
+    # building the tables for symmetric n = 10 peaks at 2.53 MB (the rising
+    # rows, 1.6 MB, built a block at a time and dropped once the codes are
+    # read off them; building all 9! rows and keeping them peaked at 6.72 MB);
+    # with them built a call peaks at 0.26 MB, summing one last city's tours
+    # (at most 40320) at a time.  The whole-tail route peaked at 9.99 MB.
     D = random_symmetric(10, seed=5)
     solvers._tree.cache_clear()
-    for bound in (7_000_000, 1_010_000):
+    for bound in (2_650_000, 1_010_000):
         tracemalloc.start()
         try:
             t = solvers.brute_force(D)
@@ -443,8 +476,8 @@ def leaves_summed(monkeypatch):
     tree = solvers._tree
 
     def counted(m, rising):
-        Q, last, first, codes, starts = tree(m, rising)
-        return Q, last, first, (*codes[:-1], codes[-1].view(_CountedCodes)), starts
+        last, first, codes, starts = tree(m, rising)
+        return last, first, (*codes[:-1], codes[-1].view(_CountedCodes)), starts
 
     monkeypatch.setattr(solvers, "_tree", counted)
 

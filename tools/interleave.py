@@ -34,8 +34,9 @@ imports count, which no in-process timing sees.  The trees alternate
 which goes first from one pair to the next, after one untimed run each.
 Every run's exit code, stdout and stderr must equal the base tree's
 untimed run byte for byte, else the difference is printed and the exit status is
-1.  It prints each tree's median and quartiles of wall time and how many
-pairs the new tree won.
+1.  It prints each tree's median and quartiles of wall time, the median of
+each run's peak resident memory (the child's ru_maxrss, from os.wait4), and
+how many pairs the new tree won on time.
 """
 
 from __future__ import annotations
@@ -145,20 +146,27 @@ def compare(base: dict, new: dict, call: str, cases: list[str], seed_list, round
     return same
 
 
-def run_cli(tree: Path, argv: list[str]) -> tuple[float, tuple]:
-    """Wall seconds of the CLI run from tree/src on argv, and its (exit code, stdout, stderr)."""
+def run_cli(tree: Path, argv: list[str]) -> tuple[float, float, tuple]:
+    """Wall seconds and peak RSS in MB (ru_maxrss / 1024) of the CLI run from tree/src on argv,
+    and its (exit code, stdout, stderr)."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    t0 = time.perf_counter()
-    done = subprocess.run([sys.executable, "-m", "spectral_tsp.cli", *argv], capture_output=True, env=env)
-    return time.perf_counter() - t0, (done.returncode, done.stdout, done.stderr)
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        child = subprocess.Popen([sys.executable, "-m", "spectral_tsp.cli", *argv], stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(child.pid, 0)  # reaps the child: its own rusage, not the sum of all children's
+        seconds = time.perf_counter() - t0
+        child.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return seconds, usage.ru_maxrss / 1024.0, (child.returncode, out.read(), err.read())
 
 
 def compare_cli(trees: dict[str, Path], argv: list[str], rounds: int) -> bool:
     expected, same = None, True
-    times = {"base": [], "new": []}
+    times, peaks = {"base": [], "new": []}, {"base": [], "new": []}
     for r in range(rounds + 1):  # round 0, base first, is untimed
         for name in ("base", "new")[:: 1 if r % 2 == 0 else -1]:
-            seconds, out = run_cli(trees[name], argv)
+            seconds, rss, out = run_cli(trees[name], argv)
             if expected is None:
                 expected = out
             elif out != expected and same:
@@ -166,10 +174,11 @@ def compare_cli(trees: dict[str, Path], argv: list[str], rounds: int) -> bool:
                 print(f"DIFFERENT OUTPUT from {name}:\n  base {expected!r}\n  {name:4} {out!r}")
             if r:
                 times[name].append(seconds)
-    print(f"{'tree':6} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9}")
+                peaks[name].append(rss)
+    print(f"{'tree':6} {'median ms':>10} {'q1 ms':>9} {'q3 ms':>9} {'peak RSS MB':>12}")
     for name, ts in times.items():
         q1, med, q3 = statistics.quantiles(ts, n=4) if len(ts) > 1 else ts * 3
-        print(f"{name:6} {1e3 * med:10.1f} {1e3 * q1:9.1f} {1e3 * q3:9.1f}")
+        print(f"{name:6} {1e3 * med:10.1f} {1e3 * q1:9.1f} {1e3 * q3:9.1f} {statistics.median(peaks[name]):12.2f}")
     wins = sum(n < b for b, n in zip(times["base"], times["new"]))
     ratio = statistics.median(times["base"]) / statistics.median(times["new"])
     print(f"new won {wins}/{rounds} pairs; median base/new {ratio:.2f}; exit code {expected[0]}")
