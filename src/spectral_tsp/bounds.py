@@ -93,11 +93,14 @@ class Compression:
     function accepts a Compression in place of D, with its own tol: all the
     bounds cost one validation, one compression and one reduction of S
     (linalg.tridiagonal), which `spectrum` and `w` share; phi_general adds
-    one of K^T K.
+    one of K^T K.  The cosine pairing (`phi_symmetric`) and `mean_distance`
+    are computed once, whichever bounds read them.  A _Checked pair, a
+    matrix the package built from input it validated (graphs' screens), is
+    taken as it is: no check runs on it again.
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
-        D, top = check_distance_matrix(D)
+        D, top = D if isinstance(D, _Checked) else check_distance_matrix(D)
         self.n = D.shape[0]
         self.tol = check_tol(tol)
         self.scale = _scale(top)
@@ -173,6 +176,15 @@ class Compression:
         return commuting_spectrum(*eigh(vars(self).pop("_reduced", None) or tridiagonal(self.S)), self.K, self.tol)
 
     @cached_property
+    def phi_symmetric(self) -> float:
+        """The value of phi_symmetric, which phi_normal and phi_general return on symmetric A."""
+        return self.scale * (float(tsp_coefficients(self.n) @ self.spectrum) - self.skew)
+
+    @cached_property
+    def mean_distance(self) -> float:
+        return self.scale * float(self.A.sum() / (self.n * (self.n - 1)))
+
+    @cached_property
     def S_norm(self) -> float:
         return float(np.linalg.norm(self.S))
 
@@ -201,8 +213,7 @@ def phi_symmetric(D, tol: float = DEFAULT_TOL) -> float:
     descending (the cheapest pairing, by rearrangement), bounds every tour
     through (D + D^T) / 2; less the `skew` of D, every tour through D.
     """
-    c = _compression(D, tol, symmetric=True)
-    return c.scale * (float(tsp_coefficients(c.n) @ c.spectrum) - c.skew)
+    return _compression(D, tol, symmetric=True).phi_symmetric
 
 
 @cache
@@ -240,7 +251,7 @@ def phi_normal(D, tol: float = DEFAULT_TOL) -> float:
     if not c.normal:
         raise NotNormal("compression of -D is not normal; use phi_general instead")
     if c.symmetric:
-        return phi_symmetric(c)
+        return c.phi_symmetric
     ang = 2.0 * np.pi * np.arange(1, c.n) / c.n
     # Re((1 - e^{i ang}) (s + i t)) = (1 - cos ang) s + sin(ang) t, the second term a band of rows at a time
     cost, sin = np.outer(1.0 - np.cos(ang), c.w.real), np.sin(ang)
@@ -255,7 +266,7 @@ def phi_general(D, tol: float = DEFAULT_TOL) -> float:
     plus the sine pairing of its antisymmetric part.  On symmetric D it is phi_symmetric."""
     c = _compression(D, tol)
     if c.symmetric:
-        return phi_symmetric(c)
+        return c.phi_symmetric
     b = np.sort(np.sin(2.0 * np.pi * np.arange(1, c.n) / c.n))
     return c.scale * float(tsp_coefficients(c.n) @ c.spectrum + b @ _antisym_spectrum(c.K))
 
@@ -275,8 +286,7 @@ def n2_bound(D, tol: float = DEFAULT_TOL) -> float:
 
 def mean_distance(D) -> float:
     """Mean off-diagonal entry."""
-    c = _compression(D, DEFAULT_TOL)
-    return c.scale * float(c.A.sum() / (c.n * (c.n - 1)))
+    return _compression(D, DEFAULT_TOL).mean_distance
 
 
 def schoenberg_edm_check(D, tol: float = DEFAULT_TOL) -> bool:
@@ -294,7 +304,7 @@ def euclidean_floor(D, tol: float = DEFAULT_TOL) -> float:
     point distances; the value is computed either way.
     """
     c = _compression(D, tol, symmetric=True)
-    return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * mean_distance(c)) - c.scale * c.skew
+    return float((c.n - 1) * (1.0 - np.cos(2.0 * np.pi / c.n)) * c.mean_distance) - c.scale * c.skew
 
 
 @dataclass
@@ -329,7 +339,7 @@ def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
     """Run every applicable bound on D and collect the results."""
     c = Compression(D, tol)
     sym, normal = c.symmetric, c.normal
-    p_sym = phi_symmetric(c) if sym else None
+    p_sym = c.phi_symmetric if sym else None
     p_normal = phi_normal(c) if normal else None
     p_general = phi_general(c)
     phi = p_sym if sym else p_normal if normal else p_general
@@ -344,6 +354,6 @@ def bound_report(D, tol: float = DEFAULT_TOL) -> BoundReport:
         phi_general=p_general,
         n2=n2_bound(c) if sym else None,
         euclidean_floor=euclidean_floor(c) if sym and c.floor_holds else None,
-        mean_distance=mean_distance(c),
+        mean_distance=c.mean_distance,
         mu=[float(x) for x in c.mu],
     )

@@ -21,7 +21,7 @@ from itertools import chain
 
 import numpy as np
 
-from .bounds import phi_symmetric
+from .bounds import Compression
 from .errors import (
     Disconnected,
     IdentityInConnectionSet,
@@ -31,7 +31,7 @@ from .errors import (
     NotInverseClosed,
     TooLarge,
 )
-from .linalg import DEFAULT_TOL, _is_index, check_int, check_tol
+from .linalg import DEFAULT_TOL, _Checked, _is_index, _top, check_int, check_tol
 
 # largest vertex count of a graph file and command-line size flag: orders, and a
 # TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
@@ -71,7 +71,19 @@ class Graph:
     @cached_property
     def _complement_phi(self) -> float:
         """The complement bound, computed on first use and kept; complement_phi reads it."""
-        return phi_symmetric(1.0 - np.eye(self.n) - self.adjacency)
+        M = np.subtract(1.0, self.adjacency)  # 1 - I - A in one n x n array
+        np.fill_diagonal(M, 0.0)
+        return _built_phi(M)
+
+
+def _built_phi(M: np.ndarray) -> float:
+    """phi_symmetric of a matrix built here from a Graph, which was validated: 1 - I - A or hop counts,
+    finite and exactly symmetric with a zero diagonal.  It goes to Compression as a _Checked pair known
+    to be exactly symmetric, and nothing is checked again; below 3 vertices tsp_coefficients raises
+    the InvalidDimension that check_distance_matrix raises, before any spectrum is taken."""
+    c = Compression(_Checked(M, _top(M)))
+    c.exactly_symmetric = True
+    return c.phi_symmetric
 
 
 def _pairs(edges) -> np.ndarray | None:
@@ -185,8 +197,7 @@ def complete_bipartite(a: int, b: int) -> Graph:
     a, b = (check_int(x, "part size", 0) for x in (a, b))
     n = a + b
     A = np.zeros((n, n), dtype=np.int8)
-    A[:a, a:] = 1
-    A[a:, :a] = 1
+    A[:a, a:] = A[a:, :a] = 1
     return Graph(A)
 
 
@@ -301,7 +312,7 @@ def complement_phi(g: Graph) -> float:
 
 def distance_phi(g: Graph) -> float:
     """The tour bound applied to the hop-distance matrix (connected graphs)."""
-    return phi_symmetric(distance_matrix(g))
+    return _built_phi(distance_matrix(g))
 
 
 @dataclass

@@ -160,8 +160,11 @@ def householder_basis(n: int) -> np.ndarray:
         raise InvalidDimension("need n >= 2 for a nontrivial centered subspace")
     w = -np.full(n, 1.0 / np.sqrt(n))
     w[0] += 1.0
-    H = np.outer(w, w)  # I - c w w^T in place: -(c x) + 1 is 1 - c x, bit for bit
-    H *= -2.0 / (w @ w)
+    c = -2.0 / (w @ w)
+    # I - c w w^T in one n x n write: every w_i, i > 0, is w_1, so one value fills the matrix, then
+    # row and column 0 and the diagonal; each entry is (w_i w_j) c, and -(c x) + 1 is 1 - c x, bit for bit
+    H = np.full((n, n), w[1] * w[1] * c)
+    H[0] = H[:, 0] = w[0] * w * c
     H.flat[:: n + 1] += 1.0
     return H[:, 1:]
 

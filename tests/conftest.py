@@ -34,6 +34,7 @@ def calls(monkeypatch):
     count("parts_commute", [linalg, bounds], "parts_commute")
     count("validation", [bounds], "check_distance_matrix")
     count("as_square", [linalg, bounds], "as_square")
+    count("pairing", [bounds], "tsp_coefficients")  # the cosine pairing's coefficients
     # bounds gets scipy's assignment solver from its cached loader
     lsap = counted("lsap", bounds._assignment_solver())
     monkeypatch.setattr(bounds, "_assignment_solver", lambda: lsap)

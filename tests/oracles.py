@@ -6,20 +6,20 @@ of a real-arithmetic split, exhaustive enumeration instead of assignment
 solvers) so that agreement with the library is evidence, not tautology.
 The loop versions of the solvers, instance generators, TSPLIB distance
 rules and group and Cayley builders are the reference the library's array
-versions must match bit for bit; so are the whole-array routes of
-brute_force, squared distances and GEO distances for the library's cached
-tables and row blocks.  The dense passes of a symmetric report (the
-Householder basis as I minus an outer product, the compression negated out
-of place, A - A^T for the skew and (A + A^T) / 2 for n2) are the reference
-for the library's in-place and exactly-symmetric routes, bit for bit.  The
-two-step normality rule (an early accept before the commutator) is the
-reference the library's one commutator test must decide alike, and the
-per-eigenspace loop of the complex spectrum the reference for its stacked
-products, bit for bit.  The backtracking Hamiltonicity tests are the ground
-truth no screen may contradict.  The per-edge graph builder is the reference
-the library's bulk one must match, graph for graph and error for error.  The
-symmetry test and the trace-pairing bracket live here because only tests use
-them.
+versions must match bit for bit; so are brute_force's uncut enumeration
+for the library's branch and bound, and the whole-array routes of squared
+distances and GEO distances for the library's row blocks.  The dense passes
+of a symmetric report (the Householder basis as I minus an outer product,
+the compression negated out of place, A - A^T for the skew and (A + A^T) / 2
+for n2) are the reference for the library's in-place and exactly-symmetric
+routes, bit for bit.  The two-step normality rule (an early accept before
+the commutator) is the reference the library's one commutator test must
+decide alike, and the per-eigenspace loop of the complex spectrum the
+reference for its stacked products, bit for bit.  The backtracking
+Hamiltonicity tests are the ground truth no screen may contradict.  The
+per-edge graph builder is the reference the library's bulk one must match,
+graph for graph and error for error.  The symmetry test and the
+trace-pairing bracket live here because only tests use them.
 """
 
 from __future__ import annotations
@@ -328,41 +328,39 @@ def _closed_length(D: np.ndarray, order: list[int]) -> float:
 def _permutation_rows(m: int) -> np.ndarray:
     """Every permutation of range(m) in itertools order, one int8 row each."""
     flat = itertools.chain.from_iterable(itertools.permutations(range(m)))
-    return np.fromiter(flat, dtype=np.int8, count=math.factorial(m) * m).reshape(-1, m)
-
-
-def _chunk_lengths(D: np.ndarray, tails: np.ndarray) -> np.ndarray:
-    """Lengths of the closed tours 0 -> tails[i, 0] -> ... -> tails[i, -1] -> 0."""
-    total = D[0, tails[:, 0]] + D[tails[:, -1], 0]
-    for k in range(tails.shape[1] - 1):
-        total = total + D[tails[:, k], tails[:, k + 1]]
-    return total
+    return np.fromiter(flat, dtype=np.int8, count=math.factorial(m) * m).reshape(math.factorial(m), m)
 
 
 def brute_force(D, batch_cities: int = 9) -> tuple[list[int], float]:
-    """Enumeration in numpy batches of whole tails: each batch tiles its
-    leading cities beside every permutation of the other batch_cities, keeps
-    the tails with first < last on exactly symmetric input and measures
-    them edge by edge; the first minimum in lexicographic order wins."""
+    """Enumeration over a prefix tree of tails, in numpy batches.  A tail is summed in one
+    order, its two edges at city 0 first, then left to right; so each batch fixes the tail's
+    first and last city and any leading cities after the first, and sums the other middle
+    cities, at most batch_cities of them, level by level: a prefix's sum is its parent's plus
+    one edge.  On exactly symmetric input only tails with first < last count; among minimal
+    sums the lexicographically first tail wins."""
     D = np.asarray(D, dtype=float)
     n = D.shape[0]
     symmetric = np.array_equal(D, D.T)
-    cities = np.arange(1, n, dtype=np.int8)
-    suffixes = _permutation_rows(min(n - 1, batch_cities))
-    lead = n - 1 - suffixes.shape[1]
-    best_len, best_tail = np.inf, None
-    for head in itertools.permutations(range(1, n), lead):
-        rest = np.setdiff1d(cities, head)
-        tails = np.hstack([np.tile(np.array(head, dtype=np.int8), (len(suffixes), 1)), rest[suffixes]])
-        if symmetric:
-            tails = tails[tails[:, 0] < tails[:, -1]]
-        if not len(tails):
+    m = min(n - 3, batch_cities)  # the middle cities each batch permutes
+    rows = _permutation_rows(m)  # in lexicographic order: each prefix's children are adjacent
+    best = (np.inf, None)
+    for first, last, *lead in itertools.permutations(range(1, n), n - 1 - m):
+        if symmetric and first > last:
             continue
-        lengths = _chunk_lengths(D, tails)
-        i = int(np.argmin(lengths))
-        if lengths[i] < best_len:
-            best_len, best_tail = lengths[i], tails[i]
-    order = [0, *(int(c) for c in best_tail)]
+        head = [first, *lead]
+        rest = np.setdiff1d(np.arange(1, n), [*head, last])
+        total = np.array([D[0, first] + D[last, 0]])
+        for a, b in itertools.pairwise(head):
+            total += D[a, b]
+        inner = D[np.ix_(rest, rest)]
+        for k in range(m):  # level k: the prefixes of k + 1 middle cities, as indices into rest
+            level = rows[:: math.factorial(m - k - 1)]
+            edge = inner[level[:, k - 1], level[:, k]] if k else D[head[-1], rest][level[:, 0]]
+            total = np.repeat(total, m - k) + edge
+        total = total + (D[rest, last][rows[:, -1]] if m else D[head[-1], last])
+        i = int(np.argmin(total))
+        best = min(best, (total[i], [*head, *rest[rows[i]].tolist(), last]))
+    order = [0, *best[1]]
     return order, _closed_length(D, order)
 
 

@@ -334,14 +334,16 @@ def test_symmetric_report_is_one_pass(calls):
     D, _ = random_euclidean(40, seed=3)
     bounds.bound_report(D)
     assert calls["parts_commute"] == 0
-    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 1}
+    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 1, "pairing": 1}
 
 
 def test_non_normal_report_solves_two_eigenproblems(calls):
     # one reduction of S for mu, one of K^T K for phi_general
     rep = bounds.bound_report(random_asymmetric(40, seed=3))
     assert not rep.normal
-    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 2}
+    assert calls == {
+        "validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 2, "pairing": 1,
+    }
 
 
 def test_normal_report_solves_one_assignment(calls):
@@ -351,7 +353,27 @@ def test_normal_report_solves_one_assignment(calls):
     assert rep.normal and not rep.symmetric
     assert calls == {
         "validation": 1, "as_square": 1, "compression": 1, "parts_commute": 1, "eigensolve": 2, "lsap": 1,
+        "pairing": 1,
     }
+
+
+def test_symmetric_report_pairs_once(calls):
+    # phi_symmetric, phi_normal and phi_general all read the one cosine pairing of a
+    # symmetric D's Compression, and euclidean_floor reads its one mean_distance
+    D, _ = random_euclidean(30, seed=4)
+    near = D + 1e-12 * random_asymmetric(30, seed=4)  # symmetric at tol, not exactly
+    for M in (D, near, circle_instance(9), np.zeros((4, 4))):
+        calls.clear()
+        rep = bounds.bound_report(M)
+        assert rep.symmetric and rep.normal
+        assert calls["pairing"] == 1, calls
+        assert rep.phi_symmetric == rep.phi_normal == rep.phi_general == rep.phi
+    calls.clear()
+    c = bounds.Compression(D)
+    values = [f(c) for f in (bounds.phi_symmetric, bounds.phi_normal, bounds.phi_general, bounds.phi_symmetric)]
+    assert calls["pairing"] == 1 and len(set(values)) == 1
+    bounds.euclidean_floor(c)
+    assert vars(c)["mean_distance"] == bounds.mean_distance(c)  # kept from the floor's sum
 
 
 def _exactly_symmetric_families():

@@ -729,7 +729,42 @@ def test_complement_screens_share_one_spectral_pass(calls):
     g = random_graph(10, seed=7, density=0.5)
     ham, trace = hamiltonian_screen(g), traceable_screen(g)
     assert ham.value == trace.value == complement_phi(g) and (ham.threshold, trace.threshold) == (0.0, 1.0)
-    assert calls == {"validation": 1, "as_square": 1, "compression": 1, "eigensolve": 1}
+    # the complement is built from a graph that was validated: it is not validated again
+    assert calls == {"compression": 1, "eigensolve": 1, "pairing": 1}
+
+
+def _graphs_of_every_family():
+    """Cycles, paths, complete graphs (an all-zero complement), K_{a,b}, dihedral Cayley graphs, G(n, p)."""
+    yield from (cycle_graph(n) for n in (3, 4, 9, 40))
+    yield from (path_graph(n) for n in (3, 5, 30))
+    yield from (complete_graph(n) for n in (3, 6, 25))
+    yield from (complete_bipartite(a, b) for a, b in ((1, 2), (3, 3), (4, 7), (10, 12)))
+    yield from (dihedral_reflection_cayley(m) for m in (2, 3, 6, 20))
+    yield from (random_graph(n, seed=n, density=p) for n, p in ((8, 0.3), (20, 0.5), (60, 0.1), (120, 0.05)))
+
+
+def test_screens_on_built_matrices_are_the_validating_path_bit_for_bit():
+    from spectral_tsp.bounds import phi_symmetric
+
+    connected = 0
+    for g in _graphs_of_every_family():
+        want = phi_symmetric(1.0 - np.eye(g.n) - g.adjacency).hex()  # checked as input from outside
+        ham, trace = hamiltonian_screen(g), traceable_screen(g)
+        assert complement_phi(g).hex() == ham.value.hex() == trace.value.hex() == want, g.n
+        if is_connected(g):
+            connected += 1
+            H = distance_matrix(g)
+            assert np.array_equal(H, H.T)  # which the screen takes as known
+            want = phi_symmetric(H).hex()
+            assert distance_phi(g).hex() == distance_hamiltonian_screen(g).value.hex() == want, g.n
+    assert connected >= 18
+
+
+@pytest.mark.parametrize("g", [path_graph(1), path_graph(2), complete_graph(2)], ids=["P1", "P2", "K2"])
+def test_built_matrix_bounds_keep_the_three_city_error(g):
+    for phi in (complement_phi, distance_phi):
+        with pytest.raises(InvalidDimension, match="^tours need at least 3 cities$"):
+            phi(g)
 
 
 def test_regular_fast_path_matches_generic():

@@ -41,6 +41,21 @@ def test_a_tree_against_itself_reports_equal_outputs():
     assert len(rows) == 2 and all(row.split()[-1].endswith("/4") for row in rows)
 
 
+def test_cold_mode_touches_a_buffer_before_each_timed_call():
+    run = subprocess.run(
+        [sys.executable, str(TOOL), "--base-tree", str(ROOT), "--call", "bounds.phi_symmetric",
+         "--case", "instances.random_symmetric(9 + s, s)", "--seeds", "0:2", "--rounds", "2", "--cold"],
+        capture_output=True, text=True, check=False,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    head, _, *rows = run.stdout.splitlines()
+    assert head.endswith("cold (8 MB touched before each timed call)")
+    assert len(rows) == 1 and rows[0].split()[-1].endswith("/4")
+    run = subprocess.run([sys.executable, str(TOOL), "--cli", "bound --family line --n 9", "--cold"],
+                         capture_output=True, text=True, check=False)
+    assert run.returncode == 2 and "--cold applies to --call only" in run.stderr
+
+
 def test_different_outputs_fail():
     run = subprocess.run(
         [sys.executable, str(TOOL), "--base-tree", str(ROOT), "--call", "lambda D: solvers.__name__",

@@ -26,6 +26,12 @@ won.  BLAS runs on one thread unless the environment says otherwise.  Both
 trees' caches share the process, so a call can read slower here than in a
 process of its own; the ratio is what the pairs measure.
 
+--cold reads and writes an 8 MB buffer, twice a 4 MB L2 cache, before every
+timed call, so each call starts from cold caches, as an operation of the
+benchmark does after its calibrate().  The three screens of a G(120, p)
+graph read 2.0 ms warm and 2.2 ms cold (one BLAS thread, 2-vCPU Xeon), so a
+warm ratio can mis-size a claim.
+
     python tools/interleave.py --cli 'bound --family random-circulant --n 300' --rounds 10
 
 --cli times a command as `python -m spectral_tsp.cli <argv>` subprocesses,
@@ -122,8 +128,12 @@ def timed(f, arg) -> tuple[float, object]:
     return time.perf_counter() - t0, out
 
 
-def compare(base: dict, new: dict, call: str, cases: list[str], seed_list, rounds: int) -> bool:
+COLD_BYTES = 8 << 20
+
+
+def compare(base: dict, new: dict, call: str, cases: list[str], seed_list, rounds: int, cold: bool = False) -> bool:
     f_base, f_new = eval(call, dict(base)), eval(call, dict(new))
+    flush = np.zeros(COLD_BYTES // 8) if cold else None
     print(f"{'case':48} {'base ms':>9} {'new ms':>9} {'base/new':>8} {'wins':>7}")
     same = True
     for case in cases:
@@ -139,6 +149,8 @@ def compare(base: dict, new: dict, call: str, cases: list[str], seed_list, round
             for k, arg in enumerate(args):
                 pair = [("base", f_base), ("new", f_new)]
                 for name, f in pair[:: 1 if (r + k) % 2 == 0 else -1]:
+                    if flush is not None:
+                        flush += 1.0  # every cache line read and written
                     times[name].append(timed(f, arg)[0])
         mb, mn = statistics.median(times["base"]), statistics.median(times["new"])
         wins = sum(n < b for b, n in zip(times["base"], times["new"]))
@@ -195,9 +207,12 @@ def main(argv=None) -> int:
     p.add_argument("--rounds", type=int, default=5, help="timed pairs per seed, or per command with --cli (default 5)")
     p.add_argument("--base", default="HEAD", help="git revision of the base tree (default HEAD)")
     p.add_argument("--base-tree", type=Path, help="directory holding src/spectral_tsp, in place of --base")
+    p.add_argument("--cold", action="store_true", help="with --call: touch an 8 MB buffer before each timed call")
     args = p.parse_args(argv)
     if args.call and not args.case:
         p.error("--call needs at least one --case")
+    if args.cold and args.cli:
+        p.error("--cold applies to --call only: each --cli run is a process of its own")
     if args.rounds < 1:
         p.error("--rounds must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
@@ -208,8 +223,9 @@ def main(argv=None) -> int:
             return 0 if compare_cli({"base": base_tree, "new": ROOT}, shlex.split(args.cli), args.rounds) else 1
         base = load_tree(base_tree, "spectral_tsp_base")
         new = load_tree(ROOT, "spectral_tsp_new")
-        print(f"base {args.base_tree or args.base}, new {ROOT}, numpy {np.__version__}, OPENBLAS_NUM_THREADS={threads}")
-        same = compare(base, new, args.call, args.case, seeds(args.seeds), args.rounds)
+        print(f"base {args.base_tree or args.base}, new {ROOT}, numpy {np.__version__}, OPENBLAS_NUM_THREADS={threads}"
+              + (f", cold ({COLD_BYTES >> 20} MB touched before each timed call)" if args.cold else ""))
+        same = compare(base, new, args.call, args.case, seeds(args.seeds), args.rounds, args.cold)
     return 0 if same else 1
 
 
