@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -31,7 +30,7 @@ from .errors import (
     NotInverseClosed,
     TooLarge,
 )
-from .linalg import DEFAULT_TOL, _Checked, _is_index, _top, check_int, check_tol
+from .linalg import _INTEGER, DEFAULT_TOL, _Checked, _is_index, _top, check_int, check_tol
 
 # largest vertex count of a graph file and command-line size flag: orders, and a
 # TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
@@ -45,7 +44,10 @@ class Graph:
     adjacency: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.adjacency)
+        try:
+            A = np.asarray(self.adjacency)
+        except ValueError:  # a ragged nested list
+            raise InvalidMatrix("adjacency must be square, got ragged rows") from None
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise InvalidMatrix(f"adjacency must be square, got shape {A.shape}")
         if A.shape[0] < 1:
@@ -86,63 +88,42 @@ def _built_phi(M: np.ndarray) -> float:
     return c.phi_symmetric
 
 
-def _pairs(edges) -> np.ndarray | None:
-    """edges as an (m, 2) int64 array, if it is a list or tuple of m tuples or lists that each
-    hold two ints or numpy integers, no bool among them; else None."""
-    if not isinstance(edges, (list, tuple)) or not set(map(type, edges)) <= {tuple, list}:
-        return None
-    if set(map(len, edges)) - {2}:
-        return None
-    ends = set(map(type, chain.from_iterable(edges)))
-    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in ends):
-        return None
-    try:
-        return np.fromiter(chain.from_iterable(edges), np.int64, 2 * len(edges)).reshape(-1, 2)
-    except OverflowError:  # an endpoint outside int64, which the walk reports out of range
-        return None
-
-
 def from_edges(n: int, edges) -> Graph:
-    """Graph on vertices 0..n-1 with the given (u, v) edges.  An error names the first bad edge;
-    input that is not a list or tuple is read lazily, only up to that edge."""
+    """Graph on vertices 0..n-1 with the given (u, v) edges, read lazily and in order: an error
+    names the first bad edge, and no edge after it is read."""
     n = check_int(n, "vertex count", 1)
-    A = np.zeros((n, n), dtype=np.int8)
-    E = _pairs(edges)
-    if E is not None and (E.size == 0 or 0 <= E.min() and E.max() < n):
-        A[E[:, 0], E[:, 1]] = A[E[:, 1], E[:, 0]] = 1
-        return Graph(A)
     try:
         edges = iter(edges)
     except TypeError:
         raise InvalidMatrix(f"edges must hold pairs: an edge is a pair (u, v), got {edges!r}") from None
+    us, vs = [], []
     for edge in edges:
         try:
             u, v = edge
         except (TypeError, ValueError):
             raise InvalidMatrix(f"an edge is a pair (u, v), got {edge!r}") from None
-        if not (_is_index(u) and _is_index(v)):
+        # _is_index's rule, inline: a call per endpoint would double the walk's time
+        if not (isinstance(u, _INTEGER) and isinstance(v, _INTEGER)) or u.__class__ is bool or v.__class__ is bool:
             raise InvalidDimension(f"edge {edge!r} needs integer endpoints")
         if not (0 <= u < n and 0 <= v < n):
             raise InvalidDimension(f"edge ({u}, {v}) out of range for {n} vertices")
-        A[u, v] = A[v, u] = 1
+        us.append(u)
+        vs.append(v)
+    A = np.zeros((n, n), dtype=np.int8)
+    u, v = np.array(us, dtype=np.intp), np.array(vs, dtype=np.intp)  # mixed numpy kinds would promote to float
+    A[u, v] = A[v, u] = 1
     return Graph(A)
 
 
-def _hops(g: Graph, s: int) -> np.ndarray:
-    """Hop distances from vertex s by breadth-first search, -1 where unreachable."""
-    hops = np.full(g.n, -1, dtype=np.int64)
-    hops[s] = 0
-    frontier = np.array([s])
-    d = 0
-    while frontier.size:  # one array step per level: the unvisited neighbours of the whole frontier
-        d += 1
-        frontier = np.flatnonzero(g.adjacency[frontier].any(axis=0) & (hops < 0))
-        hops[frontier] = d
-    return hops
-
-
 def is_connected(g: Graph) -> bool:
-    return bool((_hops(g, 0) >= 0).all())
+    """Whether breadth-first search from vertex 0 reaches every vertex, one array step per level."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while frontier.size:  # the unseen neighbours of the whole frontier
+        frontier = np.flatnonzero(g.adjacency[frontier].any(axis=0) & ~seen)
+        seen[frontier] = True
+    return bool(seen.all())
 
 
 def _exact_float(n: int) -> type:

@@ -37,9 +37,12 @@ def check_tol(tol: float) -> float:
     return float(tol)
 
 
+_INTEGER = (int, np.integer)  # the types of an index, less bool, an int subclass
+
+
 def _is_index(x) -> bool:
     """An int or numpy integer that is not a bool: no other value is cast to one."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    return isinstance(x, _INTEGER) and not isinstance(x, bool)
 
 
 def check_int(x, name: str, least: int | None = None) -> int:

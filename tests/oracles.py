@@ -17,9 +17,10 @@ the commutator) is the reference the library's one commutator test must
 decide alike, and the per-eigenspace loop of the complex spectrum the
 reference for its stacked products, bit for bit.  The backtracking
 Hamiltonicity tests are the ground truth no screen may contradict.  The
-per-edge graph builder is the reference the library's bulk one must match,
-graph for graph and error for error.  The symmetry test and the
-trace-pairing bracket live here because only tests use them.
+graph builder that sets one edge per step is the reference the library's
+walk, with its one scatter, must match, graph for graph and error for
+error.  The symmetry test and the trace-pairing bracket live here because
+only tests use them.
 """
 
 from __future__ import annotations

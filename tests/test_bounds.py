@@ -61,6 +61,27 @@ def test_tsp_coefficients_multiset():
     assert c.sum() == pytest.approx(8.0)  # sum of 1-cos over a full period
 
 
+# (tight, of) symmetric circulants of order n whose distances c_k = c_{n-k} lie in {1, 2, 3}:
+# phi within 1e-9 * 3n of the held_karp optimum, the paper's tightness claim counted per n
+TIGHT_CIRCULANTS = {5: (9, 9), 6: (10, 27), 7: (15, 27), 8: (14, 81), 9: (12, 81), 10: (16, 243), 11: (18, 243)}
+
+
+@pytest.mark.parametrize("n", TIGHT_CIRCULANTS)
+def test_tight_symmetric_circulants_are_counted(n, record_property):
+    i, j = np.indices((n, n))
+    step = np.minimum((j - i) % n, (i - j) % n)
+    tight = total = 0
+    excess = -math.inf  # of phi over the optimum, in units of n eps max|D|: recorded, not gated
+    for half in itertools.product((1.0, 2.0, 3.0), repeat=n // 2):
+        D = np.array((0.0, *half))[step]
+        phi, optimum = bounds.phi_symmetric(D), solvers.held_karp(D).length
+        tight += abs(phi - optimum) <= 1e-9 * 3 * n
+        total += 1
+        excess = max(excess, (phi - optimum) / (n * np.finfo(float).eps * D.max()))
+    record_property("max_excess_n_eps_max_d", excess)
+    assert (tight, total) == TIGHT_CIRCULANTS[n]
+
+
 # ---------------------------------------------------------------- cross-checks
 
 

@@ -27,12 +27,22 @@ SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
 
     python tools/byte_sweep.py --base HEAD~1           # HEAD~1 against this checkout
     python tools/byte_sweep.py --base A --new B --show # two revisions, differences shown
+    python tools/byte_sweep.py --threads 1,2           # this checkout at 1 and 2 BLAS threads
 
 The base tree is a git revision (--base, extracted with `git archive`) or a
 directory holding src/spectral_tsp (--base-tree); the new tree is this
 checkout unless --new names a revision.  --smoke runs six commands only.
 Each command whose digest differs is printed; the exit status is 1 if any
 differ.
+
+--threads runs this checkout alone, once per BLAS thread count, each run in
+a child process started with OPENBLAS_NUM_THREADS set to that count (BLAS
+reads it once, at load; nothing pins threads inside the package).  The list
+adds THREAD_EDGES, the cycles whose verdicts sit within roundoff of their
+thresholds.  Each later run is compared with the first: the commands whose
+bytes differ are printed and counted, which float digits alone can cause,
+and so are the commands whose decisions differ (decisions()); the exit
+status is 1 if any decision differs.
 """
 
 from __future__ import annotations
@@ -44,6 +54,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -59,6 +70,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from interleave import ROOT, extract, load_tree  # noqa: E402
 
 sys.path.insert(0, str(ROOT / "bench"))
+from probes import _openblas  # noqa: E402  (the thread count BLAS read)
 from workloads import FIXTURES, write_round  # noqa: E402  (the cli-tsplib workload's files)
 
 MATRIX_FAMILIES = (
@@ -108,6 +120,11 @@ GRAPH_FILES = {  # name: text; .edges files are edge lists, .adj files adjacency
     "diagonal.adj": "1 1\n1 0\n",
     "past-int64.adj": "0 9223372036854775808\n9223372036854775808 0\n",
 }
+THREAD_EDGES = [  # --threads only: hamiltonian values within roundoff of 0, at three tols
+    ("--tol", tol, "check-graph", "--family", "cycle", "--n", n)
+    for n in ("5", "600", "1000", "1500") for tol in ("0", "3e-14", "1e-13")
+]
+DECISION_KEYS = {"symmetric", "normal", "psd", "connected", "regular", "verdict", "saturated", "order"}
 SMOKE = [
     ("bound", "--family", "random-symmetric", "--n", "7", "--seed", "3"),
     ("bound", "--family", "random-circulant", "--n", "7", "--seed", "3"),
@@ -186,6 +203,33 @@ def digest(output: tuple[str, str, object]) -> str:
     return hashlib.sha256(json.dumps(output).encode()).hexdigest()
 
 
+def decisions(output: tuple[str, str, object]) -> list:
+    """What a command decided: its exit code and stderr, then, by path in each JSON line of stdout,
+    every DECISION_KEYS value and every null field.  Float values are left out."""
+    stdout, stderr, code = output
+    found = [code, stderr]
+
+    def walk(x, path):
+        if x is None:
+            found.append((path, None))
+        elif isinstance(x, dict):
+            for k, v in x.items():
+                if k in DECISION_KEYS:
+                    found.append((f"{path}.{k}", v))
+                else:
+                    walk(v, f"{path}.{k}")
+        elif isinstance(x, list):
+            for i, v in enumerate(x):
+                walk(v, f"{path}[{i}]")
+
+    for i, line in enumerate(stdout.splitlines()):
+        try:
+            walk(json.loads(line), str(i))
+        except ValueError:  # not JSON: the line is the decision
+            found.append((str(i), line))
+    return found
+
+
 def report(base: dict, new: dict) -> int:
     """Print each command whose digest differs between base and new (command -> digest); 1 if any do."""
     differ = [cmd for cmd in base if base[cmd] != new.get(cmd)]
@@ -193,6 +237,49 @@ def report(base: dict, new: dict) -> int:
         print(f"DIFFERENT {cmd}")
     print(f"{len(base)} commands, {len(differ)} differ")
     return 1 if differ else 0
+
+
+CHILD = (
+    f"import sys; sys.path.insert(0, {str(Path(__file__).resolve().parent)!r}); "
+    "import byte_sweep; byte_sweep._child()"
+)
+
+
+def _child() -> None:
+    """Run the commands listed in the file argv[1] through this checkout; write the thread count
+    BLAS read and their outputs to the file argv[2]."""
+    cli = load_tree(ROOT, "sweep_threads")["cli"]
+    argvs = json.loads(Path(sys.argv[1]).read_text())
+    outputs = [run(cli, a) for a in argvs]
+    Path(sys.argv[2]).write_text(json.dumps({"threads": _openblas()["threads"], "outputs": outputs}))
+
+
+def sweep_threads(threads: list[int], argvs: list[tuple[str, ...]], tmp: Path) -> int:
+    """Run argvs through this checkout once per thread count, each in a child process, and print the
+    commands whose bytes and whose decisions differ from the first run's; 1 if any decision does."""
+    (tmp / "argvs.json").write_text(json.dumps(argvs))
+    runs = []
+    for i, k in enumerate(threads):
+        out = tmp / f"run{i}.json"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(k)}
+        subprocess.run([sys.executable, "-c", CHILD, str(tmp / "argvs.json"), str(out)], env=env, check=True)
+        doc = json.loads(out.read_text())
+        print(f"run {i}: OPENBLAS_NUM_THREADS={k}, BLAS read {doc['threads']}")
+        runs.append([tuple(o) for o in doc["outputs"]])
+    names = [" ".join(a) for a in argvs]
+    status = 0
+    for k, run_k in zip(threads[1:], runs[1:]):
+        pairs = list(zip(names, runs[0], run_k))
+        differ = [name for name, a, b in pairs if digest(a) != digest(b)]
+        decide = [name for name, a, b in pairs if decisions(a) != decisions(b)]
+        for name in differ:
+            print(f"BYTES {threads[0]} vs {k} threads: {name}")
+        for name in decide:
+            print(f"DECISION {threads[0]} vs {k} threads: {name}")
+        print(f"{len(names)} commands, {threads[0]} vs {k} threads: "
+              f"{len(differ)} differ in bytes, {len(decide)} in decisions")
+        status |= bool(decide)
+    return status
 
 
 def _first_difference(a: str, b: str, context: int = 80) -> str:
@@ -208,15 +295,20 @@ def main(argv=None) -> int:
     p.add_argument("--new", help="git revision of the new tree (default: this checkout)")
     p.add_argument("--smoke", action="store_true", help="run six commands only")
     p.add_argument("--show", action="store_true", help="print where each differing output first differs")
+    p.add_argument("--threads", help="BLAS thread counts, e.g. 1,2: run this checkout once per count and compare")
     args = p.parse_args(argv)
     os.environ.pop("SPECTRAL_TSP_TOL", None)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
+        (tmp / "files").mkdir()
+        argvs = SMOKE if args.smoke else commands(tmp / "files")
+        if args.threads:
+            print(f"this checkout {ROOT}, numpy {np.__version__}")
+            threads = [int(k) for k in args.threads.split(",")]
+            return sweep_threads(threads, argvs if args.smoke else argvs + THREAD_EDGES, tmp)
         base_tree = args.base_tree or extract(args.base, tmp / "base")
         new_tree = extract(args.new, tmp / "new") if args.new else ROOT
         clis = [load_tree(tree, alias)["cli"] for tree, alias in ((base_tree, "sweep_base"), (new_tree, "sweep_new"))]
-        (tmp / "files").mkdir()
-        argvs = SMOKE if args.smoke else commands(tmp / "files")
         print(f"base {args.base_tree or args.base}, new {args.new or ROOT}, numpy {np.__version__}, "
               f"OPENBLAS_NUM_THREADS={os.environ.get('OPENBLAS_NUM_THREADS', 'unset')}")
         outputs = [{" ".join(a): run(cli, a) for a in argvs} for cli in clis]
