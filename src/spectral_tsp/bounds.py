@@ -36,8 +36,7 @@ from .linalg import (
     _BAND,
     _antisym_spectrum,
     _Checked,
-    _near_symmetric,
-    _scale,
+    Tridiagonal,
     _top,
     as_square,
     center_restrict,
@@ -82,21 +81,30 @@ def tsp_coefficients(n: int) -> np.ndarray:
     return np.sort(1.0 - np.cos(2.0 * np.pi * np.arange(1, n) / n))
 
 
+def _scale(top: float) -> float:
+    """The exact divisor for a matrix whose largest |entry| is top: 1 inside 2^-129 <= top < 2^128,
+    where no square or fourth power the bounds take over- or underflows, else frexp's power of two."""
+    k = math.frexp(top)[1]
+    return 2.0**k if abs(k) > 128 else 1.0
+
+
 class Compression:
     """One validated distance matrix and the spectral data the bounds read, each computed on first use.
 
     All is computed on A = D / scale, scale = _scale(max|D|): every decision
     is the same for D and 2^k D, and each bound is scale times its value on
-    A.  R is the compression of -A (linalg.center_restrict), S and K its
-    symmetric and antisymmetric parts, `spectrum` the descending spectrum of
-    S, mu = scale * spectrum, and w the complex spectrum of R.  Every bound
+    A.  `symmetric` is the symmetry test of every bound and of two_opt.  R
+    is the compression of -A (linalg.center_restrict), S and K its symmetric
+    and antisymmetric parts, `spectrum` the descending spectrum of S,
+    mu = scale * spectrum, and w the complex spectrum of R.  Every bound
     function accepts a Compression in place of D, with its own tol: all the
-    bounds cost one validation, one compression and one reduction of S
-    (linalg.tridiagonal), which `spectrum` and `w` share; phi_general adds
-    one of K^T K.  The cosine pairing (`phi_symmetric`) and `mean_distance`
-    are computed once, whichever bounds read them.  A _Checked pair, a
-    matrix the package built from input it validated (graphs' screens), is
-    taken as it is: no check runs on it again.
+    bounds cost one validation, one compression and one reduction of S,
+    `_reduction` (linalg.tridiagonal), which the Compression holds and which
+    `spectrum` (eigvalsh) and `w` (eigh) both read; phi_general adds one of
+    K^T K.  The cosine pairing (`phi_symmetric`) and `mean_distance` are
+    computed once, whichever bounds read them.  A _Checked pair, a matrix
+    the package validated or built from input it validated (two_opt,
+    graphs' screens), is taken as it is: no check runs on it again.
     """
 
     def __init__(self, D, tol: float = DEFAULT_TOL):
@@ -115,7 +123,9 @@ class Compression:
 
     @cached_property
     def symmetric(self) -> bool:
-        return self.exactly_symmetric or _near_symmetric(*self._checked, self.tol)
+        """A == A^T, or ||A - A^T||_F <= tol * ||A||_F: the symmetry test of every bound and of two_opt."""
+        A = self.A
+        return self.exactly_symmetric or float(np.linalg.norm(A - A.T)) <= self.tol * float(np.linalg.norm(A))
 
     @cached_property
     def _parts(self) -> tuple[np.ndarray, np.ndarray | None, float | None]:
@@ -159,11 +169,12 @@ class Compression:
         )
 
     @cached_property
+    def _reduction(self) -> Tridiagonal:
+        return tridiagonal(self.S)
+
+    @cached_property
     def spectrum(self) -> np.ndarray:
-        t = tridiagonal(self.S)  # S reduced once: `w` reads its eigenvectors from this too
-        if vars(self).get("normal", True):  # else no bound reads w
-            self._reduced = t
-        return eigvalsh(t)[::-1]  # eigvalsh ascends
+        return eigvalsh(self._reduction)[::-1]  # eigvalsh ascends
 
     @cached_property
     def mu(self) -> np.ndarray:
@@ -172,8 +183,7 @@ class Compression:
     @cached_property
     def w(self) -> np.ndarray:
         """The complex spectrum of R, read as if S and K commute."""
-        self.spectrum  # reduces S; eigh is the reduction's last reader, and its n x n reflectors go with it
-        return commuting_spectrum(*eigh(vars(self).pop("_reduced", None) or tridiagonal(self.S)), self.K, self.tol)
+        return commuting_spectrum(*eigh(self._reduction), self.K, self.tol)
 
     @cached_property
     def phi_symmetric(self) -> float:
@@ -268,7 +278,8 @@ def phi_general(D, tol: float = DEFAULT_TOL) -> float:
     if c.symmetric:
         return c.phi_symmetric
     b = np.sort(np.sin(2.0 * np.pi * np.arange(1, c.n) / c.n))
-    return c.scale * float(tsp_coefficients(c.n) @ c.spectrum + b @ _antisym_spectrum(c.K))
+    sine = b @ _antisym_spectrum(c.K)  # before c.spectrum: K^T K and the reduction of S are never held together
+    return c.scale * float(tsp_coefficients(c.n) @ c.spectrum + sine)
 
 
 def n2_bound(D, tol: float = DEFAULT_TOL) -> float:

@@ -5,11 +5,12 @@ bound on each 'problem[,sidecar]' row of a manifest, in order, in this
 process (--jobs N >= 1 changes nothing).  Each result is one JSON document
 on stdout, the same byte for byte on every run: fields in fixed order
 (bounds.BoundReport's and graphs.ScreenResult's in declaration order, plus
-kind, instance, optimum, ratio and timing_ms), timing_ms null without
---timing.  --pretty adds a summary on stderr.  The tolerance is --tol, else
-SPECTRAL_TSP_TOL, else 1e-8, and must be a finite number >= 0.  --n, --m,
---dim and graph files are capped at graphs.SIZE_CAP (2048) vertices, a
-TSPLIB DIMENSION at twice that.
+kind, instance, optimum and ratio), then timing_ms in bound, solve and
+check-graph documents, null without --timing; batch rows carry no
+timing_ms, so --timing leaves them unchanged.  --pretty adds a summary on
+stderr.  The tolerance is --tol, else SPECTRAL_TSP_TOL, else 1e-8, and must
+be a finite number >= 0.  --n, --m, --dim and graph files are capped at
+graphs.SIZE_CAP (2048) vertices, a TSPLIB DIMENSION at twice that.
 
 Exit codes: 0 success, 2 unreadable or unparseable input (a bad tolerance
 too), 3 valid input rejected by a numeric precondition (asymmetry, size

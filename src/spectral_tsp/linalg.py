@@ -55,13 +55,6 @@ def check_int(x, name: str, least: int | None = None) -> int:
     return int(x)
 
 
-def _scale(top: float) -> float:
-    """The exact divisor for a matrix whose largest |entry| is top: 1 inside 2^-129 <= top < 2^128,
-    where no square or fourth power the bounds take over- or underflows, else frexp's power of two."""
-    k = math.frexp(top)[1]
-    return 2.0**k if abs(k) > 128 else 1.0
-
-
 def as_square(M, name: str = "matrix") -> np.ndarray:
     """Validate `M` and return it as a float64 square 2-d array (a copy only if it is not one)."""
     try:
@@ -81,7 +74,7 @@ def as_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def _top(A: np.ndarray) -> float:
-    """max|A|, the one number _scale reads."""
+    """max|A|, the one number bounds._scale reads."""
     return float(max(A.max(), -A.min()))
 
 
@@ -129,13 +122,6 @@ def squared_distances(points: np.ndarray) -> np.ndarray:
         diff.sum(axis=2, out=out[i : i + step])
         del diff  # else the next block is allocated while this one is held
     return out
-
-
-def _near_symmetric(A: np.ndarray, top: float, tol: float) -> bool:
-    """||A - A^T||_F <= tol * ||A||_F, both taken on A / _scale(top), top = max|A|."""
-    scale = _scale(top)
-    A = A if scale == 1.0 else A / scale
-    return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
 
 
 _BAND = 48  # rows per step of a sum built in place: its temporaries are about _BAND x n

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import check_distance_matrix
+from .bounds import Compression, check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
 from .instances import _u64s
-from .linalg import DEFAULT_TOL, _near_symmetric
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -311,12 +310,11 @@ def two_opt(D, seed: int = 0) -> Tour:
     exactly symmetric, where every move shortens the tour, so it ends; the
     length is measured on D.
     """
-    A, top = check_distance_matrix(D)
-    exact = np.array_equal(A, A.T)
-    if not (exact or _near_symmetric(A, top, DEFAULT_TOL)):
+    A, top = checked = check_distance_matrix(D)
+    if not (c := Compression(checked)).symmetric:
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")
     n = A.shape[0]
-    S = A if exact else 0.5 * (A + A.T)
+    S = A if c.exactly_symmetric else 0.5 * (A + A.T)
     order = _nearest_neighbour(S, iter(_u64s(seed, n - 1).tolist()))
     least = math.ldexp(1e-12, math.frexp(top)[1])
 

@@ -16,11 +16,13 @@ routes, bit for bit.  The two-step normality rule (an early accept before
 the commutator) is the reference the library's one commutator test must
 decide alike, and the per-eigenspace loop of the complex spectrum the
 reference for its stacked products, bit for bit.  The backtracking
-Hamiltonicity tests are the ground truth no screen may contradict.  The
-graph builder that sets one edge per step is the reference the library's
-walk, with its one scatter, must match, graph for graph and error for
-error.  The symmetry test and the trace-pairing bracket live here because
-only tests use them.
+Hamiltonicity tests, which read only a graph's adjacency and degrees (no
+connectivity test of the package's), are the ground truth no screen may
+contradict.  The graph builder that sets one edge per step is the
+reference the library's walk, with its one scatter, must match, graph for
+graph and error for error.  The symmetry test, a copy of
+bounds.Compression's rule written apart from it, and the trace-pairing
+bracket live here because only tests use them.
 """
 
 from __future__ import annotations
@@ -37,13 +39,12 @@ from spectral_tsp.errors import (
     NotSymmetric,
     TooLarge,
 )
-from spectral_tsp.graphs import Graph, is_connected
+from spectral_tsp.graphs import Graph
 from spectral_tsp.linalg import (
     DEFAULT_TOL,
     _antisym_spectrum,
     _Checked,
     _is_index,
-    _near_symmetric,
     _square,
     _top,
     as_square,
@@ -498,7 +499,7 @@ def _oracle_size(g: Graph) -> int:
 def is_hamiltonian(g: Graph) -> bool:
     """Exact Hamiltonian-cycle test by backtracking.  Capped at 12 vertices."""
     n = _oracle_size(g)
-    if n < 3 or (g.degrees < 2).any() or not is_connected(g):
+    if n < 3 or (g.degrees < 2).any():
         return False
     return _extend(_adjacency_lists(g), 0, 1, (1 << n) - 1, closed=True)
 
@@ -508,8 +509,6 @@ def is_traceable(g: Graph) -> bool:
     n = _oracle_size(g)
     if n == 1:
         return True
-    if not is_connected(g):
-        return False
     adj = _adjacency_lists(g)
     return any(_extend(adj, s, 1 << s, (1 << n) - 1, closed=False) for s in range(n))
 
@@ -718,12 +717,18 @@ def validate_group(table) -> None:
 
 
 def is_symmetric(M, tol: float = DEFAULT_TOL) -> bool:
-    """M == M^T, or ||M - M^T||_F <= tol * ||M||_F, both taken on
-    M / _scale(max|M|), so that no square over- or underflows and the answer
+    """M == M^T, or ||M - M^T||_F <= tol * ||M||_F, the norms taken on M / 2^k,
+    top = max|M| = 2^k f with 1/2 <= f < 1, when top lies outside 2^-129..2^128
+    (on M itself inside), so that no square over- or underflows and the answer
     is the same for 2^k M.  A _Checked M brings its max|M| along."""
     check_tol(tol)
     A = _square(M, "matrix")
-    return np.array_equal(A, A.T) or _near_symmetric(A, M.top if isinstance(M, _Checked) else _top(A), tol)
+    if np.array_equal(A, A.T):
+        return True
+    top = M.top if isinstance(M, _Checked) else _top(A)
+    if top and not 2.0**-129 <= top < 2.0**128:
+        A = np.ldexp(A, -math.frexp(top)[1])
+    return float(np.linalg.norm(A - A.T)) <= tol * float(np.linalg.norm(A))
 
 
 def vn_trace_range(A, B, tol: float = DEFAULT_TOL) -> tuple[float, float]:

@@ -63,7 +63,8 @@ def test_tsp_coefficients_multiset():
 
 # (tight, of) symmetric circulants of order n whose distances c_k = c_{n-k} lie in {1, 2, 3}:
 # phi within 1e-9 * 3n of the held_karp optimum, the paper's tightness claim counted per n
-TIGHT_CIRCULANTS = {5: (9, 9), 6: (10, 27), 7: (15, 27), 8: (14, 81), 9: (12, 81), 10: (16, 243), 11: (18, 243)}
+TIGHT_CIRCULANTS = {5: (9, 9), 6: (10, 27), 7: (15, 27), 8: (14, 81), 9: (12, 81), 10: (16, 243), 11: (18, 243),
+                    12: (16, 729)}
 
 
 @pytest.mark.parametrize("n", TIGHT_CIRCULANTS)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -225,6 +226,33 @@ def test_batch_shipped_manifest_is_clean():
     names = [r["instance"]["name"] for r in rows]
     assert names == ["gr17", "dantzig42", "att48"]
     assert all(r["ratio"] is not None for r in rows)
+
+
+def test_batch_pretty_prints_the_ratio_table_on_stderr_alone(tmp_path, capsys):
+    # the paper's ratio table: one row per manifest row, in order, and stdout as without --pretty;
+    # batch rows carry no timing_ms, so --timing leaves them as they are
+    manifest = FIXTURES / "table1.manifest"
+    assert cli.main(["batch", str(manifest)]) == 0
+    plain = capsys.readouterr()
+    assert cli.main(["batch", str(manifest), "--timing"]) == 0
+    assert capsys.readouterr() == plain
+    assert cli.main(["batch", str(manifest), "--pretty"]) == 0
+    out, err = capsys.readouterr()
+    assert out == plain.out and plain.err == ""
+    header, *rows = err.splitlines()
+    assert header.split() == ["name", "n", "phi", "optimum", "ratio", "psd"]
+    assert [(row.split()[0], row.split()[4]) for row in rows] == [
+        ("gr17", "0.591"), ("dantzig42", "0.520"), ("att48", "0.654")
+    ]
+
+    shutil.copytree(FIXTURES, tmp_path / "tsplib")
+    with_missing = tmp_path / "tsplib" / "table1.manifest"
+    with_missing.write_text(manifest.read_text() + "missing.tsp\n")
+    assert cli.main(["batch", str(with_missing), "--pretty"]) == 2
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 4 and err.splitlines()[1:4] == rows
+    assert err.splitlines()[4].startswith(f"{tmp_path / 'tsplib' / 'missing.tsp'}: ERROR ")
+    assert len(err.splitlines()) == 5
 
 
 @pytest.mark.parametrize(

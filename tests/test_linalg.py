@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,14 +210,16 @@ def test_is_symmetric_is_scale_free(alpha):
 
 
 def test_is_symmetric_judges_d_and_2_to_the_k_d_alike():
+    # the oracle and Compression, each by its own code, at the threshold and around it
     S, A = random_symmetric(7, seed=2), random_asymmetric(7, seed=2)
     for eps in np.logspace(-12, -6, 25):
         M = S + eps * A
         tol = float(np.linalg.norm(M - M.T)) / float(np.linalg.norm(M))
         for t in (0.5 * tol, tol, 2.0 * tol):
             expected = oracles.is_symmetric(M, t)
-            for k in (-1000, -600, -200, 200, 600, 1000):
+            for k in (-1000, -600, -200, 0, 200, 600, 1000):
                 assert oracles.is_symmetric(np.ldexp(M, k), t) == expected, (eps, t, k)
+                assert bounds.Compression(np.ldexp(M, k), t).symmetric == expected, (eps, t, k)
 
 
 def test_is_psd():
@@ -495,6 +498,33 @@ def test_reports_on_the_fallback_have_the_kernels_bytes(monkeypatch):
     kernel = outputs()
     monkeypatch.setattr(linalg, "_lapack", lambda: None)
     assert outputs() == kernel
+
+
+def _lacking_dormtr(path):
+    return SimpleNamespace(**{f"scipy_{name}_64_": None for name in linalg._ARGS if name != "dormtr"})
+
+
+def _unloadable(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+@pytest.mark.parametrize("cdll", [_lacking_dormtr, _unloadable], ids=["lacks-dormtr", "oserror"])
+def test_kernel_falls_back_where_numpys_lapack_cannot_be_bound(cdll):
+    # _lapack's own except branch, which replacing _lapack whole never runs
+    def outputs():
+        return [repr(bounds.bound_report(D, tol)) for n in (7, 40) for D in
+                (random_symmetric(n, 0), random_circulant(n, 0), random_asymmetric(n, 0)) for tol in (0.0, 1e-8)]
+
+    kernel = outputs()
+    linalg._lapack.cache_clear()
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg.ctypes, "CDLL", cdll)
+            assert linalg._lapack() is None
+            fallback = outputs()
+    finally:
+        linalg._lapack.cache_clear()
+    assert fallback == kernel
 
 
 @pytest.mark.parametrize("threads", [1, 2])

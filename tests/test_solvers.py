@@ -120,7 +120,7 @@ def test_two_opt_judges_symmetry_as_compression_does():
                 symmetric = True
             except NotSymmetric:
                 symmetric = False
-            assert symmetric == bounds.Compression(D).symmetric, (rel, scale)
+            assert symmetric == bounds.Compression(D).symmetric == oracles.is_symmetric(D), (rel, scale)
 
 
 def test_permutations_in_lexicographic_order():
@@ -229,9 +229,12 @@ def test_two_opt_takes_the_same_moves_at_every_scale():
     # move and returned the nearest-neighbour start, 7.42 against 6.64
     D = random_euclidean(60, seed=1)[0]
     base = solvers.two_opt(D)
-    for k in (-900, -66, -43, 40, 900):
-        t = solvers.two_opt(np.ldexp(D, k))
-        assert t.order == base.order and t.length == np.ldexp(base.length, k), k
+    # beyond 2^128 Compression judges symmetry on D / 2^k: the gate and the choice of S are D's
+    near = D + 1e-12 * np.triu(random_asymmetric(60, seed=2), 1)
+    for M, ks, want in ((D, (-900, -200, -66, -43, 40, 200, 900), base), (near, (-200, 200), solvers.two_opt(near))):
+        for k in ks:
+            t = solvers.two_opt(np.ldexp(M, k))
+            assert t.order == want.order and t.length == np.ldexp(want.length, k), k
     for scale in (1e-10, 1e-13, 1e-20):
         assert solvers.two_opt(scale * D).length == pytest.approx(scale * base.length, rel=1e-12)
     small = np.ldexp(random_euclidean(25, seed=3)[0], -60)

@@ -38,11 +38,12 @@ differ.
 --threads runs this checkout alone, once per BLAS thread count, each run in
 a child process started with OPENBLAS_NUM_THREADS set to that count (BLAS
 reads it once, at load; nothing pins threads inside the package).  The list
-adds THREAD_EDGES, the cycles whose verdicts sit within roundoff of their
-thresholds.  Each later run is compared with the first: the commands whose
-bytes differ are printed and counted, which float digits alone can cause,
-and so are the commands whose decisions differ (decisions()); the exit
-status is 1 if any decision differs.
+adds THREAD_EDGES, graphs whose verdicts sit within roundoff of their
+thresholds: cycles, and K_{a,a}, which saturates them, built both as
+complete-bipartite and as dihedral-reflection.  Each later run is compared
+with the first: the commands whose bytes differ are printed and counted,
+which float digits alone can cause, and so are the commands whose decisions
+differ (decisions()); the exit status is 1 if any decision differs.
 """
 
 from __future__ import annotations
@@ -121,8 +122,13 @@ GRAPH_FILES = {  # name: text; .edges files are edge lists, .adj files adjacency
     "past-int64.adj": "0 9223372036854775808\n9223372036854775808 0\n",
 }
 THREAD_EDGES = [  # --threads only: hamiltonian values within roundoff of 0, at three tols
-    ("--tol", tol, "check-graph", "--family", "cycle", "--n", n)
-    for n in ("5", "600", "1000", "1500") for tol in ("0", "3e-14", "1e-13")
+    ("--tol", tol, "check-graph", *graph)
+    for graph in (
+        *(("--family", "cycle", "--n", n) for n in ("5", "600", "1000", "1500")),
+        *(("--family", "complete-bipartite", "--n", a, "--m", a) for a in ("4", "50", "300")),
+        *(("--family", "dihedral-reflection", "--m", a) for a in ("4", "50", "300")),
+    )
+    for tol in ("0", "3e-14", "1e-13")
 ]
 DECISION_KEYS = {"symmetric", "normal", "psd", "connected", "regular", "verdict", "saturated", "order"}
 SMOKE = [
