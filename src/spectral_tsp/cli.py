@@ -10,7 +10,15 @@ check-graph documents, null without --timing; batch rows carry no
 timing_ms, so --timing leaves them unchanged.  --pretty adds a summary on
 stderr.  The tolerance is --tol, else SPECTRAL_TSP_TOL, else 1e-8, and must
 be a finite number >= 0.  --n, --m, --dim and graph files are capped at
-graphs.SIZE_CAP (2048) vertices, a TSPLIB DIMENSION at twice that.
+linalg.SIZE_CAP (2048) vertices, a TSPLIB DIMENSION at twice that.
+
+A process enters through run(), which python -m and the spectral-tsp script
+both call.  It freezes the imported heap (gc.freeze) before main: that heap
+lives until exit, so neither main's collections nor the interpreter's
+shutdown need walk it.  main(argv) has no process-wide effect and can be
+called in process.  Only bounds and tsplib load with this module;
+instances, solvers and graphs load inside the subcommands that use them,
+so bound and batch never import them.
 
 Exit codes: 0 success, 2 unreadable or unparseable input (a bad tolerance
 too), 3 valid input rejected by a numeric precondition (asymmetry, size
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -30,32 +39,33 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bounds, graphs, instances, solvers, tsplib
+from . import bounds, tsplib
 from .errors import InputFormatError, InvalidTolerance, SpectralTspError, TooLarge
-from .linalg import check_tol
+from .linalg import SIZE_CAP, check_tol
 
+# family: the instances generator for it, given the parsed arguments
 _MATRIX_FAMILIES = {
-    "uniform": lambda a: instances.uniform_instance(a.n),
-    "circle": lambda a: instances.circle_instance(a.n),
-    "line": lambda a: instances.line_instance(a.n),
-    "two-cluster": lambda a: instances.two_cluster_instance(a.n),
-    "random-euclidean": lambda a: instances.random_euclidean(a.n, a.seed, a.dim)[0],
-    "random-symmetric": lambda a: instances.random_symmetric(a.n, a.seed),
-    "random-asymmetric": lambda a: instances.random_asymmetric(a.n, a.seed),
-    "random-circulant": lambda a: instances.random_circulant(a.n, a.seed),
+    "uniform": lambda make, a: make.uniform_instance(a.n),
+    "circle": lambda make, a: make.circle_instance(a.n),
+    "line": lambda make, a: make.line_instance(a.n),
+    "two-cluster": lambda make, a: make.two_cluster_instance(a.n),
+    "random-euclidean": lambda make, a: make.random_euclidean(a.n, a.seed, a.dim)[0],
+    "random-symmetric": lambda make, a: make.random_symmetric(a.n, a.seed),
+    "random-asymmetric": lambda make, a: make.random_asymmetric(a.n, a.seed),
+    "random-circulant": lambda make, a: make.random_circulant(a.n, a.seed),
 }
 
 # errors that exit 2 (a file that cannot be read or parsed); other SpectralTspErrors exit 3
 _INPUT_ERRORS = (InputFormatError, OSError, UnicodeDecodeError)
 
-# family: (builder, the flags it takes as positional arguments)
+# family: (the graphs builder's name, the flags it takes as positional arguments)
 _GRAPH_FAMILIES = {
-    "path": (graphs.path_graph, ("n",)),
-    "cycle": (graphs.cycle_graph, ("n",)),
-    "complete": (graphs.complete_graph, ("n",)),
-    "complete-bipartite": (graphs.complete_bipartite, ("n", "m")),
-    "bow-tie": (graphs.bow_tie, ()),
-    "dihedral-reflection": (graphs.dihedral_reflection_cayley, ("m",)),
+    "path": ("path_graph", ("n",)),
+    "cycle": ("cycle_graph", ("n",)),
+    "complete": ("complete_graph", ("n",)),
+    "complete-bipartite": ("complete_bipartite", ("n", "m")),
+    "bow-tie": ("bow_tie", ()),
+    "dihedral-reflection": ("dihedral_reflection_cayley", ("m",)),
 }
 
 
@@ -74,7 +84,9 @@ def _load_matrix(args) -> tuple[np.ndarray, dict, float | None]:
     if args.family:
         if args.n is None:
             raise InputFormatError("--family needs --n")
-        D = _MATRIX_FAMILIES[args.family](args)
+        from . import instances
+
+        D = _MATRIX_FAMILIES[args.family](instances, args)
         name = f"{args.family}-{args.n}"
         if args.family.startswith("random"):
             name += f"-s{args.seed}"
@@ -119,6 +131,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solvers
+
     D, meta, optimum = _load_matrix(args)
     method = {
         "brute": solvers.brute_force,
@@ -139,12 +153,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_graph(args) -> int:
+    from . import graphs
+
     if args.family:
-        build, params = _GRAPH_FAMILIES[args.family]
+        builder, params = _GRAPH_FAMILIES[args.family]
         for param in params:
             if getattr(args, param) is None:
                 raise InputFormatError(f"--family {args.family} needs --{param}")
-        g = build(*(getattr(args, param) for param in params))
+        g = getattr(graphs, builder)(*(getattr(args, param) for param in params))
         meta = {"name": args.family, "n": g.n, "source": "generated"}
     elif args.input:
         g = graphs.graph_from_text(Path(args.input).read_text(), args.format)
@@ -282,8 +298,8 @@ def main(argv=None) -> int:
         args.tol = _tolerance(args.tol)
         for flag in ("n", "m", "dim"):
             value = getattr(args, flag, None)
-            if value is not None and value > graphs.SIZE_CAP:
-                raise TooLarge(f"--{flag} is capped at {graphs.SIZE_CAP}, got {value}")
+            if value is not None and value > SIZE_CAP:
+                raise TooLarge(f"--{flag} is capped at {SIZE_CAP}, got {value}")
         return args.func(args)
     except _INPUT_ERRORS as e:
         print(f"error: {e}", file=sys.stderr)
@@ -293,5 +309,11 @@ def main(argv=None) -> int:
         return 3
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry: freeze what is imported, then exit with main's code."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

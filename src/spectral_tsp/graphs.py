@@ -30,11 +30,7 @@ from .errors import (
     NotInverseClosed,
     TooLarge,
 )
-from .linalg import _INTEGER, DEFAULT_TOL, _Checked, _is_index, _top, check_int, check_tol
-
-# largest vertex count of a graph file and command-line size flag: orders, and a
-# TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
-SIZE_CAP = 2048
+from .linalg import _INTEGER, DEFAULT_TOL, SIZE_CAP, _Checked, _is_index, _top, check_int, check_tol
 
 
 @dataclass(frozen=True)

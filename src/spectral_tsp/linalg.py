@@ -28,6 +28,10 @@ from .errors import InvalidDimension, InvalidMatrix, InvalidTolerance
 
 DEFAULT_TOL = 1e-8
 
+# largest vertex count of a graph file and command-line size flag: orders, and a
+# TSPLIB DIMENSION, stay <= 2 * SIZE_CAP, where one bound_report peaks near 0.8 GB
+SIZE_CAP = 2048
+
 
 def check_tol(tol: float) -> float:
     """float(tol) if tol is an int, float or numpy real scalar, not a bool,

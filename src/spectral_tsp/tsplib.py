@@ -32,8 +32,7 @@ from .errors import (
     TruncatedSection,
     UnsupportedKeyword,
 )
-from .graphs import SIZE_CAP
-from .linalg import _BLOCK_ENTRIES, squared_distances
+from .linalg import _BLOCK_ENTRIES, SIZE_CAP, squared_distances
 
 _WEIGHT_TYPES = {"EXPLICIT", "EUC_2D", "ATT", "GEO"}
 _WEIGHT_FORMATS = {"FULL_MATRIX", "UPPER_ROW", "LOWER_ROW", "UPPER_DIAG_ROW", "LOWER_DIAG_ROW"}

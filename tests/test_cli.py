@@ -1,3 +1,6 @@
+import ast
+import gc
+import importlib
 import json
 import os
 import shutil
@@ -410,21 +413,83 @@ def test_batch_jobs_below_one_exits_2(tmp_path, capsys, jobs):
 
 def test_cli_import_leaves_the_process_pool_out_and_batch_jobs_2_works():
     # scipy.sparse.csgraph alone takes longer to import than the whole CLI;
-    # a batch, --jobs 2 included, runs in process and loads no pool module
-    pool = "print('multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)"
-    probe = (
-        f"import sys, spectral_tsp.cli; {pool}; "
-        "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
-        f"code = spectral_tsp.cli.main(['batch', {str(FIXTURES / 'table1.manifest')!r}, '--jobs', '2']); "
-        f"print(code); {pool}"
-    )
+    # a batch, --jobs 2 included, runs in process and loads no pool module.
+    # The import loads the package, errors, linalg, bounds, tsplib and cli, and
+    # a batch adds none: instances, graphs and solvers load only with the runs
+    # that use them
+    probe = f"""
+import contextlib, io, json, sys
+import spectral_tsp.cli
+def loaded(code=None):
+    pool = ("multiprocessing", "concurrent.futures.process")
+    print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] in ("spectral_tsp", "scipy") or m in pool)]))
+loaded()
+for argv in {json.dumps(PROCESS_RUNS)}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = spectral_tsp.cli.main(argv)
+    loaded(code)
+"""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout.split()[:3] == ["False", "False", "False"]
-    assert done.stdout.split()[-3:] == ["0", "False", "False"]
+    base = [f"spectral_tsp{m}" for m in ("", ".bounds", ".cli", ".errors", ".linalg", ".tsplib")]
+    assert [json.loads(line) for line in done.stdout.splitlines()] == [
+        [None, base],
+        [0, base],
+        [0, sorted([*base, "spectral_tsp.instances"])],
+        [0, sorted([*base, "spectral_tsp.instances", "spectral_tsp.graphs"])],
+        [0, sorted([*base, "spectral_tsp.instances", "spectral_tsp.graphs", "spectral_tsp.solvers"])],
+    ]
     one = run_cli("batch", str(FIXTURES / "table1.manifest"))
     two = run_cli("batch", str(FIXTURES / "table1.manifest"), "--jobs", "2")
     assert two.returncode == one.returncode == 0 and two.stdout == one.stdout != ""
+
+
+# one run of each kind, in an order where each adds at most one module to a process
+PROCESS_RUNS = [
+    ["batch", str(FIXTURES / "table1.manifest"), "--jobs", "2"],
+    ["bound", "--family", "circle", "--n", "6"],
+    ["check-graph", "--family", "cycle", "--n", "6"],
+    ["solve", str(FIXTURES / "gr17.tsp"), "--method", "two-opt"],
+]
+
+
+def test_main_leaves_the_collector_as_it_found_it(capsys):
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv in PROCESS_RUNS:
+        assert cli.main(argv) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+    capsys.readouterr()
+
+
+def test_the_console_script_and_python_m_enter_through_run():
+    tomllib = pytest.importorskip("tomllib")
+    target = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]["scripts"]["spectral-tsp"]
+    module, attr = target.split(":")
+    assert getattr(importlib.import_module(module), attr) is cli.run
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (entry,) = [node for node in tree.body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    assert ast.unparse(entry) == "if __name__ == '__main__':\n    run()"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", str(FIXTURES / "gr17.tsp"), "--sidecar", str(FIXTURES / "gr17.opt"), "--pretty"],
+        ["bound", "--family", "circle", "--n", "12"],
+        ["solve", "--family", "random-symmetric", "--n", "8", "--seed", "3", "--method", "held-karp", "--pretty"],
+        ["check-graph", "--family", "cycle", "--n", "7", "--pretty"],
+        ["batch", str(FIXTURES / "table1.manifest"), "--pretty"],
+        ["bound", str(ROOT / "no-such-problem.tsp")],
+        ["bound", "--family", "circle", "--n", "3000"],
+    ],
+    ids=["bound-fixture", "bound-family", "solve", "check-graph", "batch", "exit-2", "exit-3"],
+)
+def test_a_process_prints_what_main_prints(argv, capsys, monkeypatch):
+    # the subprocess exits through run() and its frozen heap; main runs in this one
+    monkeypatch.delenv("SPECTRAL_TSP_TOL", raising=False)
+    done = run_cli(*argv)
+    code = cli.main(argv)
+    assert (done.stdout, done.stderr, done.returncode) == (*capsys.readouterr(), code)
 
 
 @pytest.mark.parametrize("command", ["bound", "solve"])

@@ -28,6 +28,21 @@ def test_outputs_are_compared_bit_for_bit():
     assert canon(ValueError("n")) == canon(ValueError("n")) != canon(TypeError("n"))
 
 
+def test_a_tree_loaded_under_another_name_resolves_its_own_modules():
+    spec = importlib.util.spec_from_file_location("interleave", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    from spectral_tsp import bounds
+
+    try:
+        modules = tool.load_tree(ROOT, "interleave_alias")
+        alias = sys.modules["interleave_alias"]
+        assert alias.bound_report is modules["bounds"].bound_report is not bounds.bound_report
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "interleave_alias"]:
+            del sys.modules[name]
+
+
 def test_a_tree_against_itself_reports_equal_outputs():
     run = subprocess.run(
         [sys.executable, str(TOOL), "--base-tree", str(ROOT), "--call", "solvers.brute_force",

@@ -46,6 +46,18 @@ def test_every_exported_name_resolves():
     assert set(spectral_tsp.__all__) <= set(namespace)
 
 
+def test_the_package_reads_each_name_from_its_module_at_every_lookup(monkeypatch):
+    # nothing is cached in the package, so a patched module attribute shows through it
+    # and is gone from it once the patch is undone
+    patched = object()
+    monkeypatch.setattr(bounds, "bound_report", patched)
+    assert spectral_tsp.bound_report is patched
+    monkeypatch.undo()
+    assert spectral_tsp.bound_report is bounds.bound_report
+    assert not set(spectral_tsp.__all__) & set(vars(spectral_tsp))
+    assert set(spectral_tsp.__all__) <= set(dir(spectral_tsp))
+
+
 @pytest.mark.parametrize("module, name", REMOVED)
 def test_removed_name_cannot_be_imported(module, name):
     assert not hasattr(importlib.import_module(module), name)
