@@ -70,10 +70,3 @@ class InvalidTour(SpectralTspError):
 class Disconnected(SpectralTspError):
     """Graph operation requires a connected graph."""
 
-
-class IdentityInConnectionSet(SpectralTspError):
-    """A Cayley graph connection set contains the group identity."""
-
-
-class NotInverseClosed(SpectralTspError):
-    """A Cayley graph connection set is not closed under group inversion."""

@@ -1,4 +1,4 @@
-"""Graphs, Cayley constructions, and spectral Hamiltonicity screens.
+"""Graphs, stock families, and spectral Hamiltonicity screens.
 
 A Hamiltonian cycle in a graph G is a zero-cost tour of the complement's
 adjacency matrix and a cost-n tour of G's hop-distance matrix.  Feeding
@@ -15,22 +15,14 @@ A bound value above the threshold certifies non-Hamiltonicity (verdict
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .bounds import Compression
-from .errors import (
-    Disconnected,
-    IdentityInConnectionSet,
-    InputFormatError,
-    InvalidDimension,
-    InvalidMatrix,
-    NotInverseClosed,
-    TooLarge,
-)
-from .linalg import _INTEGER, DEFAULT_TOL, SIZE_CAP, _Checked, _is_index, _top, check_int, check_tol
+from .errors import Disconnected, InputFormatError, InvalidDimension, InvalidMatrix, TooLarge
+from .linalg import _INTEGER, DEFAULT_TOL, SIZE_CAP, _Checked, _top, check_int, check_tol
 
 
 @dataclass(frozen=True)
@@ -193,89 +185,15 @@ def bow_tie() -> Graph:
     return from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
 
 
-# ---------------------------------------------------------------------------
-# groups and Cayley graphs
-
-
-@dataclass
-class GroupTable:
-    """A finite group as an explicit multiplication table.
-
-    mult[a, b] is the index of the product a o b, and element 0 is the
-    identity; `inverse` is read off the table.
-    """
-
-    mult: np.ndarray
-    inverse: np.ndarray = field(init=False)
-    identity = 0
-
-    def __post_init__(self):
-        try:
-            M = np.asarray(self.mult)
-        except ValueError:  # a ragged nested list
-            raise InvalidMatrix("multiplication table must be square") from None
-        if M.ndim != 2 or M.shape[0] != M.shape[1]:
-            raise InvalidMatrix("multiplication table must be square")
-        if not M.size:
-            raise InvalidDimension("groups need at least one element")
-        if M.dtype.kind not in "iu" or not 0 <= M.min() <= M.max() < len(M):
-            raise InvalidMatrix(f"multiplication table entries must be integers in [0, {len(M)})")
-        M = M.astype(np.int64, copy=False)
-        hits = M == self.identity
-        bad = np.flatnonzero(hits.sum(axis=1) != 1)
-        if bad.size:
-            raise InvalidMatrix(f"element {bad[0]} has no unique inverse")
-        self.mult = M
-        self.inverse = hits.argmax(axis=1)
-
-    @property
-    def order(self) -> int:
-        return self.mult.shape[0]
-
-
-def dihedral_group(m: int) -> GroupTable:
-    """Symmetries of a regular m-gon, order 2m.
-
-    Element epsilon * m + k encodes s^epsilon r^k (rotation by k, optionally
-    composed with a fixed reflection s), with s r s = r^-1.
-    """
-    m = check_int(m, "m", 1)
-    e, k = np.divmod(np.arange(2 * m), m)
-    sign = 1 - 2 * e  # r^k s = s r^-k: a reflection on the right negates k1
-    M = (e[:, None] ^ e[None, :]) * m + (sign[None, :] * k[:, None] + k[None, :]) % m
-    return GroupTable(M)
-
-
-def cayley_graph(table: GroupTable, connection) -> Graph:
-    """Cayley graph: g ~ h iff h o g^-1 lies in the connection set.
-
-    The connection set must exclude the identity (no self-loops) and be
-    closed under inversion (so adjacency is symmetric).
-    """
-    try:
-        elements = list(connection)
-    except TypeError:
-        raise InvalidDimension(f"connection set must be a collection, got {connection!r}") from None
-    n = table.order
-    for s in elements:
-        if not _is_index(s):
-            raise InvalidDimension(f"connection element {s!r} is not an integer")
-        if not 0 <= s < n:
-            raise InvalidDimension(f"connection element {s} out of range")
-    S = set(map(int, elements))
-    if table.identity in S:
-        raise IdentityInConnectionSet("connection set contains the identity")
-    if any(int(table.inverse[s]) not in S for s in S):
-        raise NotInverseClosed("connection set is not closed under inversion")
-    # row g of mult.T[inverse] holds h o g^-1 for every h
-    # the diagonal holds g o g^-1, the identity, which S lacks
-    return Graph(np.isin(table.mult.T[table.inverse], list(S)).astype(np.int8))
-
-
 def dihedral_reflection_cayley(m: int) -> Graph:
-    """Cayley graph of the dihedral group generated by all its reflections."""
+    """Cayley graph of the dihedral group of order 2m with all m reflections as its connection set.
+
+    With the rotations r^k as vertices 0..m-1 and the reflections s r^k as m..2m-1, h o g^-1 is a
+    reflection exactly when g and h lie in different cosets of the rotation subgroup: the graph
+    is K_{m,m}, adjacency and all.
+    """
     m = check_int(m, "m", 2)  # a nontrivial reflection set
-    return cayley_graph(dihedral_group(m), range(m, 2 * m))
+    return complete_bipartite(m, m)
 
 
 # ---------------------------------------------------------------------------

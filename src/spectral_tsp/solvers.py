@@ -17,7 +17,6 @@ import numpy as np
 
 from .bounds import Compression, check_distance_matrix
 from .errors import InvalidTour, NotSymmetric, TooLarge
-from .instances import _u64s
 
 BRUTE_FORCE_CAP = 12
 HELD_KARP_CAP = 20
@@ -310,6 +309,8 @@ def two_opt(D, seed: int = 0) -> Tour:
     exactly symmetric, where every move shortens the tour, so it ends; the
     length is measured on D.
     """
+    from .instances import _u64s  # here, so that held_karp and brute_force runs never load instances
+
     A, top = checked = check_distance_matrix(D)
     if not (c := Compression(checked)).symmetric:
         raise NotSymmetric("2-opt reversals only preserve tour structure for symmetric distances")

@@ -4,11 +4,14 @@ Everything here is written the slow, obvious way, with different numpy
 primitives (projector instead of an explicit basis, complex `eig` instead
 of a real-arithmetic split, exhaustive enumeration instead of assignment
 solvers) so that agreement with the library is evidence, not tautology.
-The loop versions of the solvers, instance generators, TSPLIB distance
-rules and group and Cayley builders are the reference the library's array
-versions must match bit for bit; so are brute_force's uncut enumeration
-for the library's branch and bound, and the whole-array routes of squared
-distances and GEO distances for the library's row blocks.  The dense passes
+The loop versions of the solvers, instance generators and TSPLIB distance
+rules are the reference the library's array versions must match bit for
+bit.  The group tables and Cayley builders are the only group route: the
+library builds its one Cayley family, the dihedral group on its
+reflections, as K_{m,m}, and must match the loop Cayley build of it byte
+for byte.  Bit for bit too are brute_force's uncut enumeration against
+the library's branch and bound, and the whole-array routes of squared
+distances and GEO distances against the library's row blocks.  The dense passes
 of a symmetric report (the Householder basis as I minus an outer product,
 the compression negated out of place, A - A^T for the skew and (A + A^T) / 2
 for n2) are the reference for the library's in-place and exactly-symmetric
@@ -642,6 +645,7 @@ def tsplib_geo_pairs(coords) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # stock graphs, group tables and Cayley graphs, one block or entry at a time
+# (the circulant builder in one array step, for sizes the loops would take seconds at)
 
 
 def disjoint_cliques(n: int) -> np.ndarray:
@@ -694,10 +698,23 @@ def cayley_adjacency(M, inverse, connection) -> np.ndarray:
     return A
 
 
-def validate_group(table) -> None:
+def cayley_graph(M, connection) -> Graph:
+    """The Cayley graph of the group table M with the given connection set."""
+    return Graph(cayley_adjacency(M, group_inverse(M), connection))
+
+
+def circulant_graph(n: int, steps) -> Graph:
+    """C_n(+-steps): vertex i is adjacent to i +- s mod n for each s in steps, in one array step."""
+    idx = np.arange(n)
+    S = [s % n for t in steps for s in (t, -t)]
+    return Graph(np.isin((idx[None, :] - idx[:, None]) % n, S).astype(np.int8))
+
+
+def validate_group(M, identity: int = 0) -> None:
     """ValueError unless the table is a group: closed, latin, with its identity,
-    inverses and associativity, each checked element by element."""
-    M, e, inverse = table.mult, table.identity, table.inverse
+    inverses (read by group_inverse) and associativity, each checked element by element."""
+    M, e = np.asarray(M), identity
+    inverse = group_inverse(M, e)
     n = len(M)
     elements = set(range(n))
     for a in range(n):

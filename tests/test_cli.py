@@ -136,10 +136,20 @@ def test_check_graph_family_and_file_agree(tmp_path):
 def test_check_graph_disconnected_reports_null_distance_screen(tmp_path):
     f = tmp_path / "two_triangles.txt"
     f.write_text("6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n")
-    doc = doc_of(run_cli("check-graph", str(f)))
+    plain = run_cli("check-graph", str(f))
+    doc = doc_of(plain)
     assert doc["connected"] is False
     assert doc["distance_hamiltonian"] is None
     assert doc["hamiltonian"]["verdict"] == "excluded"
+    # --pretty leaves stdout as it is and prints the summary, the distance screen skipped, on stderr
+    pretty = run_cli("check-graph", str(f), "--pretty")
+    assert pretty.returncode == plain.returncode == 0 and pretty.stdout == plain.stdout
+    assert pretty.stderr.splitlines() == [
+        "two_triangles: n=6",
+        "  hamiltonian: excluded value=1.500000 threshold=0",
+        "  traceable: excluded value=1.500000 threshold=1",
+        "  distance_hamiltonian: skipped (disconnected)",
+    ]
 
 
 def test_tolerance_env_var_and_flag(tmp_path):
@@ -415,8 +425,8 @@ def test_cli_import_leaves_the_process_pool_out_and_batch_jobs_2_works():
     # scipy.sparse.csgraph alone takes longer to import than the whole CLI;
     # a batch, --jobs 2 included, runs in process and loads no pool module.
     # The import loads the package, errors, linalg, bounds, tsplib and cli, and
-    # a batch adds none: instances, graphs and solvers load only with the runs
-    # that use them
+    # a batch adds none: solvers, instances and graphs load only with the runs
+    # that use them, and an exact solve on a problem file adds solvers alone
     probe = f"""
 import contextlib, io, json, sys
 import spectral_tsp.cli
@@ -435,9 +445,9 @@ for argv in {json.dumps(PROCESS_RUNS)}:
     assert [json.loads(line) for line in done.stdout.splitlines()] == [
         [None, base],
         [0, base],
-        [0, sorted([*base, "spectral_tsp.instances"])],
-        [0, sorted([*base, "spectral_tsp.instances", "spectral_tsp.graphs"])],
-        [0, sorted([*base, "spectral_tsp.instances", "spectral_tsp.graphs", "spectral_tsp.solvers"])],
+        [0, sorted([*base, "spectral_tsp.solvers"])],
+        [0, sorted([*base, "spectral_tsp.solvers", "spectral_tsp.instances"])],
+        [0, sorted([*base, "spectral_tsp.solvers", "spectral_tsp.instances", "spectral_tsp.graphs"])],
     ]
     one = run_cli("batch", str(FIXTURES / "table1.manifest"))
     two = run_cli("batch", str(FIXTURES / "table1.manifest"), "--jobs", "2")
@@ -447,9 +457,9 @@ for argv in {json.dumps(PROCESS_RUNS)}:
 # one run of each kind, in an order where each adds at most one module to a process
 PROCESS_RUNS = [
     ["batch", str(FIXTURES / "table1.manifest"), "--jobs", "2"],
+    ["solve", str(FIXTURES / "gr17.tsp"), "--method", "held-karp"],
     ["bound", "--family", "circle", "--n", "6"],
     ["check-graph", "--family", "cycle", "--n", "6"],
-    ["solve", str(FIXTURES / "gr17.tsp"), "--method", "two-opt"],
 ]
 
 

@@ -9,27 +9,22 @@ import pytest
 from hypothesis import given, settings, strategies as stn
 
 import oracles
-from spectral_tsp import graphs
+from spectral_tsp import graphs, linalg
 from spectral_tsp.errors import (
     Disconnected,
-    IdentityInConnectionSet,
     InputFormatError,
     InvalidDimension,
     InvalidMatrix,
-    NotInverseClosed,
     InvalidTolerance,
     SpectralTspError,
     TooLarge,
 )
 from spectral_tsp.graphs import (
-    GroupTable,
     bow_tie,
-    cayley_graph,
     complement_phi,
     complete_bipartite,
     complete_graph,
     cycle_graph,
-    dihedral_group,
     dihedral_reflection_cayley,
     distance_hamiltonian_screen,
     distance_matrix,
@@ -64,11 +59,6 @@ def disjoint_cliques(n) -> graphs.Graph:
     return graphs.Graph(1 - np.eye(len(A), dtype=np.int8) - A)
 
 
-def cyclic_group(n) -> GroupTable:
-    """Z_n: the rotations, elements 0..n-1, of the package's dihedral_group(n)."""
-    return GroupTable(dihedral_group(n).mult[:n, :n])
-
-
 # ---------------------------------------------------------------- constructions
 
 
@@ -92,8 +82,6 @@ def test_basic_generator_shapes():
         lambda: complete_bipartite(-2, -2),
         lambda: graphs.Graph(np.zeros((0, 0))),
         lambda: cycle_graph(2),
-        lambda: GroupTable(np.zeros((0, 0), dtype=int)),  # raised numpy's ValueError from argmax
-        lambda: dihedral_group(0),
     ],
 )
 def test_empty_and_negative_sizes_are_rejected(build):
@@ -109,8 +97,6 @@ BUILDERS = {
     "path_graph": path_graph,
     "cycle_graph": cycle_graph,
     "disjoint_cliques": disjoint_cliques,
-    "cyclic_group": cyclic_group,
-    "dihedral_group": dihedral_group,
     "dihedral_reflection_cayley": graphs.dihedral_reflection_cayley,
 }
 
@@ -126,9 +112,7 @@ def test_builders_take_only_integer_sizes(name, size):
 @pytest.mark.parametrize("name", BUILDERS)
 def test_builders_take_numpy_integer_sizes(name):
     for size in (np.int64(4), np.uint8(4), np.int32(4)):
-        built, expected = BUILDERS[name](size), BUILDERS[name](4)
-        table = "mult" if isinstance(expected, graphs.GroupTable) else "adjacency"
-        assert np.array_equal(getattr(built, table), getattr(expected, table))
+        assert np.array_equal(BUILDERS[name](size).adjacency, BUILDERS[name](4).adjacency)
 
 
 def test_disjoint_cliques_is_the_block_construction():
@@ -301,13 +285,19 @@ def test_from_edges_finds_a_bool_among_ints():
 
 
 def test_from_edges_walks_no_edge_of_a_valid_list_or_tuple(monkeypatch):
-    # the walk applies _is_index's rule inline: no helper is called per endpoint of a valid list
-    monkeypatch.setattr(graphs, "_is_index", lambda x: pytest.fail("called _is_index on an endpoint"))
+    # the walk applies _is_index's rule inline: no helper is called per endpoint of a valid list,
+    # so the one call per graph is check_int's on n, and graphs binds no _is_index of its own
+    assert not hasattr(graphs, "_is_index")
+    calls = []
+    is_index = linalg._is_index
+    monkeypatch.setattr(linalg, "_is_index", lambda x: calls.append(x) or is_index(x))
     rng = np.random.default_rng(5)
     edges = _random_edges(rng, 50, 200)
     want = oracles.from_edges(50, edges).adjacency
     for given in (edges, tuple(edges), [list(e) for e in edges], [(np.int32(u), v) for u, v in edges]):
+        calls.clear()
         assert np.array_equal(from_edges(50, given).adjacency, want)
+        assert calls == [50]
 
 
 def test_from_edges_reads_a_generator_only_up_to_its_first_bad_edge():
@@ -361,8 +351,8 @@ _BFS_FAMILIES = {
     **{f"K{n}": complete_graph(n) for n in (1, 2, 3, 50)},
     **{f"K{a},{b}": complete_bipartite(a, b) for a, b in ((0, 3), (1, 1), (1, 5), (2, 3), (20, 30))},
     **{f"reflections{m}": dihedral_reflection_cayley(m) for m in (2, 3, 10, 25)},
-    "two-12-cycles": cayley_graph(dihedral_group(12), {1, 11}),
-    "prism12": cayley_graph(dihedral_group(12), {1, 11, 12}),
+    "two-12-cycles": oracles.cayley_graph(oracles.dihedral_table(12), {1, 11}),
+    "prism12": oracles.cayley_graph(oracles.dihedral_table(12), {1, 11, 12}),
     # components that turn complete at different depths: K5 from the start, P40 after six squarings
     "K5+P40": _union(complete_graph(5), path_graph(40)),
     "C50+K1": _union(cycle_graph(50), complete_graph(1)),
@@ -454,7 +444,7 @@ _RELABELLED = {
     **{name: g for name, g in _BFS_FAMILIES.items() if name not in _DISCONNECTED and g.n >= 3},
     **{f"C{n}": cycle_graph(n) for n in (5, 7, 40)},
     "bow-tie": bow_tie(),
-    "C12{1,5}": cayley_graph(cyclic_group(12), {1, 5, 7, 11}),
+    "C12{1,5}": oracles.cayley_graph(oracles.cyclic_table(12), {1, 5, 7, 11}),
 }
 
 
@@ -496,26 +486,27 @@ def test_regularity_predicates():
 
 
 def test_cyclic_and_dihedral_tables_are_groups():
-    oracles.validate_group(cyclic_group(7))
-    oracles.validate_group(dihedral_group(5))
+    oracles.validate_group(oracles.cyclic_table(7))
+    oracles.validate_group(oracles.dihedral_table(5))
 
 
 def test_dihedral_table_relations():
     m = 4
-    t = dihedral_group(m)
-    assert t.order == 2 * m
+    M = oracles.dihedral_table(m)
+    inverse = oracles.group_inverse(M)
+    assert len(M) == 2 * m
     r, s = 1, m  # a generating rotation and a reflection
-    assert t.mult[s, s] == t.identity  # reflections are involutions
+    assert M[s, s] == 0  # reflections are involutions
     # s r s = r^-1
-    sr = t.mult[s, r]
-    assert t.mult[sr, s] == t.inverse[r]
+    sr = M[s, r]
+    assert M[sr, s] == inverse[r]
 
 
 def test_group_table_rejects_non_latin():
-    M = cyclic_group(4).mult.copy()
+    M = oracles.cyclic_table(4)
     M[1, 2] = M[1, 1]
     with pytest.raises(ValueError):
-        oracles.validate_group(GroupTable(mult=M))
+        oracles.validate_group(M)
 
 
 def test_group_table_rejects_broken_inverses():
@@ -530,144 +521,34 @@ def test_group_table_rejects_broken_inverses():
         ]
     )
     with pytest.raises(ValueError):
-        oracles.validate_group(GroupTable(mult=M))
-
-
-def test_group_tables_are_the_loops():
-    for m in range(1, 41):
-        d = dihedral_group(m)
-        assert d.mult.tobytes() == oracles.dihedral_table(m).tobytes(), m
-        assert d.inverse.tobytes() == oracles.group_inverse(d.mult).tobytes(), m
-        c = cyclic_group(m)
-        assert c.mult.tobytes() == oracles.cyclic_table(m).tobytes(), m
-        assert c.inverse.tobytes() == oracles.group_inverse(c.mult).tobytes(), m
-        # the inverse read off the table is negation mod m
-        assert c.inverse.tolist() == [-a % m for a in range(m)], m
-        assert c.identity == d.identity == 0
-
-
-def test_group_table_without_unique_inverse_names_the_first_element():
-    rng = np.random.default_rng(0)
-    for trial in range(40):
-        n = 2 + trial % 7
-        M = rng.integers(0, n, size=(n, n))
-        try:
-            want = oracles.group_inverse(M)
-        except ValueError as exc:
-            with pytest.raises(InvalidMatrix, match=f"^{exc}$"):
-                GroupTable(mult=M)
-        else:
-            assert GroupTable(mult=M).inverse.tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize(
-    "M, match",
-    [
-        (np.zeros((2, 3), dtype=int), "square"),
-        ([[0, 1], [1]], "square"),
-        ([[0, 1.5], [1.5, 0]], "integers"),
-        ([[0, 5], [5, 0]], "integers"),
-        ([[0, -1], [-1, 0]], "integers"),
-        ([["0", "1"], ["1", "0"]], "integers"),
-        (np.array([[False, True], [True, False]]), "integers"),
-    ],
-)
-def test_group_table_takes_only_integer_entries_in_range(M, match):
-    with pytest.raises(InvalidMatrix, match=match):
-        GroupTable(mult=M)
-
-
-def test_group_table_keeps_int64_entries():
-    M = cyclic_group(5).mult
-    for dtype in (np.int8, np.uint16, np.int64):
-        t = GroupTable(mult=M.astype(dtype))
-        assert t.mult.dtype == np.int64 and t.mult.tobytes() == M.tobytes()
-
-
-def _inverse_closed_sets(table, rng, count):
-    """Random connection sets: unions of {a, a^-1} over non-identity a."""
-    others = np.flatnonzero(np.arange(table.order) != table.identity)
-    for _ in range(count):
-        picked = rng.choice(others, size=rng.integers(1, len(others) + 1), replace=True)
-        yield set(picked.tolist()) | set(table.inverse[picked].tolist())
-
-
-def test_cayley_graphs_are_the_loops():
-    rng = np.random.default_rng(1)
-    for m in range(1, 41):
-        for table in (cyclic_group(m + 1), dihedral_group(m)):
-            for S in _inverse_closed_sets(table, rng, 3):
-                want = oracles.cayley_adjacency(table.mult, table.inverse, S)
-                assert cayley_graph(table, S).adjacency.tobytes() == want.tobytes(), (m, S)
-        if m >= 2:
-            t = dihedral_group(m)
-            want = oracles.cayley_adjacency(oracles.dihedral_table(m), t.inverse, range(m, 2 * m))
-            assert dihedral_reflection_cayley(m).adjacency.tobytes() == want.tobytes(), m
+        oracles.validate_group(M)
 
 
 # ---------------------------------------------------------------- cayley graphs
 
 
-def test_cayley_cycle_from_cyclic_group():
-    n = 9
-    t = cyclic_group(n)
-    g = cayley_graph(t, {1, n - 1})
-    assert np.array_equal(g.adjacency, cycle_graph(n).adjacency)
-
-
-def test_cayley_odd_residues_look_like_complete_bipartite():
-    # Z_2n with the odd residues: same degree sequence and adjacency
-    # spectrum as K_{n,n}, which pins the graph up to isomorphism here.
-    for n in (2, 3, 4):
-        t = cyclic_group(2 * n)
-        g = cayley_graph(t, set(range(1, 2 * n, 2)))
-        kb = complete_bipartite(n, n)
-        assert sorted(g.adjacency.sum(axis=1)) == sorted(kb.adjacency.sum(axis=1))
-        a = np.sort(np.linalg.eigvalsh(g.adjacency.astype(float)))
-        b = np.sort(np.linalg.eigvalsh(kb.adjacency.astype(float)))
-        np.testing.assert_allclose(a, b, atol=1e-8)
-
-
-def test_cayley_connection_set_validation():
-    t = cyclic_group(6)
-    with pytest.raises(IdentityInConnectionSet):
-        cayley_graph(t, {0, 1, 5})
-    with pytest.raises(NotInverseClosed):
-        cayley_graph(t, {1})  # inverse of 1 is 5
-    for outside in (6, -1):
-        with pytest.raises(InvalidDimension, match="out of range"):
-            cayley_graph(t, {1, 5, outside})
-    for not_a_set in (5, None):  # list(connection) raised an untyped TypeError
-        with pytest.raises(InvalidDimension, match="connection set must be a collection"):
-            cayley_graph(t, not_a_set)
-    with pytest.raises(InvalidDimension):
+def test_cayley_graphs_are_the_loops():
+    # the reflections s r^k are m..2m-1, and h o g^-1 is one exactly when g and h lie in
+    # different cosets of the rotations: the package builds this Cayley graph as K_{m,m}
+    for m in range(2, 41):
+        M = oracles.dihedral_table(m)
+        want = oracles.cayley_adjacency(M, oracles.group_inverse(M), range(m, 2 * m))
+        assert dihedral_reflection_cayley(m).adjacency.tobytes() == want.tobytes(), m
+    with pytest.raises(InvalidDimension, match="^m must be at least 2, got 1$"):
         dihedral_reflection_cayley(1)
 
 
-@pytest.mark.parametrize("connection", [[4.7, 5.2, 6, 7], ["4", "5"], [True, 7], [np.float64(4.0), 4]])
-def test_cayley_connection_set_takes_only_integers(connection):
-    with pytest.raises(InvalidDimension, match="not an integer"):
-        cayley_graph(dihedral_group(4), connection)
-
-
-def test_cayley_connection_set_takes_numpy_integers():
-    want = dihedral_reflection_cayley(4).adjacency
-    assert np.array_equal(cayley_graph(dihedral_group(4), np.arange(4, 8)).adjacency, want)
-
-
 def test_cayley_non_generating_set_gives_disconnected_graph():
-    t = cyclic_group(6)
-    g = cayley_graph(t, {2, 4})
+    g = oracles.cayley_graph(oracles.cyclic_table(6), {2, 4})
     assert not is_connected(g)
     assert is_regular(g)
 
 
 def test_cayley_graphs_are_regular_and_transmission_regular():
-    for g in (
-        cayley_graph(cyclic_group(8), {1, 7}),
-        cayley_graph(cyclic_group(10), {1, 9, 5}),
-        dihedral_reflection_cayley(5),
-    ):
+    c8, c10 = oracles.circulant_graph(8, (1,)), oracles.circulant_graph(10, (1, 5))
+    assert np.array_equal(c8.adjacency, oracles.cayley_graph(oracles.cyclic_table(8), {1, 7}).adjacency)
+    assert np.array_equal(c10.adjacency, oracles.cayley_graph(oracles.cyclic_table(10), {1, 9, 5}).adjacency)
+    for g in (c8, c10, dihedral_reflection_cayley(5)):
         assert is_regular(g)
         if is_connected(g):
             assert oracles.is_transmission_regular(g)
@@ -683,7 +564,7 @@ def test_dihedral_reflection_cayley_shape():
         assert is_connected(g)
     # and it is what the generic construction gives for the reflections
     m = 5
-    direct = cayley_graph(dihedral_group(m), set(range(m, 2 * m)))
+    direct = oracles.cayley_graph(oracles.dihedral_table(m), set(range(m, 2 * m)))
     assert np.array_equal(dihedral_reflection_cayley(m).adjacency, direct.adjacency)
 
 
@@ -793,7 +674,7 @@ def test_transmission_regular_fast_path_matches_generic():
 def test_screen_values_are_the_closed_forms_on_circulants(n, steps):
     # values only: the cycles' verdicts at tol 0 are a separate question
     S = {x % n for s in steps for x in (s, -s)}
-    g = cycle_graph(n) if steps == (1,) else cayley_graph(cyclic_group(n), S)
+    g = cycle_graph(n) if steps == (1,) else oracles.circulant_graph(n, steps)
     eps = np.finfo(float).eps
     for value, reference in (
         (complement_phi, oracles.circulant_complement_phi),

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as stn
 
 import oracles
-from spectral_tsp import solvers, tsplib
+from spectral_tsp import cli, solvers, tsplib
 from spectral_tsp.errors import (
     DimensionMismatch,
     InputFormatError,
@@ -532,12 +532,21 @@ HEAD3 = "NAME: t3\nTYPE: TSP\nDIMENSION: 3\n"
         (HEAD3 + "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: FULL_MATRIX\nEOF\n", InputFormatError,
          ": EXPLICIT problem has no EDGE_WEIGHT_SECTION"),
         (HEAD3 + "EDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", InputFormatError, ": EUC_2D problem has no NODE_COORD_SECTION"),
+        (HEAD3 + "EDGE_WEIGHT_TYPE: EXPLICIT\nEDGE_WEIGHT_FORMAT: UPPER_COL\nEDGE_WEIGHT_SECTION\n1 2\n3\nEOF\n",
+         UnsupportedKeyword, "line 6: EDGE_WEIGHT_FORMAT 'UPPER_COL' is not supported"),
+        ("NAME: t3\nTYPE: TSP\nEDGE_WEIGHT_TYPE: EUC_2D\nEOF\n", InputFormatError, ": missing DIMENSION"),
     ],
 )
-def test_incomplete_or_overfull_files_are_typed_errors(text, error, message):
+def test_incomplete_or_overfull_files_are_typed_errors(tmp_path, capsys, text, error, message):
+    tail = ("" if message.startswith(":") else ", ") + message
     with pytest.raises(error) as info:
         tsplib.parse_tsplib(text, "t3.tsp")
-    assert str(info.value) == "t3.tsp" + ("" if message.startswith(":") else ", ") + message
+    assert str(info.value) == "t3.tsp" + tail
+    # bound on the file exits 2 with the same message after its path
+    path = tmp_path / "t3.tsp"
+    path.write_text(text)
+    assert cli.main(["bound", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {path}{tail}\n")
 
 
 # ---------------------------------------------------------------- sidecars

@@ -23,7 +23,11 @@ SPECTRAL_TSP_TOL is unset.  The list, run at the default tol, --tol 1 and
     repeated edges, the same graph as a matrix, comments and tabs) and
     malformed ones (tokens int() reads but plain digits do not spell, such
     as +1 and 1_0, tokens it rejects, endpoints out of range, self-loops,
-    capped sizes, ragged or asymmetric matrices), some with --format given.
+    capped sizes, ragged or asymmetric matrices), some with --format given;
+  - with --pretty, whose summary goes to stderr: bound on gr17 with its
+    sidecar, solve --method held-karp on random-euclidean at n = 9,
+    check-graph on disconnected.edges, and batch on the fixtures and the
+    n = 7 files.
 
     python tools/byte_sweep.py --base HEAD~1           # HEAD~1 against this checkout
     python tools/byte_sweep.py --base A --new B --show # two revisions, differences shown
@@ -160,6 +164,13 @@ def commands(directory: Path) -> list[tuple[str, ...]]:
     listed += [("batch", str(manifest), "--jobs", jobs) for jobs in ("1", "2")]
     listed += [("check-graph", *g) for g in GRAPHS]
     listed += [("check-graph", *argv) for argv in write_graph_files(directory / "graphs")]
+    pretty = [  # one per subcommand, so that the stderr summaries are compared too
+        ("bound", str(FIXTURES[0]), "--sidecar", str(FIXTURES[0].with_suffix(".opt"))),
+        ("solve", "--family", "random-euclidean", "--n", "9", "--method", "held-karp"),
+        ("check-graph", str(directory / "graphs" / "disconnected.edges")),
+        ("batch", str(manifest)),
+    ]
+    listed += [(*argv, "--pretty") for argv in pretty]
     return [(*tol, *argv) for tol in TOLS for argv in listed]
 
 
